@@ -45,12 +45,10 @@ from .linalg import (
     Subspace,
     SubspaceLattice,
     VectorSpace,
-    compose_semilinear,
     enumerate_sgl,
     enumerate_subspaces,
     gaussian_binomial,
     map_subspace,
-    semilinear_apply,
 )
 from .rep import (
     RepEquivalence,

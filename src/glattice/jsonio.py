@@ -29,6 +29,7 @@ Command-line micro-syntax: --group cyclic:3 | sym:3 | dihedral:4,
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import GlatticeError, ParseError
 from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
@@ -110,16 +111,17 @@ def parse_group_spec(text):
 
 
 def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise ParseError("field order must be a prime power")
-            return p, k
-    raise ParseError("field order must be >= 2")
+    if q < 2:
+        raise ParseError("field order must be >= 2")
+    # the smallest divisor of q is at most isqrt(q), or q itself is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    if q != 1:
+        raise ParseError("field order must be a prime power")
+    return p, k
 
 
 def parse_ring_spec(text):

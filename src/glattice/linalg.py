@@ -86,14 +86,8 @@ class VectorSpace:
 def add_vectors(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
-def sub_vectors(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
 def scale_vector(a, v):
     return tuple(a * b for b in v)
-
-def is_zero_vector(v):
-    return all(a.is_zero() for a in v)
 
 
 def rref(rows, ring):
@@ -259,14 +253,6 @@ def identity_map(space):
     return SemilinearMap(space, identity_matrix(space))
 
 
-def semilinear_apply(f, v):
-    return f.apply(v)
-
-
-def compose_semilinear(f, g):
-    return f.compose(g)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -331,6 +317,44 @@ class Subspace:
             raise SpaceMismatch("subspaces of different spaces")
         return Subspace(self.space, list(self.basis) + list(other.basis))
 
+    def point_rows(self):
+        """Canonical basis rows of the 1-dimensional subspaces inside this one.
+
+        The first nonzero entry of ``sum(c_i * basis[i])`` is ``c_t`` at
+        ``pivots[t]``, for the first t with ``c_t != 0``; so the
+        combinations with ``c_t = 1`` are already in reduced form.
+        """
+        units = self.space.ring.units()
+        span = [self.space.zero_vector()]  # span of basis[t + 1:]
+        rows = []
+        for t in reversed(range(self.dim)):
+            rows.extend(add_vectors(self.basis[t], v) for v in span)
+            if t:
+                multiples = [scale_vector(c, self.basis[t]) for c in units]
+                span += [add_vectors(w, v) for w in multiples for v in span]
+        return rows
+
+    def annihilator(self):
+        """W^perp = {x : sum_j x_j w_j = 0 for all w in W}, of dimension n - dim W.
+
+        Read off the reduced basis: one solution per free column f, with
+        x_f = 1 and x at each pivot set to minus that row's entry in f.
+        """
+        ring = self.space.ring
+        if not ring.is_commutative():
+            raise NonCommutativeCarrier("annihilators need a commutative scalar ring")
+        n = self.space.dim
+        rows = []
+        for f in range(n):
+            if f in self.pivots:
+                continue
+            x = [ring.zero()] * n
+            x[f] = ring.one()
+            for row, pivot in zip(self.basis, self.pivots):
+                x[pivot] = -row[f]
+            rows.append(tuple(x))
+        return Subspace(self.space, rows)
+
     def sort_key(self):
         return (
             self.dim,
@@ -382,24 +406,25 @@ def subspace_count(n, q):
 class SubspaceLattice(FiniteLattice):
     """The lattice L(V) of all subspaces of a finite vector space.
 
-    Meet/join tables are computed algebraically (intersection and sum)
-    and then cross-validated against the order-theoretic bounds by the
-    base class.
+    ``subspaces`` must be the whole family.  Each subspace is held as
+    the bitmask of the points (1-dimensional subspaces) it contains:
+    the order is inclusion of point sets and the meet is their
+    intersection.  The join is the sum, computed through annihilators
+    as ``W1 + W2 = (W1^perp meet W2^perp)^perp``, so only m
+    eliminations run.  The base class then cross-validates both tables
+    against the bounds it recomputes from the order alone.
     """
 
     def __init__(self, space, subspaces):
         self.space = space
         self._index = {sub.basis: i for i, sub in enumerate(subspaces)}
-        m = len(subspaces)
-        leq = [[subspaces[i].leq(subspaces[j]) for j in range(m)] for i in range(m)]
-        meet = [
-            [self._index[subspaces[i].meet(subspaces[j]).basis] for j in range(m)]
-            for i in range(m)
-        ]
-        join = [
-            [self._index[subspaces[i].join(subspaces[j]).basis] for j in range(m)]
-            for i in range(m)
-        ]
+        point_bit = {sub.basis[0]: 1 << i for i, sub in enumerate(subspaces) if sub.dim == 1}
+        masks = [sum(point_bit[row] for row in sub.point_rows()) for sub in subspaces]
+        by_mask = {mask: i for i, mask in enumerate(masks)}
+        leq = [[mi & ~mj == 0 for mj in masks] for mi in masks]
+        meet = [[by_mask[mi & mj] for mj in masks] for mi in masks]
+        perp = [self._index[sub.annihilator().basis] for sub in subspaces]
+        join = [[perp[meet[pi][pj]] for pj in perp] for pi in perp]
         super().__init__(
             leq,
             meet=meet,

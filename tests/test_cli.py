@@ -1,6 +1,8 @@
 """JSON parsing and end-to-end CLI behavior (exit codes, reports, DOT)."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -152,6 +154,51 @@ def test_cli_subspace_lattice(capsys, tmp_path):
     assert report["by_dimension"] == {"0": 1, "1": 7, "2": 7, "3": 1}
     dot = dot_path.read_text()
     assert dot.startswith("digraph")
+
+
+@pytest.mark.parametrize(
+    "ring,dim,json_sha,dot_sha",
+    [
+        (
+            "gf:3", "4",
+            "b375b0335c99a4f2557c4457fb8b6c8a01e17c84c79069220cec8d024b6f273d",
+            "a8afbd7ca50b38d330212b15f6b890fb955269d1dc41d98c248aa45061daf656",
+        ),
+        (
+            "gf:2", "5",
+            "a8b2ecce92f4c7e78542b5c4a9ce74ee4caff171ad1781a0aaa97464a1e24abf",
+            "5a203c8a9117e2a225242e0571e1d9cb54c5530dc21fe1e8e705d86d87800409",
+        ),
+    ],    ids=["gf3-dim4", "gf2-dim5"],
+)
+def test_cli_subspace_lattice_pinned_above_table_law_cap(
+    capsys, tmp_path, ring, dim, json_sha, dot_sha
+):
+    # 212 and 374 subspaces; digests recorded from the rref-per-pair build
+    dot_path = tmp_path / "lattice.dot"
+    code, out = run_cli(
+        capsys, "subspace-lattice", "--ring", ring, "--dim", dim, "--dot", str(dot_path)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_sha
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("classify-extensions", "--group", "cyclic:2", "--ring", "gf:1000000007"), 1),
+        (("subspace-lattice", "--ring", "gf:1000000007", "--dim", "2"), 1),
+        (("classify-extensions", "--group", "cyclic:2", "--ring", "gf:1000000014"), 2),
+    ],    ids=["classify-prime", "subspace-prime", "classify-composite"],
+)
+def test_cli_large_field_orders_refused_quickly(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == expected
+    assert json.loads(out)["ok"] is False
+    assert elapsed < 1.0
 
 
 def test_cli_verify_action_pass_and_fail(capsys, tmp_path):

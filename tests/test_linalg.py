@@ -22,7 +22,7 @@ from glattice.errors import (
     TooLarge,
 )
 from glattice.lattice import LatticeAutomorphism
-from glattice.linalg import identity_map, iter_semilinear_automorphisms
+from glattice.linalg import add_vectors, identity_map, iter_semilinear_automorphisms
 
 
 def gaussian_binomial_oracle(n, k, q):
@@ -157,7 +157,7 @@ def test_membership_and_leq(gf2):
 
 def test_meet_join_against_vector_sets(gf2):
     # oracle: compare Zassenhaus meet and rref join with brute-force
-    # vector-set intersection/closure in GF(2)^3 (8 vectors)
+    # vector-set intersection and sum set in GF(2)^3 (8 vectors)
     space = VectorSpace(gf2, 3)
     lattice = enumerate_subspaces(space)
 
@@ -167,10 +167,56 @@ def test_meet_join_against_vector_sets(gf2):
     subs = lattice.payloads
     for a in subs:
         for b in subs:
-            inter = vectors_of(a) & vectors_of(b)
-            assert vectors_of(a.meet(b)) == inter
-            join_vectors = vectors_of(a.join(b))
-            assert vectors_of(a) | vectors_of(b) <= join_vectors
+            va, vb = vectors_of(a), vectors_of(b)
+            assert vectors_of(a.meet(b)) == va & vb
+            assert vectors_of(a.join(b)) == {add_vectors(u, v) for u in va for v in vb}
+
+
+# (p, k, n) for L(GF(p^k)^n): GF(2)^1..4, GF(3)^2, GF(3)^3, GF(4)^2,
+# GF(5)^2, GF(8)^2 and GF(9)^2, prime and extension fields alike
+_LATTICE_FAMILY = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                   (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("p,k,n", _LATTICE_FAMILY)
+def test_lattice_tables_match_per_pair_reference(p, k, n):
+    # the point-mask order and meet and the annihilator join against
+    # contains-based leq, Zassenhaus meet and rref join on every pair
+    lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+    subs = lattice.payloads
+    for i, a in enumerate(subs):
+        for j, b in enumerate(subs):
+            assert lattice.leq[i][j] == a.leq(b)
+            assert lattice.meet[i][j] == lattice.index_of(a.meet(b))
+            assert lattice.join[i][j] == lattice.index_of(a.join(b))
+
+
+@pytest.mark.parametrize("p,k,n", _LATTICE_FAMILY)
+def test_annihilator_is_an_involution(p, k, n):
+    lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+    for w in lattice.payloads:
+        perp = w.annihilator()
+        assert perp.dim == n - w.dim
+        assert perp.annihilator() == w
+        for x in perp.basis:
+            for y in w.basis:
+                assert sum((a * b for a, b in zip(x, y)), w.space.ring.zero()).is_zero()
+
+
+def test_point_rows_are_the_points_inside(gf3):
+    space = VectorSpace(gf3, 3)
+    lattice = enumerate_subspaces(space)
+    points = [s for s in lattice.payloads if s.dim == 1]
+    for w in lattice.payloads:
+        rows = w.point_rows()
+        assert len(rows) == len(set(rows)) == (3**w.dim - 1) // 2
+        assert set(rows) == {s.basis[0] for s in points if s.leq(w)}
+
+
+def test_annihilator_needs_commutative_ring(quaternions):
+    w = Subspace.from_vectors(VectorSpace(quaternions, 2), [(1, 0)])
+    with pytest.raises(NonCommutativeCarrier):
+        w.annihilator()
 
 
 # ---------------------------------------------------------------------------
