@@ -34,6 +34,7 @@ from .lattice import FiniteLattice
 from .scalar import RingAutomorphism, list_automorphisms
 
 _SUBSPACE_ENUM_LIMIT = 5000
+_SUBSPACE_COUNT_LIMIT = 3000
 _SGL_ENUM_LIMIT = 10**6
 
 
@@ -459,7 +460,8 @@ def _rref_bases(space, k):
 
 
 def enumerate_subspaces(space):
-    """Build L(V) for a finite field V = GF(q)^n with q^n <= 5000.
+    """Build L(V) for a finite field V = GF(q)^n with q^n <= 5000 and at
+    most 3000 subspaces (counted by Gaussian binomials before any work).
 
     Subspaces come out in (dimension, basis) order.  The total count is
     checked against the Gaussian-binomial sum before the lattice is
@@ -473,6 +475,9 @@ def enumerate_subspaces(space):
     q = ring.order
     if q**space.dim > _SUBSPACE_ENUM_LIMIT:
         raise TooLarge(f"q^n = {q ** space.dim} exceeds {_SUBSPACE_ENUM_LIMIT}")
+    count = subspace_count(space.dim, q)
+    if count > _SUBSPACE_COUNT_LIMIT:
+        raise TooLarge(f"{count} subspaces exceeds {_SUBSPACE_COUNT_LIMIT}")
     subspaces = []
     for k in range(space.dim + 1):
         layer = [Subspace(space, rows) for rows in _rref_bases(space, k)]

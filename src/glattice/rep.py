@@ -11,8 +11,12 @@ offending data.
 The bridge to lattices goes both ways: a representation over a finite
 field induces an action on the subspace lattice (scalars drop out), and
 an action on a subspace lattice can be pulled back to a representation
-by coordinatizing each lattice automorphism through a brute-force scan
-of SGL(V), first match in enumeration order.
+by coordinatizing each lattice automorphism.  By the fundamental
+theorem of projective geometry the images of the frame <e_1>, ...,
+<e_n>, <e_1 + ... + e_n> fix the matrix up to a scalar, so
+coordinatization is one linear solve followed by a check of each ring
+automorphism on every subspace; it returns the same map as the first
+match of a scan of SGL(V) in enumeration order.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from .errors import (
 from .lattice import GLatticeAction, LatticeAutomorphism, validate_glattice
 from .linalg import (
     SemilinearMap,
+    Subspace,
     SubspaceLattice,
     add_vectors,
     enumerate_subspaces,
-    iter_semilinear_automorphisms,
     map_subspace,
+    rref,
 )
+from .scalar import list_automorphisms
 
 
 class SemilinearProjectiveRep:
@@ -222,22 +228,52 @@ def induced_glattice(rep, lattice=None):
 def coordinatize(phi):
     """A semilinear automorphism inducing a given lattice automorphism.
 
-    Scans SGL(V) in enumeration order and returns the first map whose
-    action on every subspace matches phi; candidates are compared on
-    low-dimensional subspaces first so mismatches exit early.  Raises
-    NotCoordinatizable when the scan is exhausted.
+    Reads the frame images off phi: v_i spans phi(<e_i>) and u spans
+    phi(<e_1 + ... + e_n>).  Any inducing map sends e_i to a multiple
+    of v_i and the basis sum to a multiple of u, whatever its twist
+    (theta fixes 0 and 1), so solving sum_i c_i v_i = u once fixes the
+    matrix M = [c_1 v_1 | ... | c_n v_n] up to a scalar; M is scaled so
+    its first nonzero row-major entry is 1.  Each ring automorphism is
+    then tried in ``list_automorphisms`` order and (M, theta) is checked
+    on every proper nonzero subspace, lowest-dimensional first.
+
+    The result is the first match of a scan of SGL(V) with twists outer
+    and matrices inner in lexicographic order: within one twist every
+    match is a scalar multiple of M, and among those multiples the one
+    whose first nonzero entry is 1 (the first unit in enumeration order)
+    comes first.  Raises NotCoordinatizable when no twist matches.
     """
     lattice = phi.lattice
     if not isinstance(lattice, SubspaceLattice):
         raise NotCoordinatizable("lattice elements carry no coordinates")
     space = lattice.space
+    ring, n = space.ring, space.dim
+
+    def image_row(v):
+        return lattice.payloads[phi(lattice.index_of(Subspace(space, [v])))].basis[0]
+
+    columns = [image_row(e) for e in space.basis()]
+    u = image_row(_basis_sum(space))
+    # the augmented system [v_1 ... v_n | u], one row per coordinate
+    reduced, pivots = rref(
+        [[v[r] for v in columns] + [u[r]] for r in range(n)], ring
+    )
+    coeffs = [row[n] for row in reduced]
+    if pivots != tuple(range(n)) or any(c.is_zero() for c in coeffs):
+        raise NotCoordinatizable(
+            "frame images are not in general position", witness=(columns, u)
+        )
+    matrix = [[coeffs[j] * columns[j][r] for j in range(n)] for r in range(n)]
+    lead = next(x for row in matrix for x in row if not x.is_zero()).inverse()
+    matrix = [[lead * x for x in row] for row in matrix]
     # proper nonzero subspaces, cheapest (lowest-dimensional) first
     targets = [
         (w, lattice.payloads[phi(i)])
         for i, w in sorted(enumerate(lattice.payloads), key=lambda iw: iw[1].dim)
-        if 0 < w.dim < space.dim
+        if 0 < w.dim < n
     ]
-    for f in iter_semilinear_automorphisms(space):
+    for theta in list_automorphisms(ring):
+        f = SemilinearMap(space, matrix, theta)
         if all(map_subspace(f, w) == target for w, target in targets):
             return f
     raise NotCoordinatizable(

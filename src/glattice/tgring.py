@@ -156,18 +156,6 @@ class TwistedRingElement:
         return " + ".join(f"{value!r}*~{labels[g]}" for g, value in self.coeffs)
 
 
-def tgr_add(u, v):
-    return u + v
-
-
-def tgr_scalar_mul(c, u):
-    return u.scale(c)
-
-
-def tgr_mul(u, v):
-    return u * v
-
-
 # ---------------------------------------------------------------------------
 # the regular representation (the extension acting on K^{|G|})
 

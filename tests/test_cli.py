@@ -201,6 +201,21 @@ def test_cli_large_field_orders_refused_quickly(capsys, argv, expected):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "ring,dim",
+    [("gf:2", "7"), ("gf:3", "6"), ("gf:4", "5"), ("gf:8", "4")],
+    ids=["gf2-dim7", "gf3-dim6", "gf4-dim5", "gf8-dim4"],
+)
+def test_cli_subspace_count_refused_quickly(capsys, ring, dim):
+    # q^n <= 5000 in each case, but 29212 / 56632 / 12278 / 5917 subspaces
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "subspace-lattice", "--ring", ring, "--dim", dim)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    assert elapsed < 1.0
+
+
 def test_cli_verify_action_pass_and_fail(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(

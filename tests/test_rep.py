@@ -1,6 +1,8 @@
 """Projective-representation validation, cocycles, coordinatization,
 equivalence."""
 
+import time
+
 import pytest
 
 from glattice import (
@@ -23,10 +25,16 @@ from glattice.errors import (
     NotNormalized,
     NotProjective,
     SpaceMismatch,
+    TooLarge,
 )
 from glattice.extension import factor_system_from_rep
-from glattice.lattice import GLatticeAction, LatticeAutomorphism, orbits
-from glattice.linalg import identity_map
+from glattice.lattice import (
+    GLatticeAction,
+    LatticeAutomorphism,
+    lattice_automorphism_group,
+    orbits,
+)
+from glattice.linalg import SemilinearMap, enumerate_sgl, identity_map, map_subspace
 from glattice.rep import same_induced_lattice
 
 
@@ -239,6 +247,59 @@ def test_not_coordinatizable_witness():
     phi = LatticeAutomorphism(lattice, perm)
     with pytest.raises(NotCoordinatizable):
         coordinatize(phi)
+
+
+def _induced_perm(lattice, f):
+    return tuple(lattice.index_of(map_subspace(f, w)) for w in lattice.payloads)
+
+
+@pytest.mark.parametrize(
+    "p,k,n",
+    [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 2, 1)],
+    ids=["gf2-dim2", "gf2-dim3", "gf3-dim2", "gf4-dim2", "gf5-dim2", "gf4-dim1"],
+)
+def test_coordinatize_matches_sgl_scan(p, k, n):
+    # the reference: first map in SGL(V) enumeration order per induced permutation
+    space = VectorSpace(DivisionRing.gf(p, k), n)
+    lattice = enumerate_subspaces(space)
+    oracle = {}
+    for f in enumerate_sgl(space):
+        oracle.setdefault(_induced_perm(lattice, f), f)
+    for phi in lattice_automorphism_group(lattice):
+        if phi.perm in oracle:
+            f = coordinatize(phi)
+            expected = oracle[phi.perm]
+            assert (f.matrix, f.theta) == (expected.matrix, expected.theta)
+        else:
+            with pytest.raises(NotCoordinatizable):
+                coordinatize(phi)
+
+
+@pytest.mark.parametrize(
+    "p,k,matrix,frobenius",
+    [
+        (2, 2, [[0, 1, 0], [0, 0, 1], [1, 0, [0, 1]]], 1),
+        (5, 1, [[1, 2, 0], [0, 3, 1], [4, 0, 2]], 0),
+    ],
+    ids=["gf4-dim3-twisted", "gf5-dim3"],
+)
+def test_coordinatize_beyond_sgl_cap(p, k, matrix, frobenius):
+    # |SGL(GF(5)^3)| > 10^6: the scan refused this space, the frame does not
+    ring = DivisionRing.gf(p, k)
+    space = VectorSpace(ring, 3)
+    theta = RingAutomorphism.frobenius(ring, frobenius) if k > 1 else None
+    f = SemilinearMap(space, matrix, theta)
+    lattice = enumerate_subspaces(space)
+    phi = LatticeAutomorphism(lattice, _induced_perm(lattice, f))
+    start = time.perf_counter()
+    g = coordinatize(phi)
+    elapsed = time.perf_counter() - start
+    assert _induced_perm(lattice, g) == phi.perm
+    assert g.theta == f.theta
+    assert elapsed < 1.0
+    if p == 5:
+        with pytest.raises(TooLarge):
+            enumerate_sgl(space)
 
 
 def test_rep_from_glattice_roundtrip(shift_rep_gf2, shift_rep_gf3):
