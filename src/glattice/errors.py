@@ -108,7 +108,7 @@ class NotProjective(GlatticeError):
 
 
 class ScalarInconsistent(GlatticeError):
-    """The scalar extracted from one probe vector fails on another one."""
+    """rho(g)rho(h) and rho(gh) share a twist, but no scalar links their matrices."""
 
 
 class NotCoordinatizable(GlatticeError):

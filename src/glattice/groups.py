@@ -62,12 +62,6 @@ class FiniteGroup:
         self.labels = tuple(labels) if labels else tuple(_default_labels(n))
         self.name = name or f"group{n}"
 
-    def mul(self, a, b):
-        return self.cayley[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
-
     def element_order(self, a):
         x, k = a, 1
         while x != 0:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import GlatticeError, ParseError
+from .errors import GlatticeError, ParseError, TooLarge
 from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from .lattice import FiniteLattice, GLatticeAction
 from .linalg import VectorSpace, enumerate_subspaces
@@ -113,6 +113,8 @@ def parse_group_spec(text):
 def _factor_prime_power(q):
     if q < 2:
         raise ParseError("field order must be >= 2")
+    if q > 2**32:
+        raise TooLarge(f"field order {q} is above the cap 2^32")
     # the smallest divisor of q is at most isqrt(q), or q itself is prime
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
@@ -160,12 +162,6 @@ def parse_matrix(space, rows):
     return tuple(
         tuple(parse_scalar(space.ring, x) for x in row) for row in rows
     )
-
-
-def parse_vector(space, coords):
-    if not isinstance(coords, list) or len(coords) != space.dim:
-        raise ParseError(f"vector must have {space.dim} coordinates")
-    return tuple(parse_scalar(space.ring, x) for x in coords)
 
 
 def parse_space(obj):

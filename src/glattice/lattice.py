@@ -161,15 +161,6 @@ class FiniteLattice:
                     out.append((x, y))
         return out
 
-    def height(self, x):
-        """Length of the longest chain from the bottom up to x."""
-        order = sorted(range(self.size), key=lambda z: bin(self.down_masks[z]).count("1"))
-        h = {}
-        for z in order:
-            below = [h[w] for w in range(self.size) if self.leq[w][z] and w != z]
-            h[z] = 1 + max(below) if below else 0
-        return h[x]
-
     def __len__(self):
         return self.size
 

@@ -2,11 +2,12 @@
 
 A representation assigns to every group element an invertible
 semilinear map such that rho(g) rho(h) = alpha(g,h) rho(gh) for scalars
-alpha(g,h) in K*.  The scalar family (the cocycle) is extracted from a
-probe vector and re-verified on a full basis plus the basis sum, which
-is exactly the linear-independence argument that makes the scalar
-well-defined; a disagreement raises ScalarInconsistent with the
-offending data.
+alpha(g,h) in K*.  Two maps with the same twist agree up to a scalar
+exactly when their matrices are proportional, so the cocycle, the
+equivalence scalars and the normalization are all read as one exact
+matrix ratio (``_ratio``): the scalar at the first nonzero entry,
+checked on every entry.  A pair with no such scalar raises
+ScalarInconsistent with the pair as witness.
 
 The bridge to lattices goes both ways: a representation over a finite
 field induces an action on the subspace lattice (scalars drop out), and
@@ -34,8 +35,8 @@ from .linalg import (
     SemilinearMap,
     Subspace,
     SubspaceLattice,
-    add_vectors,
     enumerate_subspaces,
+    identity_matrix,
     map_subspace,
     rref,
 )
@@ -67,15 +68,19 @@ class SemilinearProjectiveRep:
         )
 
     def normalized(self):
-        """The equivalent representation with rho(e) = identity."""
+        """The equivalent representation with rho(e) = identity.
+
+        Raises NotProjective unless rho(e) is a scalar multiple of the
+        identity, checked on every entry.
+        """
         if self.maps[0].is_identity():
             return self
-        c = self.maps[0].matrix[0][0]
-        if c.is_zero() or not self.maps[0].theta.is_identity():
+        c = _ratio(identity_matrix(self.space), self.maps[0].matrix)
+        if c is None or not self.maps[0].theta.is_identity():
             raise NotProjective("rho(e) is not a scalar multiple of the identity")
         one = self.space.ring.one()
         eta = {g: one for g in range(self.group.order)}
-        eta[0] = c.inverse()
+        eta[0] = c
         return self.scaled(eta)
 
     def __eq__(self, other):
@@ -102,39 +107,31 @@ def rep_from_matrices(group, space, assignment):
     return SemilinearProjectiveRep(group, space, maps)
 
 
-def _scalar_between(u, w):
-    """The scalar a with u = a*w, or None (vectors over a field)."""
-    a = None
-    for x, y in zip(u, w):
-        if y.is_zero():
-            if not x.is_zero():
-                return None
-            continue
-        cand = x * y.inverse()
-        if a is None:
-            a = cand
-        elif a != cand:
-            return None
-    if a is None:
-        return None  # w was the zero vector
-    for x, y in zip(u, w):
-        if x != a * y:
-            return None
-    return a
+def _ratio(a, b):
+    """The scalar c with a == c*b entry by entry, or None.
+
+    c is read at the first nonzero entry of b in row-major order and then
+    checked on every entry, so a returned scalar is exact.  None also
+    when b is zero.
+    """
+    pairs = [(x, y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)]
+    for x, y in pairs:
+        if not y.is_zero():
+            c = x * y.inverse()
+            return c if all(u == c * v for u, v in pairs) else None
+    return None
 
 
 def extract_cocycle(rep):
     """The scalar family alpha(g,h) with rho(g)rho(h) = alpha(g,h)rho(gh).
 
-    For each pair, the scalar is read off one probe vector (the first
-    basis vector) and then re-verified on every remaining basis vector
-    and on their sum.  Any disagreement means the input is not actually
-    projective and raises ScalarInconsistent.
+    Both sides of each pair share their twist, so they agree up to a
+    scalar exactly when their matrices are proportional: alpha(g,h) is
+    the matrix ratio, checked on every entry.  A pair whose matrices are
+    not proportional means the input is not actually projective and
+    raises ScalarInconsistent with witness (g, h).
     """
-    group, space = rep.group, rep.space
-    basis = space.basis()
-    # probe on every basis vector plus their sum, a deliberately generic vector
-    probes = basis + [_basis_sum(space)]
+    group = rep.group
     cocycle = {}
     for g in range(group.order):
         for h in range(group.order):
@@ -145,28 +142,14 @@ def extract_cocycle(rep):
                     f"theta mismatch: theta({g})theta({h}) != theta({g}*{h})",
                     witness=(g, h),
                 )
-            alpha = _scalar_between(composite.apply(probes[0]), target.apply(probes[0]))
+            alpha = _ratio(composite.matrix, target.matrix)
             if alpha is None:
                 raise ScalarInconsistent(
-                    f"no scalar links rho({g})rho({h}) and rho({g}*{h}) on the first probe",
-                    witness=(g, h, probes[0]),
+                    f"rho({g})rho({h}) is not a scalar multiple of rho({g}*{h})",
+                    witness=(g, h),
                 )
-            for v in probes[1:]:
-                check = _scalar_between(composite.apply(v), target.apply(v))
-                if check != alpha:
-                    raise ScalarInconsistent(
-                        f"scalar for ({g},{h}) changes between probe vectors",
-                        witness=(g, h, probes[0], v),
-                    )
             cocycle[(g, h)] = alpha
     return cocycle
-
-
-def _basis_sum(space):
-    total = space.basis_vector(0)
-    for i in range(1, space.dim):
-        total = add_vectors(total, space.basis_vector(i))
-    return total
 
 
 @dataclass
@@ -253,7 +236,7 @@ def coordinatize(phi):
         return lattice.payloads[phi(lattice.index_of(Subspace(space, [v])))].basis[0]
 
     columns = [image_row(e) for e in space.basis()]
-    u = image_row(_basis_sum(space))
+    u = image_row((ring.one(),) * n)
     # the augmented system [v_1 ... v_n | u], one row per coordinate
     reduced, pivots = rref(
         [[v[r] for v in columns] + [u[r]] for r in range(n)], ring
@@ -317,8 +300,8 @@ class RepEquivalence:
 def rep_equivalence(rep1, rep2):
     """Find eta making two representations equivalent, or return None.
 
-    eta(g) is solved from one basis vector and then verified on the
-    whole matrix, so a returned witness is always exact.
+    eta(g) is the ratio of the two matrices, checked on every entry, so
+    a returned witness is always exact.
     """
     if rep1.group != rep2.group or rep1.space != rep2.space:
         raise SpaceMismatch("representations live on different groups or spaces")
@@ -327,14 +310,9 @@ def rep_equivalence(rep1, rep2):
         f1, f2 = rep1.maps[g], rep2.maps[g]
         if f1.theta != f2.theta:
             return None
-        probe = rep1.space.basis_vector(0)
-        scalar = _scalar_between(f2.apply(probe), f1.apply(probe))
-        if scalar is None or scalar.is_zero():
+        eta[g] = _ratio(f2.matrix, f1.matrix)
+        if eta[g] is None:
             return None
-        scaled = f1.scale(scalar)
-        if scaled.matrix != f2.matrix:
-            return None
-        eta[g] = scalar
     return RepEquivalence(eta)
 
 

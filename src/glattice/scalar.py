@@ -26,12 +26,18 @@ from .errors import (
     InfiniteAutomorphismGroup,
     InfiniteCarrier,
     RingMismatch,
+    TooLarge,
 )
 
 PRIME = "prime"
 EXTENSION = "extension"
 RATIONALS = "rationals"
 QUATERNIONS = "quaternions"
+
+# refused before any trial division: primality testing runs up to sqrt(p),
+# and an irreducible modulus is searched among p^k candidates
+_PRIME_LIMIT = 2**32
+_EXTENSION_ORDER_LIMIT = 5000
 
 _QUAT_ZERO = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
 _QUAT_ONE = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
@@ -193,6 +199,8 @@ class DivisionRing:
 
     @classmethod
     def gf(cls, p, k=1, modulus=None):
+        if p > _PRIME_LIMIT:
+            raise TooLarge(f"characteristic {p} is above the cap 2^32")
         if not _is_prime(p):
             raise GlatticeError(f"{p} is not prime")
         if k == 1:
@@ -201,6 +209,9 @@ class DivisionRing:
             return cls(PRIME, p=p)
         if k < 2:
             raise GlatticeError("extension degree must be >= 2")
+        # p^k >= 2^k, so a degree past the cap's bit length is refused unevaluated
+        if k > _EXTENSION_ORDER_LIMIT.bit_length() or p**k > _EXTENSION_ORDER_LIMIT:
+            raise TooLarge(f"GF({p}^{k}) is above the cap of 5000 elements")
         if modulus is None:
             modulus = smallest_irreducible(p, k)
         else:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .extension import factor_system_from_rep, validate_factor_system
 from .linalg import SemilinearMap, VectorSpace, add_vectors, scale_vector
-from .rep import SemilinearProjectiveRep, validate_rep
+from .rep import SemilinearProjectiveRep
 
 _EXHAUSTIVE_MODULE_LIMIT = 32
 
@@ -185,7 +185,6 @@ def regular_representation(tgr):
             matrix[group.cayley[g][h]][h] = fs.bracket[g][h]
         maps[g] = SemilinearMap(space, matrix, fs.chi[g])
     rho = SemilinearProjectiveRep(group, space, maps)
-    validate_rep(rho)
     if factor_system_from_rep(rho) != fs:
         raise GlatticeError("regular representation does not reproduce its system")
     return rho

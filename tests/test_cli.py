@@ -190,7 +190,18 @@ def test_cli_subspace_lattice_pinned_above_table_law_cap(
         (("classify-extensions", "--group", "cyclic:2", "--ring", "gf:1000000007"), 1),
         (("subspace-lattice", "--ring", "gf:1000000007", "--dim", "2"), 1),
         (("classify-extensions", "--group", "cyclic:2", "--ring", "gf:1000000014"), 2),
-    ],    ids=["classify-prime", "subspace-prime", "classify-composite"],
+        (("subspace-lattice", "--ring", "gf:1073741824", "--dim", "1"), 1),
+        (("subspace-lattice", "--ring", "gf:10510100501", "--dim", "1"), 1),
+        (("subspace-lattice", "--ring", "gf:2305843009213693951", "--dim", "1"), 1),
+    ],
+    ids=[
+        "classify-prime",
+        "subspace-prime",
+        "classify-composite",
+        "subspace-2pow30",
+        "subspace-101pow5",
+        "subspace-mersenne61",
+    ],
 )
 def test_cli_large_field_orders_refused_quickly(capsys, argv, expected):
     start = time.perf_counter()

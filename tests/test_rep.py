@@ -36,6 +36,9 @@ from glattice.lattice import (
 )
 from glattice.linalg import SemilinearMap, enumerate_sgl, identity_map, map_subspace
 from glattice.rep import same_induced_lattice
+from glattice.tgring import TwistedGroupRing, regular_representation
+
+from test_acceptance import enumerated_system_family
 
 
 def scalar_rep_gf3():
@@ -137,21 +140,55 @@ def test_cocycle_values_scalar_rep():
     assert cocycle[(0, 0)] == two
 
 
-def test_cocycle_probe_independence(shift_rep_gf3):
+def test_cocycle_probe_independence(shift_rep_gf2, shift_rep_gf3, shift_rep_q):
     # recompute alpha separately from every basis vector; all must agree
+    # with the scalar extract_cocycle reads off the whole matrix
+    reps = [shift_rep_gf2, shift_rep_gf3, shift_rep_q] + [
+        regular_representation(TwistedGroupRing(fs))
+        for fs in enumerated_system_family()
+        if fs.ring.is_commutative()
+    ]
+    for rep in reps:
+        space, group = rep.space, rep.group
+        cocycle = extract_cocycle(rep)
+        for g in range(group.order):
+            for h in range(group.order):
+                composite = rep.maps[g].compose(rep.maps[h])
+                target = rep.maps[group.cayley[g][h]]
+                alphas = set()
+                for i in range(space.dim):
+                    v = space.basis_vector(i)
+                    u, w = composite(v), target(v)
+                    j = next(idx for idx, x in enumerate(w) if not x.is_zero())
+                    alphas.add(u[j] * w[j].inverse())
+                assert alphas == {cocycle[(g, h)]}
+
+
+def _with_last_column_scaled(f, a):
+    matrix = tuple(row[:-1] + (a * row[-1],) for row in f.matrix)
+    return SemilinearMap(f.space, matrix, f.theta)
+
+
+def test_cocycle_checks_every_column(shift_rep_gf3):
+    # rho(a)rho(a) = rho(a^2) on every column but the last, where the
+    # ratio is 2 instead of 1
     rep = shift_rep_gf3
-    space = rep.space
-    for g in range(3):
-        for h in range(3):
-            composite = rep.maps[g].compose(rep.maps[h])
-            target = rep.maps[rep.group.cayley[g][h]]
-            alphas = set()
-            for i in range(space.dim):
-                v = space.basis_vector(i)
-                u, w = composite(v), target(v)
-                j = next(idx for idx, x in enumerate(w) if not x.is_zero())
-                alphas.add(u[j] * w[j].inverse())
-            assert len(alphas) == 1
+    maps = dict(rep.maps)
+    maps[2] = _with_last_column_scaled(maps[2], rep.space.ring.scalar(2))
+    mutated = SemilinearProjectiveRep(rep.group, rep.space, maps)
+    with pytest.raises(NotProjective) as exc:
+        validate_rep(mutated)
+    assert exc.value.witness == (1, 1)
+
+
+def test_rep_equivalence_checks_every_column(shift_rep_gf3):
+    # rho2(a) agrees with rho1(a) on e_1 but not on the last basis vector
+    rep = shift_rep_gf3
+    maps = dict(rep.maps)
+    maps[1] = _with_last_column_scaled(maps[1], rep.space.ring.scalar(2))
+    other = SemilinearProjectiveRep(rep.group, rep.space, maps)
+    assert rep_equivalence(rep, other) is None
+    assert rep_equivalence(other, rep) is None
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +420,18 @@ def test_normalized_rep():
     fs = factor_system_from_rep(fixed)
     # after normalization rho(a) = I so the system collapses to trivial
     assert all(x.is_one() for row in fs.bracket for x in row)
+
+
+@pytest.mark.parametrize(
+    "rho_e", [((2, 1), (0, 2)), ((1, 0), (0, 2))], ids=["jordan", "diagonal"]
+)
+def test_normalized_rejects_non_scalar_rho_e(gf3, rho_e):
+    space = VectorSpace(gf3, 2)
+    rep = rep_from_matrices(
+        cyclic_group(2), space, {0: (rho_e, None), 1: (identity_map(space).matrix, None)}
+    )
+    with pytest.raises(NotProjective):
+        rep.normalized()
 
 
 def test_equivalence_iff_same_lattice_family(gf2):

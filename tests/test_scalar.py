@@ -19,6 +19,7 @@ from glattice.errors import (
     InfiniteAutomorphismGroup,
     InfiniteCarrier,
     RingMismatch,
+    TooLarge,
 )
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,19 @@ def test_reducible_modulus_rejected():
 def test_nonprime_rejected():
     with pytest.raises(GlatticeError):
         DivisionRing.gf(6)
+
+
+def test_field_order_caps():
+    # refused before any primality test or irreducibility search
+    for p, k, modulus in [
+        (2**61 - 1, 1, None),  # a prime above 2^32
+        (2, 13, None),  # 8192 elements
+        (71, 2, (7, 0, 1)),  # 5041 elements, modulus given
+        (2, 10**9, None),  # refused without forming 2^(10^9)
+    ]:
+        with pytest.raises(TooLarge):
+            DivisionRing.gf(p, k, modulus)
+    assert DivisionRing.gf(17, 3).order == 4913  # just inside the cap
 
 
 def test_ring_mismatch(gf3, gf5):
