@@ -48,6 +48,8 @@ from .rep import extract_cocycle
 from .scalar import QUATERNIONS, RingAutomorphism
 
 _MATERIALIZE_LIMIT = 2000
+# the E2 check runs over |G|^3 triples: 110,592 at the cap, about a second
+_FACTOR_SYSTEM_ORDER_LIMIT = 48
 
 
 def _noncommutative_probes(ring):
@@ -160,9 +162,14 @@ def validate_factor_system(fs):
     Over a commutative carrier E1 degenerates to chi being a
     homomorphism into the automorphism group, which the canonical form
     of automorphisms lets us check structurally; over the quaternions
-    E1 is checked pointwise on a generating sample.
+    E1 is checked pointwise on a generating sample.  Groups above order
+    48 raise TooLarge before any check runs.
     """
     group = fs.group
+    if group.order > _FACTOR_SYSTEM_ORDER_LIMIT:
+        raise TooLarge(
+            f"factor-system check capped at |G| = {_FACTOR_SYSTEM_ORDER_LIMIT}, got {group.order}"
+        )
     if not fs.bracket[0][0].is_one():
         return FsReport(False, "E3", (0, 0), "bracket(1,1) != 1")
     commutative = fs.ring.is_commutative()

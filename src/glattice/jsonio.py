@@ -39,6 +39,9 @@ from .rep import rep_from_matrices
 from .scalar import DivisionRing, RingAutomorphism
 from .extension import FactorSystem
 
+# the order of S5, the largest symmetric preset
+_PRESET_ORDER_LIMIT = 120
+
 
 def _need(obj, key, where):
     if key not in obj:
@@ -60,6 +63,8 @@ def parse_ring(obj):
             return DivisionRing.rationals()
         if kind == "quat":
             return DivisionRing.quaternions()
+    except TooLarge:
+        raise
     except GlatticeError as exc:
         raise ParseError(f"ring literal: {exc}") from exc
     raise ParseError(f"ring literal: unknown kind {kind!r}")
@@ -78,21 +83,33 @@ def parse_scalar(ring, lit):
     raise ParseError(f"scalar literal {lit!r} not understood")
 
 
+def _check_preset_order(order):
+    """Refuse a preset before its order x order table is built."""
+    if order > _PRESET_ORDER_LIMIT:
+        raise TooLarge(f"group order {order} is above the preset cap {_PRESET_ORDER_LIMIT}")
+
+
 def parse_group(obj):
     if not isinstance(obj, dict):
         raise ParseError(f"group literal must be an object, got {obj!r}")
     kind = _need(obj, "group", "group literal")
     try:
         if kind == "cyclic":
-            return cyclic_group(int(_need(obj, "n", "group literal")))
+            n = int(_need(obj, "n", "group literal"))
+            _check_preset_order(n)
+            return cyclic_group(n)
         if kind == "sym":
             return symmetric_group(int(_need(obj, "n", "group literal")))
         if kind == "dihedral":
-            return dihedral_group(int(_need(obj, "n", "group literal")))
+            n = int(_need(obj, "n", "group literal"))
+            _check_preset_order(2 * n)
+            return dihedral_group(n)
         if kind == "table":
             return FiniteGroup(
                 _need(obj, "cayley", "group literal"), labels=obj.get("labels")
             )
+    except TooLarge:
+        raise
     except GlatticeError as exc:
         raise ParseError(f"group literal: {exc}") from exc
     raise ParseError(f"group literal: unknown kind {kind!r}")

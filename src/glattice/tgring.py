@@ -303,14 +303,15 @@ def module_action(tgr, rep, element, vector):
     system; that is re-checked (NotAssociated otherwise).
     """
     _check_associated(tgr, rep)
-    return _module_apply(rep, element, vector)
+    images = {g: rep.maps[g].apply(vector) for g in element.support()}
+    return _combine(rep.space, element, images)
 
 
-def _module_apply(rep, element, vector):
-    space = rep.space
+def _combine(space, element, images):
+    """sum of a_g * images[g] over the support of the element."""
     out = space.zero_vector()
     for g, a in element.coeffs:
-        out = add_vectors(out, scale_vector(a, rep.maps[g].apply(vector)))
+        out = add_vectors(out, scale_vector(a, images[g]))
     return out
 
 
@@ -329,6 +330,25 @@ def _seeded_rationals(seed, count):
     return out
 
 
+def _module_law_data(tgr, space, seed, samples):
+    """The ring elements, vectors and scalars the module laws run over."""
+    ring = tgr.ring
+    if ring.is_finite():
+        if ring.order**tgr.rank > _EXHAUSTIVE_MODULE_LIMIT or ring.order**space.dim > _EXHAUSTIVE_MODULE_LIMIT:
+            raise TooLarge("exhaustive module check too big; see validate docstring")
+        return tgr.all_elements(), space.all_vectors(), ring.elements()
+    rats = _seeded_rationals(seed, samples * (tgr.rank + space.dim + 1))
+    it = iter(rats)
+    elements = tgr.basis() + [
+        tgr.element({g: next(it) for g in range(tgr.rank)}) for _ in range(samples // 10)
+    ]
+    vectors = list(space.basis()) + [
+        space.vector([next(it) for _ in range(space.dim)]) for _ in range(samples // 10)
+    ]
+    scalars = [ring.scalar(next(it)) for _ in range(5)]
+    return elements, vectors, scalars
+
+
 def validate_module_axioms(tgr, rep, seed=0, samples=100):
     """Check the five module laws for V under the ring action.
 
@@ -340,54 +360,55 @@ def validate_module_axioms(tgr, rep, seed=0, samples=100):
     rationals the laws are checked on basis data plus ``samples`` seeded
     pseudorandom combinations -- the laws are (semi)linear in each slot,
     so basis coverage carries the content and samples guard slips.
+
+    The images [rho(g)(v) for g in G] are computed once per distinct
+    vector, and every s*v over the sampled elements and vectors once per
+    pair; each law reads its right side from those tables and forms its
+    left side from its own vector (u+v, t*v, ...).  The triples, the
+    loop order and so the first witness are those of checking every
+    product afresh with ``module_action``.
     """
     _check_associated(tgr, rep)
-    ring = tgr.ring
     space = rep.space
-    if ring.is_finite():
-        if ring.order**tgr.rank > _EXHAUSTIVE_MODULE_LIMIT or ring.order**space.dim > _EXHAUSTIVE_MODULE_LIMIT:
-            raise TooLarge("exhaustive module check too big; see validate docstring")
-        elements = tgr.all_elements()
-        vectors = space.all_vectors()
-        scalars = ring.elements()
-    else:
-        rats = _seeded_rationals(seed, samples * (tgr.rank + space.dim + 1))
-        it = iter(rats)
-        elements = tgr.basis() + [
-            tgr.element({g: next(it) for g in range(tgr.rank)}) for _ in range(samples // 10)
-        ]
-        vectors = list(space.basis()) + [
-            space.vector([next(it) for _ in range(space.dim)]) for _ in range(samples // 10)
-        ]
-        scalars = [ring.scalar(next(it)) for _ in range(5)]
+    elements, vectors, scalars = _module_law_data(tgr, space, seed, samples)
+    maps = [rep.maps[g] for g in range(tgr.rank)]
+    cache = {}
 
-    for s in elements:
-        for u in vectors:
-            for v in vectors:
-                if _module_apply(rep, s, add_vectors(u, v)) != add_vectors(
-                    _module_apply(rep, s, u), _module_apply(rep, s, v)
-                ):
+    def images(v):
+        found = cache.get(v)
+        if found is None:
+            found = cache[v] = [f.apply(v) for f in maps]
+        return found
+
+    vector_images = [images(v) for v in vectors]
+    base = [[_combine(space, s, imgs) for imgs in vector_images] for s in elements]
+
+    for i, s in enumerate(elements):
+        for ku, u in enumerate(vectors):
+            for kv, v in enumerate(vectors):
+                lhs = _combine(space, s, images(add_vectors(u, v)))
+                if lhs != add_vectors(base[i][ku], base[i][kv]):
                     return False, ("law1", s, u, v)
-    for s in elements:
-        for t in elements:
-            for v in vectors:
-                lhs = _module_apply(rep, s + t, v)
-                rhs = add_vectors(_module_apply(rep, s, v), _module_apply(rep, t, v))
-                if lhs != rhs:
+    for i, s in enumerate(elements):
+        for j, t in enumerate(elements):
+            s_plus_t = s + t
+            s_times_t = s * t
+            for k, v in enumerate(vectors):
+                lhs = _combine(space, s_plus_t, vector_images[k])
+                if lhs != add_vectors(base[i][k], base[j][k]):
                     return False, ("law2", s, t, v)
-                lhs = _module_apply(rep, s, _module_apply(rep, t, v))
-                rhs = _module_apply(rep, s * t, v)
-                if lhs != rhs:
+                lhs = _combine(space, s, images(base[j][k]))
+                if lhs != _combine(space, s_times_t, vector_images[k]):
                     return False, ("law3", s, t, v)
     one_bar = tgr.one()
-    for v in vectors:
-        if _module_apply(rep, one_bar, v) != v:
+    for k, v in enumerate(vectors):
+        if _combine(space, one_bar, vector_images[k]) != v:
             return False, ("law4", v)
     for b in scalars:
-        for s in elements:
-            for v in vectors:
-                lhs = _module_apply(rep, s.scale(b), v)
-                rhs = scale_vector(b, _module_apply(rep, s, v))
-                if lhs != rhs:
+        for i, s in enumerate(elements):
+            s_scaled = s.scale(b)
+            for k, v in enumerate(vectors):
+                lhs = _combine(space, s_scaled, vector_images[k])
+                if lhs != scale_vector(b, base[i][k]):
                     return False, ("law5", b, s, v)
     return True, None

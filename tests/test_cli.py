@@ -7,7 +7,7 @@ import time
 import pytest
 
 from glattice.cli import main
-from glattice.errors import ParseError
+from glattice.errors import ParseError, TooLarge
 from glattice.jsonio import (
     parse_factor_system_file,
     parse_group,
@@ -59,6 +59,20 @@ def test_parse_group_literals():
     assert table.order == 2
     with pytest.raises(ParseError):
         parse_group({"group": "table", "cayley": [[1, 0], [0, 1]]})
+
+
+def test_parse_group_preset_cap():
+    assert parse_group({"group": "cyclic", "n": 120}).order == 120
+    assert parse_group({"group": "dihedral", "n": 60}).order == 120
+    for literal in (
+        {"group": "cyclic", "n": 121},
+        {"group": "dihedral", "n": 61},
+        {"group": "sym", "n": 6},
+    ):
+        with pytest.raises(TooLarge):
+            parse_group(literal)
+    with pytest.raises(TooLarge):
+        parse_ring({"ring": "gf", "p": 2, "k": 13})
 
 
 def test_parse_specs():
@@ -193,6 +207,14 @@ def test_cli_subspace_lattice_pinned_above_table_law_cap(
         (("subspace-lattice", "--ring", "gf:1073741824", "--dim", "1"), 1),
         (("subspace-lattice", "--ring", "gf:10510100501", "--dim", "1"), 1),
         (("subspace-lattice", "--ring", "gf:2305843009213693951", "--dim", "1"), 1),
+        (
+            (
+                "build-extension",
+                "--fs",
+                {"group": {"group": "cyclic", "n": 2}, "ring": {"ring": "gf", "p": 2, "k": 13}},
+            ),
+            1,
+        ),
     ],
     ids=[
         "classify-prime",
@@ -201,15 +223,64 @@ def test_cli_subspace_lattice_pinned_above_table_law_cap(
         "subspace-2pow30",
         "subspace-101pow5",
         "subspace-mersenne61",
+        "fs-literal-2pow13",
     ],
 )
-def test_cli_large_field_orders_refused_quickly(capsys, argv, expected):
+def test_cli_large_field_orders_refused_quickly(capsys, tmp_path, argv, expected):
+    assert_refused_quickly(capsys, tmp_path, argv, expected)
+
+
+def assert_refused_quickly(capsys, tmp_path, argv, expected):
+    """Run the CLI, each dict in argv written to a JSON file first, and
+    require the exit code within 1 s."""
+    args = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
     start = time.perf_counter()
-    code, out = run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *args)
     elapsed = time.perf_counter() - start
     assert code == expected
     assert json.loads(out)["ok"] is False
     assert elapsed < 1.0
+
+
+def rational_fs(group):
+    return {"group": group, "ring": {"ring": "q"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify-extensions", "--group", "cyclic:5000", "--ring", "gf:2"),
+        ("classify-extensions", "--group", "dihedral:3000", "--ring", "gf:2"),
+        ("classify-extensions", "--group", "sym:6", "--ring", "gf:2"),
+        ("build-extension", "--fs", rational_fs({"group": "cyclic", "n": 100})),
+        ("build-extension", "--fs", rational_fs({"group": "cyclic", "n": 200})),
+        ("roundtrip", "--fs", rational_fs({"group": "dihedral", "n": 25})),
+        (
+            "build-extension",
+            "--fs",
+            rational_fs({"group": "table", "cayley": [[(i + j) % 49 for j in range(49)] for i in range(49)]}),
+        ),
+    ],
+    ids=[
+        "classify-cyclic5000",
+        "classify-dihedral3000",
+        "classify-sym6",
+        "fs-cyclic100",
+        "fs-cyclic200",
+        "roundtrip-dihedral25",
+        "fs-table49",
+    ],
+)
+def test_cli_large_groups_refused_quickly(capsys, tmp_path, argv):
+    # presets above order 120 are refused before their table is built,
+    # and factor systems above |G| = 48 before their |G|^3 checks
+    assert_refused_quickly(capsys, tmp_path, argv, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Factor-system laws, Schreier extensions, equivalences, classification."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,15 @@ def test_materialize_too_large():
 
     with pytest.raises(TooLarge):
         SchreierExtension(fs_big).materialize()
+
+
+def test_factor_system_check_order_cap(gf3):
+    # |G|^3 E2 triples: 110,592 at the cap, checked in about 0.3 s over GF(3)
+    assert validate_factor_system(trivial_factor_system(cyclic_group(48), gf3)).ok
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        validate_factor_system(trivial_factor_system(cyclic_group(49), gf3))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

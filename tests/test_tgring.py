@@ -9,6 +9,8 @@ from glattice import (
     DivisionRing,
     FactorSystem,
     RingAutomorphism,
+    SemilinearMap,
+    SemilinearProjectiveRep,
     TwistedGroupRing,
     cyclic_group,
     dihedral_group,
@@ -22,11 +24,14 @@ from glattice import (
     validate_module_axioms,
     validate_rep,
 )
+from glattice import tgring
 from glattice.errors import NonCommutativeCarrier, NotAssociated, ParentMismatch
 from glattice.lattice import orbits
+from glattice.linalg import add_vectors, scale_vector
 from glattice.rep import induced_glattice
 from glattice.tgring import ring_element_to_vector, vector_to_ring_element
 
+from conftest import shift_rep
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +299,135 @@ def test_module_check_cap(gf4):
 
     with pytest.raises(TooLarge):
         validate_module_axioms(tgr, rho)
+
+
+# ---------------------------------------------------------------------------
+# the module laws against the product-by-product reference
+
+
+def reference_module_laws(tgr, rep, monkeypatch, seed=0, samples=100):
+    """The module-law loop with every product a fresh ``module_action``:
+    no image table and no shared s*v, the same triples in the same order."""
+    tgring._check_associated(tgr, rep)
+    elements, vectors, scalars = tgring._module_law_data(tgr, rep.space, seed, samples)
+    with monkeypatch.context() as patch:
+        # module_action re-runs the association check (about 2 ms over
+        # QQ/C3) on each of its ~20k calls here; it was just run once
+        patch.setattr(tgring, "_check_associated", lambda tgr, rep: None)
+
+        def act(s, v):
+            return module_action(tgr, rep, s, v)
+
+        for s in elements:
+            for u in vectors:
+                for v in vectors:
+                    if act(s, add_vectors(u, v)) != add_vectors(act(s, u), act(s, v)):
+                        return False, ("law1", s, u, v)
+        for s in elements:
+            for t in elements:
+                for v in vectors:
+                    if act(s + t, v) != add_vectors(act(s, v), act(t, v)):
+                        return False, ("law2", s, t, v)
+                    if act(s, act(t, v)) != act(s * t, v):
+                        return False, ("law3", s, t, v)
+        one_bar = tgr.one()
+        for v in vectors:
+            if act(one_bar, v) != v:
+                return False, ("law4", v)
+        for b in scalars:
+            for s in elements:
+                for v in vectors:
+                    if act(s.scale(b), v) != scale_vector(b, act(s, v)):
+                        return False, ("law5", b, s, v)
+    return True, None
+
+
+def regular_module(ring, group, bracket):
+    tgr = TwistedGroupRing(FactorSystem(group, ring, {}, bracket))
+    return tgr, regular_representation(tgr)
+
+
+def shift_module(ring):
+    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), ring))
+    return tgr, shift_rep(ring)
+
+
+@pytest.mark.parametrize(
+    "build,seed",
+    [
+        (lambda: regular_module(DivisionRing.gf(3), cyclic_group(2), {}), 0),
+        (lambda: regular_module(DivisionRing.gf(3), cyclic_group(2), {(1, 1): 2}), 0),
+        (lambda: regular_module(DivisionRing.gf(2), cyclic_group(2), {}), 0),
+        (lambda: shift_module(DivisionRing.rationals()), 0),
+        (lambda: shift_module(DivisionRing.rationals()), 1),
+        (lambda: shift_module(DivisionRing.rationals()), 12345),
+    ],
+    ids=["gf3-c2", "gf3-c2-bracket2", "gf2-c2", "qq-c3-seed0", "qq-c3-seed1", "qq-c3-seed12345"],
+)
+def test_module_laws_match_reference(monkeypatch, build, seed):
+    tgr, rep = build()
+    got = validate_module_axioms(tgr, rep, seed=seed)
+    assert got == (True, None)
+    assert got == reference_module_laws(tgr, rep, monkeypatch, seed=seed)
+
+
+class TamperedMap(SemilinearMap):
+    """rho(g) with its matrix and twist, so the association check still
+    accepts it, but with ``apply`` passed through ``tamper(v, image)``."""
+
+    __slots__ = ("tamper",)
+
+    def apply(self, v):
+        return self.tamper(v, super().apply(v))
+
+
+def tampered(rep, g, tamper):
+    f = rep.maps[g]
+    bad = TamperedMap(f.space, f.matrix, f.theta)
+    bad.tamper = tamper
+    return SemilinearProjectiveRep(rep.group, rep.space, {**rep.maps, g: bad})
+
+
+def doubled_at(w):
+    """Double the image of the one vector w: no longer additive."""
+    return lambda v, image: scale_vector(w[0].ring.scalar(2), image) if v == w else image
+
+
+def doubled(v, image):
+    return scale_vector(v[0].ring.scalar(2), image)
+
+
+@pytest.mark.parametrize(
+    "build,g,tamper,laws",
+    [
+        (
+            lambda: regular_module(DivisionRing.gf(3), cyclic_group(2), {(1, 1): 2}),
+            1,
+            doubled_at((DivisionRing.gf(3).one(), DivisionRing.gf(3).zero())),
+            ("law1",),
+        ),
+        (
+            lambda: shift_module(DivisionRing.rationals()),
+            2,
+            doubled_at(tuple(DivisionRing.rationals().scalar(c) for c in (1, 1, 0))),
+            ("law1",),
+        ),
+        (
+            lambda: regular_module(DivisionRing.gf(3), cyclic_group(2), {(1, 1): 2}),
+            0,
+            doubled,
+            ("law3", "law4"),
+        ),
+        (lambda: shift_module(DivisionRing.rationals()), 1, doubled, ("law3", "law4")),
+    ],
+    ids=["nonadditive-gf3-c2", "nonadditive-qq-c3", "scaled-identity-gf3-c2", "scaled-shift-qq-c3"],
+)
+def test_failing_module_laws_match_reference(monkeypatch, build, g, tamper, laws):
+    tgr, rep = build()
+    bad = tampered(rep, g, tamper)
+    got = validate_module_axioms(tgr, bad)
+    assert got[0] is False and got[1][0] in laws
+    assert got == reference_module_laws(tgr, bad, monkeypatch)
 
 
 def test_vector_ring_element_roundtrip(gf3):
