@@ -3,16 +3,13 @@
 Every command reads JSON, writes a stable-ordered JSON report (and
 optionally a DOT file), and exits with 0 on success, 1 when a
 verification fails (the report carries a replayable witness), or 2 on
-malformed input.  Execution is single-threaded and deterministic; the
-GLAT_THREADS environment variable is accepted as an upper bound on
-parallelism and validated, with 1 worker always being a legal choice.
+malformed input.  Execution is single-threaded and deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -46,18 +43,6 @@ from .tgring import (
     regular_representation,
     validate_module_axioms,
 )
-
-
-def _check_threads_env():
-    raw = os.environ.get("GLAT_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"GLAT_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise ParseError("GLAT_THREADS must be >= 1")
 
 
 def _emit(report, out_path):
@@ -412,7 +397,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except ParseError as exc:
         _emit({"command": args.command, "ok": False, "error": str(exc)}, None)

@@ -413,7 +413,8 @@ class SubspaceLattice(FiniteLattice):
     intersection.  The join is the sum, computed through annihilators
     as ``W1 + W2 = (W1^perp meet W2^perp)^perp``, so only m
     eliminations run.  The base class then cross-validates both tables
-    against the bounds it recomputes from the order alone.
+    against the bounds it recomputes from the order alone, and certifies
+    them against the down-set and up-set masks.
     """
 
     def __init__(self, space, subspaces):
@@ -525,7 +526,9 @@ def iter_semilinear_automorphisms(space):
     ring = space.ring
     if not ring.is_finite():
         raise InfiniteCarrier(f"cannot enumerate SGL over {ring}")
-    total = general_linear_order(space.dim, ring.order) * len(list_automorphisms(ring))
+    # |Aut GF(p^k)| = k, read off the spec: list_automorphisms verifies
+    # every Frobenius power on all pairs, too slow to run before the cap
+    total = general_linear_order(space.dim, ring.order) * (ring.k or 1)
     if total > _SGL_ENUM_LIMIT:
         raise TooLarge(f"|SGL(V)| = {total} exceeds {_SGL_ENUM_LIMIT}")
     for theta in list_automorphisms(ring):

@@ -218,7 +218,12 @@ def coordinatize(phi):
     matrix M = [c_1 v_1 | ... | c_n v_n] up to a scalar; M is scaled so
     its first nonzero row-major entry is 1.  Each ring automorphism is
     then tried in ``list_automorphisms`` order and (M, theta) is checked
-    on every proper nonzero subspace, lowest-dimensional first.
+    on the points (1-dimensional subspaces) only.  That suffices: phi is
+    an order automorphism of L(V), and so is the permutation any
+    invertible semilinear map induces; lattice automorphisms preserve
+    joins, and L(V) is atomistic (every subspace is the join of the
+    points it contains), so two automorphisms that agree on the points
+    agree everywhere.
 
     The result is the first match of a scan of SGL(V) with twists outer
     and matrices inner in lexicographic order: within one twist every
@@ -249,11 +254,8 @@ def coordinatize(phi):
     matrix = [[coeffs[j] * columns[j][r] for j in range(n)] for r in range(n)]
     lead = next(x for row in matrix for x in row if not x.is_zero()).inverse()
     matrix = [[lead * x for x in row] for row in matrix]
-    # proper nonzero subspaces, cheapest (lowest-dimensional) first
     targets = [
-        (w, lattice.payloads[phi(i)])
-        for i, w in sorted(enumerate(lattice.payloads), key=lambda iw: iw[1].dim)
-        if 0 < w.dim < n
+        (w, lattice.payloads[phi(i)]) for i, w in enumerate(lattice.payloads) if w.dim == 1
     ]
     for theta in list_automorphisms(ring):
         f = SemilinearMap(space, matrix, theta)

@@ -434,15 +434,6 @@ def test_cli_malformed_input_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_cli_threads_env_validated(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GLAT_THREADS", "zebra")
-    code, out = run_cli(capsys, "example-c3")
-    assert code == 2
-    monkeypatch.setenv("GLAT_THREADS", "2")
-    code, _ = run_cli(capsys, "example-c3")
-    assert code == 0
-
-
 def test_cli_hasse_dot_action_colors_and_out(capsys, tmp_path):
     act = {
         "group": {"group": "cyclic", "n": 2},

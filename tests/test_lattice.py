@@ -1,27 +1,36 @@
 """Lattice validation, automorphisms, and action-axiom machinery."""
 
+import functools
 import itertools
 
 import pytest
 
+import glattice.lattice as lattice_module
 from glattice import (
+    DivisionRing,
+    FiniteLattice,
     LatticeAutomorphism,
     GLatticeAction,
+    VectorSpace,
     action_from_homomorphism,
     boolean_lattice,
     conjugation_glattice,
     cyclic_group,
+    dihedral_group,
+    enumerate_subspaces,
     hasse_dot,
     homomorphism_from_action,
     lattice_automorphism_group,
     orbits,
     powerset_glattice,
+    subgroup_lattice,
     symmetric_group,
     validate_glattice,
     validate_lattice,
 )
 from glattice.errors import (
     NoJoin,
+    NoMeet,
     NotGSet,
     NotHomomorphism,
     NotLatticeAutomorphism,
@@ -98,6 +107,205 @@ def test_covers_transitive_reduction():
     assert lat.covers() == [(0, 1), (1, 2)]
     b3 = boolean_lattice(3)
     assert len(b3.covers()) == 12
+
+
+# ---------------------------------------------------------------------------
+# the table certificate, against the cubic law check it replaced
+
+
+def reference_table_laws(meet, join):
+    """Absorption and associativity on every pair and triple: the first
+    failure as (law, x, y[, z]), or None."""
+    rng = range(len(meet))
+    for x in rng:
+        for y in rng:
+            if meet[x][join[x][y]] != x or join[x][meet[x][y]] != x:
+                return ("absorption", x, y)
+    for x in rng:
+        for y in rng:
+            mxy, jxy = meet[x][y], join[x][y]
+            for z in rng:
+                if meet[mxy][z] != meet[x][meet[y][z]]:
+                    return ("meet associativity", x, y, z)
+                if join[jxy][z] != join[x][join[y][z]]:
+                    return ("join associativity", x, y, z)
+    return None
+
+
+def reference_bounds(down, up):
+    """Meet and join by one dictionary lookup per pair, meet first."""
+    m = len(down)
+    by_down = {down[x]: x for x in range(m)}
+    by_up = {up[x]: x for x in range(m)}
+    meet = [[None] * m for _ in range(m)]
+    join = [[None] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            meet[x][y] = by_down.get(down[x] & down[y])
+            if meet[x][y] is None:
+                raise NoMeet("no meet", witness=(x, y))
+            join[x][y] = by_up.get(up[x] & up[y])
+            if join[x][y] is None:
+                raise NoJoin("no join", witness=(x, y))
+    return meet, join
+
+
+def _subspace_lattice(p, k, n):
+    return lambda: enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+
+
+# at most 128 elements, where the cubic reference is affordable; the subspace
+# lattices are those of test_lattice_tables_match_per_pair_reference
+SMALL_FAMILY = {
+    **{f"chain{m}": functools.partial(chain_lattice, m) for m in (1, 2, 3, 5, 8)},
+    **{f"boolean{n}": functools.partial(boolean_lattice, n) for n in range(8)},
+    **{
+        f"L(GF({p}{f'^{k}' if k > 1 else ''})^{n})": _subspace_lattice(p, k, n)
+        for p, k, n in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2),
+                        (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
+    },
+    "sub(S4)": lambda: subgroup_lattice(symmetric_group(4)),
+    "sub(D6)": lambda: subgroup_lattice(dihedral_group(6)),
+}
+LARGE_FAMILY = {
+    "boolean8": functools.partial(boolean_lattice, 8),
+    "L(GF(3)^4)": _subspace_lattice(3, 1, 4),
+}
+FAMILY = {**SMALL_FAMILY, **LARGE_FAMILY}
+# every lattice with an off-diagonal pair to corrupt
+MUTATED = [name for name in FAMILY if name not in ("chain1", "boolean0")]
+
+
+def corrupted(lat, which):
+    """(meet, join, (x, y)): one entry of one table replaced by the other
+    table's entry, at the first incomparable pair (else the last pair)."""
+    pairs = [(x, y) for x in range(lat.size) for y in range(x + 1, lat.size)]
+    incomparable = [(x, y) for x, y in pairs if not lat.leq[x][y] and not lat.leq[y][x]]
+    x, y = (incomparable or pairs[::-1])[0]
+    meet = [list(row) for row in lat.meet]
+    join = [list(row) for row in lat.join]
+    if which == "meet":
+        meet[x][y] = join[x][y]
+    else:
+        join[x][y] = meet[x][y]
+    return meet, join, (x, y)
+
+
+@pytest.fixture
+def bounds_returning(monkeypatch):
+    """Make FiniteLattice's bound computation return the given tables."""
+
+    def install(meet, join):
+        def bounds(down, up):
+            return [list(row) for row in meet], [list(row) for row in join]
+
+        monkeypatch.setattr(lattice_module, "_bounds", bounds)
+
+    return install
+
+
+@pytest.mark.parametrize("name", SMALL_FAMILY)
+def test_certified_tables_satisfy_the_lattice_laws(name):
+    lat = FAMILY[name]()
+    assert lat.size <= 128
+    assert reference_table_laws(lat.meet, lat.join) is None
+
+
+@pytest.mark.parametrize("which", ["meet", "join"])
+@pytest.mark.parametrize("name", MUTATED)
+def test_corrupted_supplied_table_rejected(name, which):
+    lat = FAMILY[name]()
+    assert (lat.size > 128) == (name in LARGE_FAMILY)
+    meet, join, pair = corrupted(lat, which)
+    with pytest.raises(TableMismatch, match="but the true bound is") as err:
+        FiniteLattice(lat.leq, meet=meet, join=join)
+    assert err.value.witness == pair
+
+
+@pytest.mark.parametrize("which", ["meet", "join"])
+@pytest.mark.parametrize("name", MUTATED)
+def test_corrupted_bound_computation_rejected(name, which, bounds_returning):
+    lat = FAMILY[name]()
+    meet, join, pair = corrupted(lat, which)
+    bounds_returning(meet, join)
+    bound = "greatest lower" if which == "meet" else "least upper"
+    # the order alone, then with supplied tables that agree on the wrong entry
+    for supplied in ({}, {"meet": meet, "join": join}):
+        with pytest.raises(TableMismatch, match=f"is not the {bound} bound") as err:
+            FiniteLattice(lat.leq, **supplied)
+        assert err.value.witness == pair
+
+
+@pytest.mark.parametrize("name", ["chain3", "boolean2", "boolean3", "L(GF(2)^2)", "L(GF(3)^2)"])
+def test_certificate_rejects_every_single_entry_corruption(name, bounds_returning):
+    # every wrong value of every entry, out-of-range ones and the negative
+    # aliases of the true value included
+    lat = FAMILY[name]()
+    m = lat.size
+    for which, x, y in itertools.product(("meet", "join"), range(m), range(m)):
+        for value in range(-m, m + 1):
+            meet = [list(row) for row in lat.meet]
+            join = [list(row) for row in lat.join]
+            table = meet if which == "meet" else join
+            if value == table[x][y]:
+                continue
+            table[x][y] = value
+            bounds_returning(meet, join)
+            with pytest.raises(TableMismatch) as err:
+                FiniteLattice(lat.leq)
+            assert err.value.witness == (x, y)
+
+
+def test_law_check_passes_a_wrong_chain_table(bounds_returning):
+    # on 0 < 1 < 2, meet[1][0] = 1 keeps absorption and associativity
+    lat = chain_lattice(3)
+    meet = [list(row) for row in lat.meet]
+    meet[1][0] = 1
+    assert reference_table_laws(meet, lat.join) is None
+    bounds_returning(meet, lat.join)
+    with pytest.raises(TableMismatch, match="is not the greatest lower bound") as err:
+        FiniteLattice(lat.leq)
+    assert err.value.witness == (1, 0)
+
+
+def test_dual_tables_satisfy_the_laws_but_fail_the_certificate(bounds_returning):
+    lat = boolean_lattice(3)
+    assert reference_table_laws(lat.join, lat.meet) is None
+    bounds_returning(lat.join, lat.meet)
+    with pytest.raises(TableMismatch) as err:
+        FiniteLattice(lat.leq)
+    assert err.value.witness == (0, 1)
+
+
+def test_certificate_needs_injective_masks():
+    with pytest.raises(TableMismatch) as err:
+        lattice_module._certify(((0, 0), (0, 0)), (1, 1), "meet", "greatest lower")
+    assert err.value.witness == (0, 1)
+
+
+def test_bounds_match_reference_on_every_small_order():
+    # every partial order on 1..4 labeled elements: the same tables, or
+    # the same error at the same first pair
+    for m in range(1, 5):
+        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+        for bits in range(1 << len(pairs)):
+            leq = [[i == j for j in range(m)] for i in range(m)]
+            for b, (i, j) in enumerate(pairs):
+                leq[i][j] = bool(bits >> b & 1)
+            try:
+                lat = FiniteLattice(leq)
+            except NotPartialOrder:
+                continue
+            except (NoMeet, NoJoin) as exc:
+                down = [sum(1 << y for y in range(m) if leq[y][x]) for x in range(m)]
+                up = [sum(1 << x for x in range(m) if leq[y][x]) for y in range(m)]
+                with pytest.raises(type(exc)) as err:
+                    reference_bounds(down, up)
+                assert err.value.witness == exc.witness
+                continue
+            ref_meet, ref_join = reference_bounds(lat.down_masks, lat.up_masks)
+            assert [list(r) for r in lat.meet] == ref_meet
+            assert [list(r) for r in lat.join] == ref_join
 
 
 # ---------------------------------------------------------------------------

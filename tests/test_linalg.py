@@ -1,6 +1,7 @@
 """Semilinear maps, subspace canonicalization, L(V) and SGL(V)."""
 
 import random
+import time
 
 import pytest
 
@@ -349,6 +350,17 @@ def test_sgl_guards(rationals):
         enumerate_sgl(VectorSpace(rationals, 2))
     with pytest.raises(TooLarge):
         enumerate_sgl(VectorSpace(DivisionRing.gf(7), 4))
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_sgl_cap_fires_before_galois_check(k):
+    # |Aut GF(2^k)| comes from the spec; verifying the Frobenius powers on
+    # all pairs first took 8 s for GF(2^6) and over 15 s for GF(2^12)
+    space = VectorSpace(DivisionRing.gf(2, k), 2)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        enumerate_sgl(space)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_deterministic_enumeration_order(gf4):
