@@ -11,9 +11,7 @@ from .scalar import (
     DivisionRing,
     RingAutomorphism,
     Scalar,
-    apply_automorphism,
     list_automorphisms,
-    ring_arithmetic,
 )
 from .groups import (
     FiniteGroup,

@@ -18,7 +18,6 @@ from .extension import (
     build_extension,
     classify_extension,
     classify_up_to_equivalence,
-    enumerate_factor_systems,
     factor_system_from_rep,
     trivial_factor_system,
     validate_factor_system,
@@ -179,7 +178,6 @@ def cmd_build_extension(args):
 def cmd_classify_extensions(args):
     group = parse_group_spec(args.group)
     ring = parse_ring_spec(args.ring)
-    systems = enumerate_factor_systems(group, ring)
     classes = classify_up_to_equivalence(group, ring)
     names = []
     for cls in classes:
@@ -188,7 +186,7 @@ def cmd_classify_extensions(args):
     payload = {
         "command": "classify-extensions",
         "ok": True,
-        "systems": len(systems),
+        "systems": sum(len(cls) for cls in classes),
         "classes": len(classes),
         "class_sizes": [len(cls) for cls in classes],
         "groups": names,

@@ -612,6 +612,8 @@ def classify_up_to_equivalence(group, ring, chi=None):
 
     Returns a list of classes, each a list of factor systems; classes
     are sorted by their least member so output order is deterministic.
+    Raises unless the classes cover every enumerated system exactly once,
+    so the class sizes sum to the number of systems.
     """
     systems = enumerate_factor_systems(group, ring, chi)
     by_sig = {fs.signature(): fs for fs in systems}
@@ -630,9 +632,12 @@ def classify_up_to_equivalence(group, ring, chi=None):
                     "equivalence moved a system outside the enumerated family"
                 )
             orbit_sigs.add(moved_sig)
-        classes.append(sorted(orbit_sigs))
         for s in orbit_sigs:
-            unseen.pop(s, None)
+            if unseen.pop(s, None) is None:
+                raise GlatticeError("two equivalence classes share a system")
+        classes.append(sorted(orbit_sigs))
+    if sum(len(cls) for cls in classes) != len(systems):
+        raise GlatticeError("the equivalence classes do not cover every system once")
     return [[by_sig[s] for s in cls] for cls in classes]
 
 

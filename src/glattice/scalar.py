@@ -13,6 +13,24 @@ Four scalar carriers are supported:
 
 Everything is immutable and hashable; equality is decidable because
 payloads are kept in canonical form.  No floating point is used anywhere.
+
+Each ring spec is built once and interned: ``DivisionRing.gf`` (keyed by
+``p``, ``k`` and the normalized modulus), ``rationals()`` and
+``quaternions()`` return the same object for the same spec, so two rings
+are equal exactly when they are identical and a ring check is an
+identity test.
+
+A ``GF(p^k)`` ring builds its arithmetic tables once, when it is
+constructed: the payloads in enumeration order, their indices, and
+exp/log tables over a primitive element g (the discrete-logarithm tables
+behind Zech logarithms; Lidl & Niederreiter, *Finite Fields*).  The
+powers of g are walked with the polynomial product and remainder, and
+construction is refused unless they hit every nonzero payload exactly
+once.  After that a product is ``exp[log a + log b]``, an inverse
+``exp[-log a]`` and the Frobenius power ``x -> x^(p^j)`` is
+``exp[log x * p^j mod (q - 1)]``; no polynomial arithmetic runs.  The
+payload is still the coefficient tuple, so element order, sort order,
+``repr`` and the JSON form are unchanged.
 """
 
 from __future__ import annotations
@@ -65,16 +83,6 @@ def _poly_trim(c):
     return tuple(c[:i])
 
 
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _poly_trim(out)
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -87,45 +95,25 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_divmod(a, b, p):
-    """Quotient and remainder of a by b over GF(p); b must be nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(_poly_trim(a)) - 1 >= db and _poly_trim(a):
-        a = list(_poly_trim(a))
-        da = len(a) - 1
-        if da < db:
-            break
-        coef = (a[-1] * inv_lb) % p
-        q[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-    return _poly_trim(q), _poly_trim(a)
-
-
 def _poly_mod(a, m, p):
-    return _poly_divmod(a, m, p)[1]
+    """Remainder of a modulo m over GF(p); m must be nonzero."""
+    a = list(_poly_trim(a))
+    dm, inv_lead = len(m) - 1, pow(m[-1], p - 2, p)
+    while len(a) > dm:
+        coef, shift = (a[-1] * inv_lead) % p, len(a) - 1 - dm
+        for i, c in enumerate(m):
+            a[shift + i] = (a[shift + i] - coef * c) % p
+        a = list(_poly_trim(a))
+    return tuple(a)
 
 
-def _poly_egcd(a, b, p):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g (g monic)."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_mul(tuple((-c) % p for c in q), s1, p), p)
-        t0, t1 = t1, _poly_add(t0, _poly_mul(tuple((-c) % p for c in q), t1, p), p)
-    if r0:
-        lead_inv = pow(r0[-1], p - 2, p)
-        scale = (lead_inv,)
-        r0 = _poly_mul(r0, scale, p)
-        s0 = _poly_mul(s0, scale, p)
-        t0 = _poly_mul(t0, scale, p)
-    return r0, s0, t0
+def _digits(e, p, k):
+    """The k little-endian base-p digits of e."""
+    out = []
+    for _ in range(k):
+        out.append(e % p)
+        e //= p
+    return tuple(out)
 
 
 def _poly_is_irreducible(m, p):
@@ -148,12 +136,7 @@ def smallest_irreducible(p, k):
     coefficients, so the choice is deterministic and reproducible.
     """
     for encoding in range(p**k):
-        body = []
-        e = encoding
-        for _ in range(k):
-            body.append(e % p)
-            e //= p
-        cand = tuple(body) + (1,)
+        cand = _digits(encoding, p, k) + (1,)
         if _poly_is_irreducible(cand, p):
             return cand
     raise GlatticeError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -179,58 +162,120 @@ def _quat_inv(a):
     return (a[0] / norm, -a[1] / norm, -a[2] / norm, -a[3] / norm)
 
 
+# every ring built so far, keyed by its spec (kind, p, k, modulus); a field
+# asked for without a modulus is also filed under modulus None
+_INTERNED = {}
+
+
 class DivisionRing:
     """A division ring specification: which carrier, and its parameters.
 
-    Instances are immutable; two specs compare equal when they describe
-    the same carrier with the same parameters (including the modulus for
-    extension fields).
+    Rings come from :meth:`gf`, :meth:`rationals` and :meth:`quaternions`,
+    which intern them: one object per spec (including the modulus for
+    extension fields), so rings compare by identity.  Instances are
+    immutable; an extension field carries its arithmetic tables.
     """
 
-    __slots__ = ("kind", "p", "k", "modulus")
+    __slots__ = (
+        "kind", "p", "k", "modulus", "_zero", "_one",
+        "_elems", "_index", "_exp", "_log", "_autos",
+    )
 
     def __init__(self, kind, p=None, k=None, modulus=None):
         self.kind = kind
         self.p = p
         self.k = k
         self.modulus = modulus
+        if kind == PRIME:
+            self._zero, self._one = 0, 1
+        elif kind == EXTENSION:
+            self._zero, self._one = (0,) * k, (1,) + (0,) * (k - 1)
+        elif kind == RATIONALS:
+            self._zero, self._one = Fraction(0), Fraction(1)
+        else:
+            self._zero, self._one = _QUAT_ZERO, _QUAT_ONE
+        self._elems = self._index = self._exp = self._log = self._autos = None
+        if kind == EXTENSION:
+            self._build_tables()
+
+    def _build_tables(self):
+        """Payloads by index, indices by payload, and exp/log over a generator.
+
+        The generator is the first element, in enumeration order, whose
+        powers (walked with the polynomial product) return to 1 only after
+        q - 1 steps; the powers must hit every nonzero payload exactly once.
+        """
+        p, k, m = self.p, self.k, self.modulus
+        n = p**k - 1
+        elems = [_digits(i, p, k) for i in range(n + 1)]
+        one = elems[1]
+        for g in elems[2:]:
+            exp, x = [one], g
+            while x != one and len(exp) < n:
+                exp.append(x)
+                prod = _poly_mod(_poly_mul(x, g, p), m, p)
+                x = prod + (0,) * (k - len(prod))
+            if x == one and len(exp) == n:
+                break
+        else:
+            raise GlatticeError(f"{self} has no element of order {n}")
+        log = {a: i for i, a in enumerate(exp)}
+        if len(log) != n or not all(a in log for a in elems[1:]):
+            raise GlatticeError(f"the powers of {g!r} do not hit every unit of {self} once")
+        self._elems = elems
+        self._index = {a: i for i, a in enumerate(elems)}
+        self._exp = exp + exp  # exp[la + lb] needs no reduction mod q - 1
+        self._log = log
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _interned(cls, kind, p=None, k=None, modulus=None):
+        spec = (kind, p, k, modulus)
+        ring = _INTERNED.get(spec)
+        if ring is None:
+            ring = _INTERNED[spec] = cls(kind, p, k, modulus)
+        return ring
 
     @classmethod
     def gf(cls, p, k=1, modulus=None):
         if p > _PRIME_LIMIT:
             raise TooLarge(f"characteristic {p} is above the cap 2^32")
-        if not _is_prime(p):
+        # an interned prime field already proved p prime
+        if (PRIME, p, None, None) not in _INTERNED and not _is_prime(p):
             raise GlatticeError(f"{p} is not prime")
         if k == 1:
             if modulus is not None:
                 raise GlatticeError("prime fields take no modulus")
-            return cls(PRIME, p=p)
+            return cls._interned(PRIME, p)
         if k < 2:
             raise GlatticeError("extension degree must be >= 2")
         # p^k >= 2^k, so a degree past the cap's bit length is refused unevaluated
         if k > _EXTENSION_ORDER_LIMIT.bit_length() or p**k > _EXTENSION_ORDER_LIMIT:
             raise TooLarge(f"GF({p}^{k}) is above the cap of 5000 elements")
-        if modulus is None:
-            modulus = smallest_irreducible(p, k)
-        else:
+        if modulus is not None:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise GlatticeError(
                     f"modulus must be monic of degree {k} (little-endian, length {k + 1})"
                 )
-            if not _poly_is_irreducible(modulus, p):
+        spec = (EXTENSION, p, k, modulus)
+        ring = _INTERNED.get(spec)
+        if ring is None:
+            if modulus is None:
+                modulus = smallest_irreducible(p, k)
+            elif not _poly_is_irreducible(modulus, p):
                 raise GlatticeError("modulus is reducible")
-        return cls(EXTENSION, p=p, k=k, modulus=modulus)
+            ring = _INTERNED[spec] = cls._interned(EXTENSION, p, k, modulus)
+        return ring
 
     @classmethod
     def rationals(cls):
-        return cls(RATIONALS)
+        return cls._interned(RATIONALS)
 
     @classmethod
     def quaternions(cls):
-        return cls(QUATERNIONS)
+        return cls._interned(QUATERNIONS)
 
     # -- structure ----------------------------------------------------
 
@@ -248,18 +293,6 @@ class DivisionRing:
             return self.p**self.k
         return None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DivisionRing)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.k, self.modulus))
-
     def __repr__(self):
         if self.kind == PRIME:
             return f"GF({self.p})"
@@ -272,28 +305,10 @@ class DivisionRing:
     # -- element construction ------------------------------------------
 
     def zero(self):
-        return Scalar(self, self._zero_payload())
+        return Scalar(self, self._zero)
 
     def one(self):
-        return Scalar(self, self._one_payload())
-
-    def _zero_payload(self):
-        if self.kind == PRIME:
-            return 0
-        if self.kind == EXTENSION:
-            return (0,) * self.k
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        return _QUAT_ZERO
-
-    def _one_payload(self):
-        if self.kind == PRIME:
-            return 1
-        if self.kind == EXTENSION:
-            return (1,) + (0,) * (self.k - 1)
-        if self.kind == RATIONALS:
-            return Fraction(1)
-        return _QUAT_ONE
+        return Scalar(self, self._one)
 
     def scalar(self, value):
         """Coerce ``value`` into an element of this ring.
@@ -303,7 +318,7 @@ class DivisionRing:
         and 4-sequences for quaternions.
         """
         if isinstance(value, Scalar):
-            if value.ring != self:
+            if value.ring is not self:
                 raise RingMismatch(f"scalar of {value.ring} used in {self}")
             return value
         if self.kind == PRIME:
@@ -311,7 +326,7 @@ class DivisionRing:
                 return Scalar(self, value % self.p)
         elif self.kind == EXTENSION:
             if isinstance(value, int):
-                return self.from_index(value % self.order)
+                return self.from_index(value)
             if isinstance(value, (list, tuple)):
                 if len(value) > self.k:
                     raise GlatticeError("coefficient vector longer than the degree")
@@ -334,12 +349,8 @@ class DivisionRing:
         if self.kind == PRIME:
             return Scalar(self, i % self.p)
         if self.kind == EXTENSION:
-            # little-endian base-p digits
-            coeffs, e = [], i
-            for _ in range(self.k):
-                coeffs.append(e % self.p)
-                e //= self.p
-            return Scalar(self, tuple(coeffs))
+            # little-endian base-p digits of i mod q
+            return Scalar(self, self._elems[i % len(self._elems)])
         raise InfiniteCarrier(f"{self} is not enumerable")
 
     def elements(self):
@@ -376,26 +387,31 @@ class DivisionRing:
         if self.kind == PRIME:
             return (a * b) % self.p
         if self.kind == EXTENSION:
-            prod = _poly_mod(_poly_mul(_poly_trim(a), _poly_trim(b), self.p), self.modulus, self.p)
-            return prod + (0,) * (self.k - len(prod))
+            la, lb = self._log.get(a), self._log.get(b)
+            if la is None or lb is None:
+                return self._zero
+            return self._exp[la + lb]
         if self.kind == RATIONALS:
             return a * b
         return _quat_mul(a, b)
 
     def _inv(self, a):
-        if a == self._zero_payload():
+        if a == self._zero:
             raise DivisionByZero(f"inverse of zero in {self}")
         if self.kind == PRIME:
             return pow(a, self.p - 2, self.p)
         if self.kind == EXTENSION:
-            g, s, _ = _poly_egcd(_poly_trim(a), self.modulus, self.p)
-            if g != (1,):
-                raise DivisionByZero("element not invertible (reducible modulus?)")
-            s = _poly_mod(s, self.modulus, self.p)
-            return s + (0,) * (self.k - len(s))
+            return self._exp[len(self._log) - self._log[a]]
         if self.kind == RATIONALS:
             return Fraction(1) / a
         return _quat_inv(a)
+
+    def _frobenius(self, a, j):
+        """x -> x^(p^j) on an extension field."""
+        la = self._log.get(a)
+        if la is None:
+            return a
+        return self._exp[la * self.p**j % len(self._log)]
 
 
 class Scalar:
@@ -409,7 +425,7 @@ class Scalar:
 
     def _coerced(self, other):
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatch(f"{self.ring} vs {other.ring}")
             return other
         return self.ring.scalar(other)
@@ -433,10 +449,10 @@ class Scalar:
         return Scalar(self.ring, self.ring._inv(self.payload))
 
     def is_zero(self):
-        return self.payload == self.ring._zero_payload()
+        return self.payload == self.ring._zero
 
     def is_one(self):
-        return self.payload == self.ring._one_payload()
+        return self.payload == self.ring._one
 
     def is_central(self):
         """Whether the element commutes with everything in its ring."""
@@ -447,7 +463,7 @@ class Scalar:
     def __eq__(self, other):
         return (
             isinstance(other, Scalar)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.payload == other.payload
         )
 
@@ -459,10 +475,7 @@ class Scalar:
         if self.ring.kind == PRIME:
             return self.payload
         if self.ring.kind == EXTENSION:
-            e = 0
-            for c in reversed(self.payload):
-                e = e * self.ring.p + c
-            return e
+            return self.ring._index[self.payload]
         return self.payload  # Fraction and tuples of Fractions order fine
 
     def index(self):
@@ -539,20 +552,12 @@ class RingAutomorphism:
         return self.kind == IDENTITY
 
     def apply(self, a):
-        if a.ring != self.ring:
+        if a.ring is not self.ring:
             raise RingMismatch(f"automorphism of {self.ring} applied to {a.ring} element")
         if self.kind == IDENTITY:
             return a
         if self.kind == FROBENIUS:
-            result = self.ring.one()
-            base = a
-            e = self.ring.p**self.power
-            while e:
-                if e & 1:
-                    result = result * base
-                base = base * base
-                e >>= 1
-            return result
+            return Scalar(self.ring, self.ring._frobenius(a.payload, self.power))
         return self.unit * a * self.unit.inverse()
 
     def __call__(self, a):
@@ -560,7 +565,7 @@ class RingAutomorphism:
 
     def compose(self, other):
         """self after other: (self.compose(other))(a) == self(other(a))."""
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatch("automorphisms of different rings")
         if self.kind == IDENTITY:
             return other
@@ -582,7 +587,7 @@ class RingAutomorphism:
     def __eq__(self, other):
         return (
             isinstance(other, RingAutomorphism)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.kind == other.kind
             and self.power == other.power
             and self.unit == other.unit
@@ -597,29 +602,6 @@ class RingAutomorphism:
         if self.kind == FROBENIUS:
             return f"frob^{self.power}"
         return f"inner({self.unit!r})"
-
-
-def ring_arithmetic(a, b=None, kind="add"):
-    """Dispatch arithmetic by name: add | sub | mul | inv | neg.
-
-    Thin functional wrapper over the operator interface; inv and neg
-    ignore ``b``.
-    """
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "neg":
-        return -a
-    if kind == "inv":
-        return a.inverse()
-    raise GlatticeError(f"unknown arithmetic kind {kind!r}")
-
-
-def apply_automorphism(phi, a):
-    return phi.apply(a)
 
 
 def _verify_automorphism(phi):
@@ -637,17 +619,21 @@ def list_automorphisms(ring):
     """All ring automorphisms of a finite field, or [id] for the rationals.
 
     Finite fields return the full Galois group (Frobenius powers), each
-    checked to be additive and multiplicative on every element pair.
+    checked to be additive and multiplicative on every element pair; the
+    check runs once per ring, and later calls get a fresh list of the
+    checked maps.
     The rationals are rigid, so the singleton identity comes back.  The
     quaternions have a continuum of inner automorphisms and raise.
     """
     if ring.kind == PRIME:
         return [RingAutomorphism.identity(ring)]
     if ring.kind == EXTENSION:
-        autos = [RingAutomorphism.frobenius(ring, j) for j in range(ring.k)]
-        for phi in autos:
-            _verify_automorphism(phi)
-        return autos
+        if ring._autos is None:
+            autos = tuple(RingAutomorphism.frobenius(ring, j) for j in range(ring.k))
+            for phi in autos:
+                _verify_automorphism(phi)
+            ring._autos = autos
+        return list(ring._autos)
     if ring.kind == RATIONALS:
         return [RingAutomorphism.identity(ring)]
     raise InfiniteAutomorphismGroup(

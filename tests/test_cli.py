@@ -199,6 +199,69 @@ def test_cli_subspace_lattice_pinned_above_table_law_cap(
 
 
 @pytest.mark.parametrize(
+    "ring,dim,json_sha,dot_sha",
+    [
+        (
+            "gf:4", "3",
+            "cb4a2194061128f4b2d2a67b829358bdef61b0487610d91fb04419a4f8de48c9",
+            "69024750b2dfafb045f3558249e703c26663eefc31165caeefe3fb15fbe54c79",
+        ),
+        (
+            "gf:8", "2",
+            "b4785c06d53d3f9548a66ffeac516356e1ba8787c3c24d2743360dcfe4a73c87",
+            "9c127aa52bcacd94d936bf47fe3f7efe4af598a27d6cb4c36968f733b4391b12",
+        ),
+        (
+            "gf:9", "2",
+            "87b82bf3f8efa4ff0c1bed299cf22decb94c1f4dc88fc4233b63674253bf2ab9",
+            "aa2f763f0514a0aa474fa412461bf9422084ee44725bfc354200ca46f1701abd",
+        ),
+    ],
+    ids=["gf4-dim3", "gf8-dim2", "gf9-dim2"],
+)
+def test_cli_subspace_lattice_pinned_over_extension_fields(
+    capsys, tmp_path, ring, dim, json_sha, dot_sha
+):
+    # digests recorded from polynomial-division GF(p^k) arithmetic
+    dot_path = tmp_path / "lattice.dot"
+    code, out = run_cli(
+        capsys, "subspace-lattice", "--ring", ring, "--dim", dim, "--dot", str(dot_path)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == json_sha
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha
+
+
+def test_cli_extension_field_reports_pinned(capsys, tmp_path):
+    # digests recorded from polynomial-division GF(p^k) arithmetic
+    code, out = run_cli(
+        capsys, "classify-extensions", "--group", "cyclic:3", "--ring", "gf:4"
+    )
+    assert code == 0
+    assert json.loads(out)["class_sizes"] == [3, 3, 3]
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "cc39d23d16ce21f8c2eada362a7b26668b9574dc5fbda3fd9c738662c8bbcfa2"
+    )
+    path = tmp_path / "fs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"group": "cyclic", "n": 2},
+                "ring": {"ring": "gf", "p": 2, "k": 2},
+                "chi": {"a": {"frob": 1}},
+            }
+        )
+    )
+    code, out = run_cli(capsys, "roundtrip", "--fs", str(path))
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "730992bca47d18a7f0d5c405b6108858c349645e7e8b5b9a8c635960a6571eed"
+    )
+
+
+@pytest.mark.parametrize(
     "argv,expected",
     [
         (("classify-extensions", "--group", "cyclic:2", "--ring", "gf:1000000007"), 1),

@@ -28,6 +28,7 @@ from glattice import (
     validate_factor_system,
 )
 from glattice.errors import (
+    GlatticeError,
     InfiniteCarrier,
     NotAssociated,
     NotEquivalent,
@@ -396,6 +397,22 @@ def test_classes_closed_under_equivalence(gf3, gf4):
                     assert find_equivalence(fs1, fs2) is not None
         for cls1, cls2 in itertools.combinations(classes, 2):
             assert find_equivalence(cls1[0], cls2[0]) is None
+
+
+def test_classes_must_cover_every_system_once(monkeypatch, gf3):
+    from glattice import extension
+
+    c2 = cyclic_group(2)
+    systems = enumerate_factor_systems(c2, gf3)
+    # a system enumerated twice is counted twice but classified once
+    monkeypatch.setattr(extension, "enumerate_factor_systems", lambda *a: systems + systems[:1])
+    with pytest.raises(GlatticeError, match="cover"):
+        classify_up_to_equivalence(c2, gf3)
+    monkeypatch.undo()
+    # a mu-action that sends everything to one system makes two orbits meet
+    monkeypatch.setattr(extension, "transform_factor_system", lambda fs, mu: systems[0])
+    with pytest.raises(GlatticeError, match="share"):
+        classify_up_to_equivalence(c2, gf3)
 
 
 def test_enumeration_guards(rationals, gf5):

@@ -1,6 +1,7 @@
 """Ring arithmetic against independent oracles, plus the ring axioms."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,7 @@ from hypothesis import given, strategies as st
 from glattice import (
     DivisionRing,
     RingAutomorphism,
-    apply_automorphism,
     list_automorphisms,
-    ring_arithmetic,
 )
 from glattice.errors import (
     DivisionByZero,
@@ -21,6 +20,7 @@ from glattice.errors import (
     RingMismatch,
     TooLarge,
 )
+from glattice.scalar import EXTENSION, _poly_mod, _poly_mul
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -61,17 +61,17 @@ def _poly_mod_oracle(poly, modulus, p):
 
 def test_gf3_times(gf3):
     assert gf3.scalar(2) * gf3.scalar(2) == gf3.scalar(1)  # 4 mod 3
-    assert ring_arithmetic(gf3.scalar(2), gf3.scalar(2), "mul") == gf3.scalar(1)
+    assert gf3.scalar(2) * 2 == gf3.scalar(1)  # the int is coerced into GF(3)
 
 
 def test_ring_arithmetic_dispatch(gf5):
     a, b = gf5.scalar(3), gf5.scalar(4)
-    assert ring_arithmetic(a, b, "add") == gf5.scalar(2)
-    assert ring_arithmetic(a, b, "sub") == gf5.scalar(4)
-    assert ring_arithmetic(a, kind="neg") == gf5.scalar(2)
-    assert ring_arithmetic(a, kind="inv") == gf5.scalar(2)  # 3*2 = 6 = 1
+    assert a + b == gf5.scalar(2)
+    assert a - b == gf5.scalar(4)
+    assert -a == gf5.scalar(2)
+    assert a.inverse() == gf5.scalar(2)  # 3*2 = 6 = 1
     phi = RingAutomorphism.identity(gf5)
-    assert apply_automorphism(phi, a) == a
+    assert phi.apply(a) == a
 
 
 def test_rational_inverse(rationals):
@@ -328,3 +328,84 @@ def test_element_enumeration_order(gf4):
     payloads = [a.payload for a in gf4.elements()]
     assert payloads == [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert [a.index() for a in gf4.elements()] == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against the polynomial reference, and interning
+
+
+def _poly_product(ring, a, b):
+    prod = _poly_mod(_poly_mul(a, b, ring.p), ring.modulus, ring.p)
+    return prod + (0,) * (ring.k - len(prod))
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [(2, 2, None), (2, 3, None), (3, 2, None), (3, 2, (2, 1, 1)), (2, 4, None),
+     (5, 2, None), (3, 3, None), (2, 5, None), (7, 2, None), (2, 6, None)],
+    ids=["gf4", "gf8", "gf9", "gf9-x2+x+2", "gf16", "gf25", "gf27", "gf32", "gf49", "gf64"],
+)
+def test_tables_match_polynomial_reference(p, k, modulus):
+    ring = DivisionRing.gf(p, k, modulus)
+    elems = ring.elements()
+    one = ring.one().payload
+    for a in elems:
+        products = {b.payload: (a * b).payload for b in elems}
+        assert products == {b.payload: _poly_product(ring, a.payload, b.payload) for b in elems}
+        if not a.is_zero():
+            solutions = [b for b in elems if _poly_product(ring, a.payload, b.payload) == one]
+            assert solutions == [a.inverse()]
+        power = a.payload
+        for j in range(k):
+            assert RingAutomorphism.frobenius(ring, j)(a).payload == power
+            pth = one
+            for _ in range(p):
+                pth = _poly_product(ring, pth, power)
+            power = pth
+        assert power == a.payload  # x^(p^k) = x
+
+
+def test_rings_are_interned():
+    assert DivisionRing.gf(2, 2) is DivisionRing.gf(2, 2, modulus=(1, 1, 1))
+    assert DivisionRing.gf(2, 2, modulus=[3, 1, 1]) is DivisionRing.gf(2, 2)
+    assert DivisionRing.gf(5) is DivisionRing.gf(5)
+    assert DivisionRing.gf(4294967291) is DivisionRing.gf(4294967291)  # largest prime below 2^32
+    assert DivisionRing.rationals() is DivisionRing.rationals()
+    assert DivisionRing.quaternions() is DivisionRing.quaternions()
+
+
+def test_gf9_moduli_give_distinct_rings():
+    plain = DivisionRing.gf(3, 2, modulus=(1, 0, 1))  # x^2 + 1
+    other = DivisionRing.gf(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2
+    assert plain is DivisionRing.gf(3, 2) and plain is not other
+    assert plain.scalar([0, 1]) != other.scalar([0, 1])
+    with pytest.raises(RingMismatch):
+        plain.scalar([0, 1]) * other.scalar([0, 1])
+    with pytest.raises(RingMismatch):
+        plain.scalar(other.one())
+
+
+def test_reducible_modulus_refused_after_cache():
+    DivisionRing.gf(2, 2)
+    DivisionRing.gf(3, 2)
+    with pytest.raises(GlatticeError):
+        DivisionRing.gf(2, 2, modulus=(1, 0, 1))  # (x + 1)^2
+    with pytest.raises(GlatticeError):
+        DivisionRing.gf(3, 2, modulus=(2, 0, 1))  # (x + 1)(x + 2)
+
+
+def test_tables_refuse_a_ring_without_a_primitive_element():
+    # built directly, past gf's irreducibility test: GF(2)[x]/(x^2 + 1)
+    with pytest.raises(GlatticeError):
+        DivisionRing(EXTENSION, 2, 2, (1, 0, 1))
+
+
+def test_list_automorphisms_checked_once_per_ring():
+    ring = DivisionRing.gf(2, 6)
+    first = list_automorphisms(ring)
+    start = time.perf_counter()
+    second = list_automorphisms(ring)
+    assert time.perf_counter() - start < 0.1
+    assert first == second and first is not second
+    second.pop()
+    assert list_automorphisms(ring) == first
