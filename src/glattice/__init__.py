@@ -36,7 +36,6 @@ from .lattice import (
     orbits,
     powerset_glattice,
     validate_glattice,
-    validate_lattice,
 )
 from .linalg import (
     SemilinearMap,
@@ -60,6 +59,7 @@ from .rep import (
     validate_rep,
 )
 from .extension import (
+    ExtensionIsomorphism,
     FactorSystem,
     SchreierExtension,
     build_extension,
@@ -67,7 +67,6 @@ from .extension import (
     classify_extension,
     classify_up_to_equivalence,
     enumerate_factor_systems,
-    extension_iso_from_equivalence,
     factor_system_from_rep,
     find_equivalence,
     transform_factor_system,
@@ -77,9 +76,9 @@ from .extension import (
 )
 from .tgring import (
     TwistedGroupRing,
+    TwistedModule,
     TwistedRingElement,
     is_algebra,
-    module_action,
     regular_representation,
     validate_module_axioms,
 )

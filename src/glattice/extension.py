@@ -519,10 +519,6 @@ class ExtensionIsomorphism:
                             )
 
 
-def extension_iso_from_equivalence(fs_src, fs_dst, mu):
-    return ExtensionIsomorphism(fs_src, fs_dst, mu)
-
-
 # ---------------------------------------------------------------------------
 # desk-scale enumeration and classification
 

@@ -56,6 +56,8 @@ class FiniteGroup:
             if inverse[x] is None:
                 raise NoInverse(f"element {x} has no inverse", witness=(x,))
         _check_associativity(cayley)
+        if labels and len(labels) != n:
+            raise MalformedTable(f"{len(labels)} labels for {n} elements")
         self.cayley = cayley
         self.inverse = tuple(inverse)
         self.order = n

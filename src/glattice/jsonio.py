@@ -44,9 +44,35 @@ _PRESET_ORDER_LIMIT = 120
 
 
 def _need(obj, key, where):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object, got {obj!r}")
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _need_int(obj, key, where):
+    value = _need(obj, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+
+
+def _optional(obj, key, kind, where):
+    """An optional field: None when absent or null, else a ``kind`` (dict or list)."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, kind):
+        noun = "an object" if kind is dict else "an array"
+        raise ParseError(f"{where}: field {key!r} must be {noun}, got {value!r}")
+    return value
+
+
+def _need_table(obj, key, where):
+    value = _need(obj, key, where)
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ParseError(f"{where}: field {key!r} must be an array of arrays, got {value!r}")
+    return value
 
 
 def parse_ring(obj):
@@ -55,15 +81,17 @@ def parse_ring(obj):
     kind = _need(obj, "ring", "ring literal")
     try:
         if kind == "gf":
-            p = _need(obj, "p", "ring literal")
-            k = obj.get("k", 1)
-            modulus = obj.get("modulus")
+            p = _need_int(obj, "p", "ring literal")
+            k = _need_int(obj, "k", "ring literal") if "k" in obj else 1
+            modulus = _optional(obj, "modulus", list, "ring literal")
+            if modulus and not all(isinstance(c, int) for c in modulus):
+                raise ParseError(f"ring literal: modulus {modulus!r} has a non-integer coefficient")
             return DivisionRing.gf(p, k, tuple(modulus) if modulus else None)
         if kind == "q":
             return DivisionRing.rationals()
         if kind == "quat":
             return DivisionRing.quaternions()
-    except TooLarge:
+    except (ParseError, TooLarge):
         raise
     except GlatticeError as exc:
         raise ParseError(f"ring literal: {exc}") from exc
@@ -95,20 +123,21 @@ def parse_group(obj):
     kind = _need(obj, "group", "group literal")
     try:
         if kind == "cyclic":
-            n = int(_need(obj, "n", "group literal"))
+            n = _need_int(obj, "n", "group literal")
             _check_preset_order(n)
             return cyclic_group(n)
         if kind == "sym":
-            return symmetric_group(int(_need(obj, "n", "group literal")))
+            return symmetric_group(_need_int(obj, "n", "group literal"))
         if kind == "dihedral":
-            n = int(_need(obj, "n", "group literal"))
+            n = _need_int(obj, "n", "group literal")
             _check_preset_order(2 * n)
             return dihedral_group(n)
         if kind == "table":
             return FiniteGroup(
-                _need(obj, "cayley", "group literal"), labels=obj.get("labels")
+                _need_table(obj, "cayley", "group literal"),
+                labels=_optional(obj, "labels", list, "group literal"),
             )
-    except TooLarge:
+    except (ParseError, TooLarge):
         raise
     except GlatticeError as exc:
         raise ParseError(f"group literal: {exc}") from exc
@@ -168,7 +197,7 @@ def parse_theta(ring, lit):
             return RingAutomorphism.frobenius(ring, int(lit["frob"]))
         if isinstance(lit, dict) and "inner" in lit:
             return RingAutomorphism.inner(parse_scalar(ring, lit["inner"]))
-    except GlatticeError as exc:
+    except (GlatticeError, TypeError, ValueError) as exc:
         raise ParseError(f"theta literal {lit!r}: {exc}") from exc
     raise ParseError(f"theta literal {lit!r} not understood")
 
@@ -185,7 +214,7 @@ def parse_space(obj):
     if not isinstance(obj, dict):
         raise ParseError("space literal must be an object")
     ring = parse_ring(_need(obj, "ring", "space literal"))
-    return VectorSpace(ring, int(_need(obj, "dim", "space literal")))
+    return VectorSpace(ring, _need_int(obj, "dim", "space literal"))
 
 
 def parse_lattice(obj):
@@ -194,8 +223,10 @@ def parse_lattice(obj):
     if "space" in obj:
         return enumerate_subspaces(parse_space(obj["space"]))
     if "leq" in obj:
+        leq = _need_table(obj, "leq", "lattice literal")
+        labels = _optional(obj, "labels", list, "lattice literal")
         try:
-            return FiniteLattice(obj["leq"], labels=obj.get("labels"))
+            return FiniteLattice(leq, labels=labels)
         except GlatticeError as exc:
             raise ParseError(f"lattice literal: {exc}") from exc
     raise ParseError("lattice literal needs either 'leq' or 'space'")
@@ -204,7 +235,7 @@ def parse_lattice(obj):
 def parse_action_file(obj):
     group = parse_group(_need(obj, "group", "action file"))
     lattice = parse_lattice(_need(obj, "lattice", "action file"))
-    table = _need(obj, "action", "action file")
+    table = _need_table(obj, "action", "action file")
     try:
         return GLatticeAction(group, lattice, table)
     except GlatticeError as exc:
@@ -234,10 +265,10 @@ def parse_factor_system_file(obj):
     group = parse_group(_need(obj, "group", "factor system file"))
     ring = parse_ring(_need(obj, "ring", "factor system file"))
     chi = {}
-    for label, lit in (obj.get("chi") or {}).items():
+    for label, lit in (_optional(obj, "chi", dict, "factor system file") or {}).items():
         chi[group.label_index(label)] = parse_theta(ring, lit)
     bracket = {}
-    for key, lit in (obj.get("bracket") or {}).items():
+    for key, lit in (_optional(obj, "bracket", dict, "factor system file") or {}).items():
         parts = key.split(",")
         if len(parts) != 2:
             raise ParseError(f"bracket key {key!r} must be 'g,h'")

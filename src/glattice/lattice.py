@@ -2,11 +2,10 @@
 
 A lattice is stored as an order matrix plus meet/join tables.  The
 tables are redundant with the order and are cross-validated at
-construction: meets and joins are recomputed as true greatest-lower /
-least-upper bounds (via down-set/up-set bitmasks), any supplied tables
-must agree, and the stored tables are then certified against the
-bitmasks.  Every step is quadratic in the number of elements and runs
-at every size.
+construction: meets and joins are read off the down-set/up-set
+bitmasks as true greatest-lower / least-upper bounds, and any supplied
+tables must agree with them entry by entry.  Every step is quadratic in
+the number of elements and runs at every size.
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -43,25 +42,21 @@ _POWERSET_LIMIT = 16
 class FiniteLattice:
     """A finite lattice with explicit order, meet and join tables.
 
-    Construction checks that ``leq`` is a partial order, reads meet and
-    join off the down-set and up-set bitmasks (raising NoMeet / NoJoin
-    where a bound is missing), compares any supplied tables with them,
-    and then certifies the stored tables: for every pair (x, y)
-
-      down[meet[x][y]] == down[x] & down[y]
-      up[join[x][y]]   == up[x] & up[y]
-
-    and the maps x -> down[x] and x -> up[x] are injective.  The first
-    line says the elements below meet[x][y] are exactly the common lower
-    bounds of x and y, so meet[x][y] is their greatest lower bound, and
-    injectivity makes it the only element that passes; the second line
-    says the same of joins.  Any wrong entry therefore fails with a
-    TableMismatch witness (x, y), in O(m^2) mask operations.  Once the
-    tables are the glb and lub operations of a partial order, the
-    lattice laws (idempotence, commutativity, associativity, absorption)
-    hold for them: Davey & Priestley, *Introduction to Lattices and
-    Order*, 2nd ed., ch. 2 ("lattices as algebraic structures").  So
-    no cubic law check is needed, and none runs.
+    Construction checks that ``leq`` is a partial order.  With down[x]
+    and up[x] the bitmasks of the elements below and above x, it reads
+    meet[x][y] as the z with down[z] == down[x] & down[y] and join[x][y]
+    as the z with up[z] == up[x] & up[y] (NoMeet / NoJoin where there is
+    none): the elements below z are exactly the common
+    lower bounds of x and y, so z is their greatest lower bound, and
+    dually.  The masks are injective, since down[x] == down[y] gives
+    x <= y <= x, which antisymmetry has excluded for x != y; so a
+    supplied entry is right exactly when it equals the computed one, and
+    the first that differs in row-major order raises TableMismatch with
+    witness (x, y).  All of it is O(m^2) mask operations.  The glb and
+    lub operations of a partial order satisfy the lattice laws
+    (idempotence, commutativity, associativity, absorption): Davey &
+    Priestley, *Introduction to Lattices and Order*, 2nd ed., ch. 2
+    ("lattices as algebraic structures"), so no cubic law check runs.
     """
 
     def __init__(self, leq, meet=None, join=None, payloads=None, labels=None):
@@ -110,6 +105,9 @@ class FiniteLattice:
                                     witness=(x, y),
                                 )
 
+        for name, values in (("payloads", payloads), ("labels", labels)):
+            if values is not None and len(values) != m:
+                raise ShapeMismatch(f"{len(values)} {name} for {m} elements")
         self.size = m
         self.leq = leq
         self.meet = tuple(tuple(row) for row in computed_meet)
@@ -118,8 +116,6 @@ class FiniteLattice:
         self.up_masks = tuple(up)
         self.payloads = tuple(payloads) if payloads is not None else tuple(range(m))
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(m))
-        _certify(self.meet, down, "meet", "greatest lower")
-        _certify(self.join, up, "join", "least upper")
 
     @property
     def bottom(self):
@@ -171,37 +167,6 @@ def _bounds(down, up):
                 if ux & uy not in by_up:
                     raise NoJoin(f"elements {x},{y} have no join", witness=(x, y)) from None
     return meet, join
-
-
-def _certify(table, masks, name, bound):
-    """Check that masks is injective and masks[table[x][y]] == masks[x] &
-    masks[y] on every pair (see FiniteLattice)."""
-    m = len(masks)
-    if len(set(masks)) != m:
-        x, y = next((x, y) for y in range(m) for x in range(y) if masks[x] == masks[y])
-        raise TableMismatch(
-            f"{name} certificate: elements {x} and {y} have equal masks", witness=(x, y)
-        )
-    for x, row in enumerate(table):
-        mx = masks[x]
-        # a negative entry would index masks from the end, so bound the range first
-        if min(row) < 0 or max(row) >= m or [masks[z] for z in row] != [mx & my for my in masks]:
-            y = next(
-                y for y in range(m)
-                if not 0 <= row[y] < m or masks[row[y]] != mx & masks[y]
-            )
-            raise TableMismatch(
-                f"{name}[{x}][{y}] = {row[y]} is not the {bound} bound", witness=(x, y)
-            )
-
-
-def validate_lattice(leq, meet=None, join=None, payloads=None, labels=None):
-    """Check a candidate order/table bundle and return the lattice.
-
-    Raises NotPartialOrder / NoMeet / NoJoin / TableMismatch with a
-    witness naming the first offending elements.
-    """
-    return FiniteLattice(leq, meet=meet, join=join, payloads=payloads, labels=labels)
 
 
 def chain_lattice(m):

@@ -9,6 +9,10 @@ element, with the product extended distributively from
 Elements are sparse coefficient maps (zeros dropped).  The ring is
 associative exactly because the bracket satisfies the E2 law; the tests
 re-verify that on basis triples for every enumerated system.
+
+A representation whose factor system is the ring's makes its space a
+left module (``TwistedModule``); that association is checked once, when
+the module is built.
 """
 
 from __future__ import annotations
@@ -296,15 +300,27 @@ def is_algebra(tgr):
 # modules over the twisted ring
 
 
-def module_action(tgr, rep, element, vector):
-    """Act by a ring element on a vector: sum of a_g * rho(g)(v).
+class TwistedModule:
+    """The space of a representation as a left module over the ring.
 
-    The representation must be associated with the ring's factor
-    system; that is re-checked (NotAssociated otherwise).
+    Built only when rep is over the ring's (K, G) and
+    ``factor_system_from_rep(rep)`` is the ring's system (NotAssociated
+    otherwise); ``act`` then runs no check of its own.
     """
-    _check_associated(tgr, rep)
-    images = {g: rep.maps[g].apply(vector) for g in element.support()}
-    return _combine(rep.space, element, images)
+
+    def __init__(self, tgr, rep):
+        if rep.group != tgr.group or rep.space.ring != tgr.ring:
+            raise NotAssociated("representation is for a different (K, G)")
+        if factor_system_from_rep(rep) != tgr.fs:
+            raise NotAssociated("representation has a different factor system")
+        self.tgr = tgr
+        self.rep = rep
+        self.space = rep.space
+
+    def act(self, element, vector):
+        """Act by a ring element on a vector: sum of a_g * rho(g)(v)."""
+        images = {g: self.rep.maps[g].apply(vector) for g in element.support()}
+        return _combine(self.space, element, images)
 
 
 def _combine(space, element, images):
@@ -313,13 +329,6 @@ def _combine(space, element, images):
     for g, a in element.coeffs:
         out = add_vectors(out, scale_vector(a, images[g]))
     return out
-
-
-def _check_associated(tgr, rep):
-    if rep.group != tgr.group or rep.space.ring != tgr.ring:
-        raise NotAssociated("representation is for a different (K, G)")
-    if factor_system_from_rep(rep) != tgr.fs:
-        raise NotAssociated("representation has a different factor system")
 
 
 def _seeded_rationals(seed, count):
@@ -361,15 +370,15 @@ def validate_module_axioms(tgr, rep, seed=0, samples=100):
     pseudorandom combinations -- the laws are (semi)linear in each slot,
     so basis coverage carries the content and samples guard slips.
 
-    The images [rho(g)(v) for g in G] are computed once per distinct
-    vector, and every s*v over the sampled elements and vectors once per
-    pair; each law reads its right side from those tables and forms its
-    left side from its own vector (u+v, t*v, ...).  The triples, the
-    loop order and so the first witness are those of checking every
-    product afresh with ``module_action``.
+    The association is checked once, by building the ``TwistedModule``
+    (NotAssociated otherwise).  The images [rho(g)(v) for g in G] are
+    computed once per distinct vector, and every s*v over the sampled
+    elements and vectors once per pair; each law reads its right side
+    from those tables and forms its left side from its own vector (u+v,
+    t*v, ...).  The triples, the loop order and so the first witness are
+    those of checking every product afresh with ``TwistedModule.act``.
     """
-    _check_associated(tgr, rep)
-    space = rep.space
+    space = TwistedModule(tgr, rep).space
     elements, vectors, scalars = _module_law_data(tgr, space, seed, samples)
     maps = [rep.maps[g] for g in range(tgr.rank)]
     cache = {}

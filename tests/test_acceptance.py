@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from glattice import (
     DivisionRing,
+    ExtensionIsomorphism,
     FactorSystem,
     GLatticeAction,
     RingAutomorphism,
@@ -26,7 +27,6 @@ from glattice import (
     dihedral_group,
     enumerate_factor_systems,
     enumerate_subspaces,
-    extension_iso_from_equivalence,
     factor_system_from_rep,
     find_equivalence,
     gaussian_binomial,
@@ -354,7 +354,7 @@ def test_criterion_08_extension_regular_rep_roundtrip():
     rationals = DivisionRing.rationals()
     fs_q = trivial_factor_system(cyclic_group(3), rationals)
     ext = build_extension(fs_q)
-    iso = extension_iso_from_equivalence(fs_q, fs_q, {g: 1 for g in range(3)})
+    iso = ExtensionIsomorphism(fs_q, fs_q, {g: 1 for g in range(3)})
     direct_ok = True
     samples = [Fraction(2), Fraction(-3, 7), Fraction(5, 2)]
     for a in samples:

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+import glattice.extension
+import glattice.rep
 from glattice.cli import main
 from glattice.errors import ParseError, TooLarge
 from glattice.jsonio import (
@@ -472,6 +474,38 @@ def test_cli_roundtrip(capsys, tmp_path):
     assert report["algebra"] is False
 
 
+def test_cli_roundtrip_extracts_the_cocycle_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    original = glattice.rep.extract_cocycle
+
+    def counted(rep):
+        calls.append(rep)
+        return original(rep)
+
+    for module in (glattice.rep, glattice.extension):
+        monkeypatch.setattr(module, "extract_cocycle", counted)
+    path = tmp_path / "fs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"group": "cyclic", "n": 4},
+                "ring": {"ring": "q"},
+                # the carry cocycle: 2 where i + j >= 4
+                "bracket": {
+                    f"{g},{h}": "2"
+                    for g, h in [("a", "a^3"), ("a^2", "a^2"), ("a^2", "a^3"),
+                                 ("a^3", "a"), ("a^3", "a^2"), ("a^3", "a^3")]
+                },
+            }
+        )
+    )
+    code, out = run_cli(capsys, "roundtrip", "--fs", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["recovered_system_equal"] and report["regular_rep"] == "projective-linear"
+    assert len(calls) == 1
+
+
 def test_cli_example_c3(capsys):
     code, out = run_cli(capsys, "example-c3")
     assert code == 0
@@ -495,6 +529,58 @@ def test_cli_malformed_input_exit_2(capsys, tmp_path):
     assert "line" in json.loads(out)["error"]
     code, _ = run_cli(capsys, "verify-action", "--in", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+GOOD_ACTION = {
+    "group": {"group": "cyclic", "n": 2},
+    "lattice": {"leq": [[1, 1], [0, 1]]},
+    "action": [[0, 1], [0, 1]],
+}
+GOOD_FS = {"group": {"group": "cyclic", "n": 2}, "ring": {"ring": "gf", "p": 2, "k": 2}}
+
+
+def test_cli_shape_baselines_are_well_formed(capsys, tmp_path):
+    # each malformed input below is one of these with one field broken
+    for command, flag, data in (("verify-action", "--in", GOOD_ACTION), ("roundtrip", "--fs", GOOD_FS)):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(capsys, command, flag, str(path))
+        assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        ("hasse-dot", {"leq": 5}),
+        ("hasse-dot", {"leq": [5]}),
+        ("verify-action", {**GOOD_ACTION, "lattice": {"leq": [[1, 1], [0, 1]], "labels": ["0"]}}),
+        ("verify-action", {**GOOD_ACTION, "group": {"group": "table", "cayley": 5}}),
+        ("verify-action", {**GOOD_ACTION, "group": {"group": "cyclic", "n": "x"}}),
+        ("verify-action", {**GOOD_ACTION, "action": 7}),
+        ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": "x"}}),
+        ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 3, "k": None}}),
+        ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 2, "k": 2, "modulus": 5}}),
+        ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 2, "k": 2, "modulus": ["a", 1, 1]}}),
+        ("roundtrip", {**GOOD_FS, "chi": 5}),
+        ("roundtrip", {**GOOD_FS, "chi": {"a": {"frob": "x"}}}),
+        ("roundtrip", {**GOOD_FS, "bracket": 5}),
+        ("roundtrip", {**GOOD_FS, "group": {"group": "table", "cayley": [[0, 1], [1, 0]], "labels": ["e"]}}),
+    ],
+    ids=[
+        "leq-scalar", "leq-row-scalar", "short-labels", "cayley-scalar", "n-not-int",
+        "action-scalar", "p-not-int", "k-null", "modulus-scalar", "modulus-entry",
+        "chi-scalar", "frob-not-int", "bracket-scalar", "short-group-labels",
+    ],
+)
+def test_cli_malformed_shapes_exit_2(capsys, tmp_path, command, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--fs" if command == "roundtrip" else "--in", str(path)]
+    if command == "verify-action":
+        argv += ["--dot", str(tmp_path / "out.dot")]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 def test_cli_hasse_dot_action_colors_and_out(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from glattice import (
     DivisionRing,
+    ExtensionIsomorphism,
     FactorSystem,
     RingAutomorphism,
     are_isomorphic,
@@ -18,7 +19,6 @@ from glattice import (
     cyclic_group,
     dihedral_group,
     enumerate_factor_systems,
-    extension_iso_from_equivalence,
     factor_system_from_rep,
     find_equivalence,
     identify_group,
@@ -299,7 +299,7 @@ def test_gf4_c3_coboundary_equivalence(gf4):
 
 def test_extension_iso_identity(gf3):
     fs = FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2})
-    iso = extension_iso_from_equivalence(fs, fs, {0: 1, 1: 1})
+    iso = ExtensionIsomorphism(fs, fs, {0: 1, 1: 1})
     for pair in iso.src.pairs():
         assert iso(pair) == pair
 
@@ -310,7 +310,7 @@ def test_extension_iso_explicit(gf4):
     omega = gf4.scalar(2)
     fs2 = transform_factor_system(fs1, {0: gf4.one(), 1: omega, 2: omega})
     mu = find_equivalence(fs1, fs2)
-    iso = extension_iso_from_equivalence(fs1, fs2, mu)  # |H| = 9: exhaustive
+    iso = ExtensionIsomorphism(fs1, fs2, mu)  # |H| = 9: exhaustive
     # the K*-layer maps onto the K*-layer (mu(e) = 1)
     for a in gf4.units():
         assert iso((a, 0)) == (a, 0)
@@ -321,7 +321,7 @@ def test_iso_requires_equivalence(gf3):
     fs1 = trivial_factor_system(c2, gf3)
     fs2 = FactorSystem(c2, gf3, {}, {(1, 1): 2})
     with pytest.raises(NotEquivalent):
-        extension_iso_from_equivalence(fs1, fs2, {0: 1, 1: 1})
+        ExtensionIsomorphism(fs1, fs2, {0: 1, 1: 1})
 
 
 def test_equivalent_systems_isomorphic_extensions_and_converse(gf3):

@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-import glattice.lattice as lattice_module
 from glattice import (
     DivisionRing,
     FiniteLattice,
@@ -26,7 +25,6 @@ from glattice import (
     subgroup_lattice,
     symmetric_group,
     validate_glattice,
-    validate_lattice,
 )
 from glattice.errors import (
     NoJoin,
@@ -35,6 +33,7 @@ from glattice.errors import (
     NotHomomorphism,
     NotLatticeAutomorphism,
     NotPartialOrder,
+    ShapeMismatch,
     TableMismatch,
     TooLarge,
 )
@@ -56,11 +55,11 @@ def leq_from_pairs(m, pairs):
 
 
 # ---------------------------------------------------------------------------
-# validate_lattice
+# FiniteLattice construction
 
 
 def test_two_chain_valid():
-    lat = validate_lattice([[1, 1], [0, 1]])
+    lat = FiniteLattice([[1, 1], [0, 1]])
     assert lat.size == 2
     assert lat.meet[0][1] == 0 and lat.join[0][1] == 1
 
@@ -69,7 +68,7 @@ def test_two_maximal_elements_have_no_join():
     # bottom 0, then 3 below the two incomparable maximal elements 1, 2
     leq = leq_from_pairs(4, [(0, 1), (0, 2), (0, 3), (3, 1), (3, 2)])
     with pytest.raises(NoJoin) as err:
-        validate_lattice(leq)
+        FiniteLattice(leq)
     assert set(err.value.witness) == {1, 2}
 
 
@@ -91,15 +90,15 @@ def test_boolean_lattice_on_three_atoms():
 
 def test_not_partial_order_rejected():
     with pytest.raises(NotPartialOrder):
-        validate_lattice([[1, 1], [1, 1]])  # antisymmetry fails
+        FiniteLattice([[1, 1], [1, 1]])  # antisymmetry fails
     with pytest.raises(NotPartialOrder):
         # 0<=1, 1<=2, but not 0<=2
-        validate_lattice(leq_from_pairs(3, [(0, 1), (1, 2)]))
+        FiniteLattice(leq_from_pairs(3, [(0, 1), (1, 2)]))
 
 
 def test_table_mismatch_reported():
     with pytest.raises(TableMismatch):
-        validate_lattice([[1, 1], [0, 1]], meet=[[0, 1], [1, 1]])
+        FiniteLattice([[1, 1], [0, 1]], meet=[[0, 1], [1, 1]])
 
 
 def test_covers_transitive_reduction():
@@ -109,25 +108,39 @@ def test_covers_transitive_reduction():
     assert len(b3.covers()) == 12
 
 
+def test_label_and_payload_counts_must_match_the_order():
+    leq = [[1, 1], [0, 1]]
+    for field in ("labels", "payloads"):
+        with pytest.raises(ShapeMismatch, match=f"1 {field} for 2 elements"):
+            FiniteLattice(leq, **{field: ["only one"]})
+
+
 # ---------------------------------------------------------------------------
-# the table certificate, against the cubic law check it replaced
+# the tables read off the masks, against the cubic law check as an oracle
 
 
 def reference_table_laws(meet, join):
     """Absorption and associativity on every pair and triple: the first
-    failure as (law, x, y[, z]), or None."""
+    failure as (law, x, y[, z]), or None.  Each (x, y) compares whole
+    rows, z = 0..m-1, and walks z only when a row differs."""
     rng = range(len(meet))
     for x in rng:
         for y in rng:
             if meet[x][join[x][y]] != x or join[x][meet[x][y]] != x:
                 return ("absorption", x, y)
     for x in rng:
+        meet_x, join_x = meet[x], join[x]
         for y in rng:
-            mxy, jxy = meet[x][y], join[x][y]
+            meet_xy, join_xy = meet[meet_x[y]], join[join_x[y]]
+            if (
+                list(meet_xy) == [meet_x[v] for v in meet[y]]
+                and list(join_xy) == [join_x[v] for v in join[y]]
+            ):
+                continue
             for z in rng:
-                if meet[mxy][z] != meet[x][meet[y][z]]:
+                if meet_xy[z] != meet_x[meet[y][z]]:
                     return ("meet associativity", x, y, z)
-                if join[jxy][z] != join[x][join[y][z]]:
+                if join_xy[z] != join_x[join[y][z]]:
                     return ("join associativity", x, y, z)
     return None
 
@@ -154,8 +167,7 @@ def _subspace_lattice(p, k, n):
     return lambda: enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
 
 
-# at most 128 elements, where the cubic reference is affordable; the subspace
-# lattices are those of test_lattice_tables_match_per_pair_reference
+# the subspace lattices are those of test_lattice_tables_match_per_pair_reference
 SMALL_FAMILY = {
     **{f"chain{m}": functools.partial(chain_lattice, m) for m in (1, 2, 3, 5, 8)},
     **{f"boolean{n}": functools.partial(boolean_lattice, n) for n in range(8)},
@@ -191,23 +203,15 @@ def corrupted(lat, which):
     return meet, join, (x, y)
 
 
-@pytest.fixture
-def bounds_returning(monkeypatch):
-    """Make FiniteLattice's bound computation return the given tables."""
-
-    def install(meet, join):
-        def bounds(down, up):
-            return [list(row) for row in meet], [list(row) for row in join]
-
-        monkeypatch.setattr(lattice_module, "_bounds", bounds)
-
-    return install
-
-
-@pytest.mark.parametrize("name", SMALL_FAMILY)
+@pytest.mark.parametrize("name", FAMILY)
 def test_certified_tables_satisfy_the_lattice_laws(name):
     lat = FAMILY[name]()
-    assert lat.size <= 128
+    assert (lat.size > 128) == (name in LARGE_FAMILY)
+    down, up = lat.down_masks, lat.up_masks
+    assert len(set(down)) == len(set(up)) == lat.size
+    for x in range(lat.size):
+        assert [down[z] for z in lat.meet[x]] == [down[x] & dy for dy in down]
+        assert [up[z] for z in lat.join[x]] == [up[x] & uy for uy in up]
     assert reference_table_laws(lat.meet, lat.join) is None
 
 
@@ -222,22 +226,8 @@ def test_corrupted_supplied_table_rejected(name, which):
     assert err.value.witness == pair
 
 
-@pytest.mark.parametrize("which", ["meet", "join"])
-@pytest.mark.parametrize("name", MUTATED)
-def test_corrupted_bound_computation_rejected(name, which, bounds_returning):
-    lat = FAMILY[name]()
-    meet, join, pair = corrupted(lat, which)
-    bounds_returning(meet, join)
-    bound = "greatest lower" if which == "meet" else "least upper"
-    # the order alone, then with supplied tables that agree on the wrong entry
-    for supplied in ({}, {"meet": meet, "join": join}):
-        with pytest.raises(TableMismatch, match=f"is not the {bound} bound") as err:
-            FiniteLattice(lat.leq, **supplied)
-        assert err.value.witness == pair
-
-
 @pytest.mark.parametrize("name", ["chain3", "boolean2", "boolean3", "L(GF(2)^2)", "L(GF(3)^2)"])
-def test_certificate_rejects_every_single_entry_corruption(name, bounds_returning):
+def test_certificate_rejects_every_single_entry_corruption(name):
     # every wrong value of every entry, out-of-range ones and the negative
     # aliases of the true value included
     lat = FAMILY[name]()
@@ -250,36 +240,27 @@ def test_certificate_rejects_every_single_entry_corruption(name, bounds_returnin
             if value == table[x][y]:
                 continue
             table[x][y] = value
-            bounds_returning(meet, join)
-            with pytest.raises(TableMismatch) as err:
-                FiniteLattice(lat.leq)
+            with pytest.raises(TableMismatch, match="but the true bound is") as err:
+                FiniteLattice(lat.leq, meet=meet, join=join)
             assert err.value.witness == (x, y)
 
 
-def test_law_check_passes_a_wrong_chain_table(bounds_returning):
+def test_law_check_passes_a_wrong_chain_table():
     # on 0 < 1 < 2, meet[1][0] = 1 keeps absorption and associativity
     lat = chain_lattice(3)
     meet = [list(row) for row in lat.meet]
     meet[1][0] = 1
     assert reference_table_laws(meet, lat.join) is None
-    bounds_returning(meet, lat.join)
-    with pytest.raises(TableMismatch, match="is not the greatest lower bound") as err:
-        FiniteLattice(lat.leq)
+    with pytest.raises(TableMismatch, match="but the true bound is") as err:
+        FiniteLattice(lat.leq, meet=meet, join=lat.join)
     assert err.value.witness == (1, 0)
 
 
-def test_dual_tables_satisfy_the_laws_but_fail_the_certificate(bounds_returning):
+def test_dual_tables_satisfy_the_laws_but_fail_the_certificate():
     lat = boolean_lattice(3)
     assert reference_table_laws(lat.join, lat.meet) is None
-    bounds_returning(lat.join, lat.meet)
-    with pytest.raises(TableMismatch) as err:
-        FiniteLattice(lat.leq)
-    assert err.value.witness == (0, 1)
-
-
-def test_certificate_needs_injective_masks():
-    with pytest.raises(TableMismatch) as err:
-        lattice_module._certify(((0, 0), (0, 0)), (1, 1), "meet", "greatest lower")
+    with pytest.raises(TableMismatch, match="but the true bound is") as err:
+        FiniteLattice(lat.leq, meet=lat.join, join=lat.meet)
     assert err.value.witness == (0, 1)
 
 
@@ -339,7 +320,7 @@ def test_m3_diamond_automorphisms():
     leq = leq_from_pairs(
         5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
     )
-    lat = validate_lattice(leq)
+    lat = FiniteLattice(leq)
     autos = lattice_automorphism_group(lat)
     assert len(autos) == 6
     for a in autos:

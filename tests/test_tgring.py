@@ -12,12 +12,12 @@ from glattice import (
     SemilinearMap,
     SemilinearProjectiveRep,
     TwistedGroupRing,
+    TwistedModule,
     cyclic_group,
     dihedral_group,
     enumerate_factor_systems,
     factor_system_from_rep,
     is_algebra,
-    module_action,
     regular_representation,
     symmetric_group,
     trivial_factor_system,
@@ -251,15 +251,16 @@ def test_one_bar_acts_as_identity(gf3):
     fs = FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2})
     tgr = TwistedGroupRing(fs)
     rho = regular_representation(tgr)
+    module = TwistedModule(tgr, rho)
     for v in rho.space.all_vectors():
-        assert module_action(tgr, rho, tgr.one(), v) == v
+        assert module.act(tgr.one(), v) == v
 
 
 def test_shift_module_action(rationals, shift_rep_q):
     tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), rationals))
     abar = tgr.basis_element(1)
     v = tuple(rationals.scalar(c) for c in (1, 2, 3))
-    assert module_action(tgr, shift_rep_q, abar, v) == tuple(
+    assert TwistedModule(tgr, shift_rep_q).act(abar, v) == tuple(
         rationals.scalar(c) for c in (3, 1, 2)
     )
 
@@ -284,11 +285,30 @@ def test_module_action_requires_association(gf3, shift_rep_gf3):
     fs = FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2})
     tgr = TwistedGroupRing(fs)
     with pytest.raises(NotAssociated):
-        module_action(tgr, shift_rep_gf3, tgr.one(), (gf3.one(), gf3.one()))
+        TwistedModule(tgr, shift_rep_gf3)
     trivial = TwistedGroupRing(trivial_factor_system(cyclic_group(2), gf3))
     rho = regular_representation(tgr)
     with pytest.raises(NotAssociated):
+        TwistedModule(trivial, rho)
+    with pytest.raises(NotAssociated):
         validate_module_axioms(trivial, rho)
+
+
+def test_module_checks_the_association_once(monkeypatch, rationals, shift_rep_q):
+    calls = []
+
+    def counted(rep):
+        calls.append(rep)
+        return factor_system_from_rep(rep)
+
+    monkeypatch.setattr(tgring, "factor_system_from_rep", counted)
+    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), rationals))
+    module = TwistedModule(tgr, shift_rep_q)
+    v = tuple(rationals.scalar(c) for c in (1, -2, 3))
+    for k in range(200):
+        v = module.act(tgr.basis_element(k % 3), v)
+    assert calls == [shift_rep_q]
+    assert v == tuple(rationals.scalar(c) for c in (3, 1, -2))
 
 
 def test_module_check_cap(gf4):
@@ -305,40 +325,32 @@ def test_module_check_cap(gf4):
 # the module laws against the product-by-product reference
 
 
-def reference_module_laws(tgr, rep, monkeypatch, seed=0, samples=100):
-    """The module-law loop with every product a fresh ``module_action``:
+def reference_module_laws(tgr, rep, seed=0, samples=100):
+    """The module-law loop with every product a fresh ``TwistedModule.act``:
     no image table and no shared s*v, the same triples in the same order."""
-    tgring._check_associated(tgr, rep)
+    act = TwistedModule(tgr, rep).act
     elements, vectors, scalars = tgring._module_law_data(tgr, rep.space, seed, samples)
-    with monkeypatch.context() as patch:
-        # module_action re-runs the association check (about 2 ms over
-        # QQ/C3) on each of its ~20k calls here; it was just run once
-        patch.setattr(tgring, "_check_associated", lambda tgr, rep: None)
-
-        def act(s, v):
-            return module_action(tgr, rep, s, v)
-
+    for s in elements:
+        for u in vectors:
+            for v in vectors:
+                if act(s, add_vectors(u, v)) != add_vectors(act(s, u), act(s, v)):
+                    return False, ("law1", s, u, v)
+    for s in elements:
+        for t in elements:
+            for v in vectors:
+                if act(s + t, v) != add_vectors(act(s, v), act(t, v)):
+                    return False, ("law2", s, t, v)
+                if act(s, act(t, v)) != act(s * t, v):
+                    return False, ("law3", s, t, v)
+    one_bar = tgr.one()
+    for v in vectors:
+        if act(one_bar, v) != v:
+            return False, ("law4", v)
+    for b in scalars:
         for s in elements:
-            for u in vectors:
-                for v in vectors:
-                    if act(s, add_vectors(u, v)) != add_vectors(act(s, u), act(s, v)):
-                        return False, ("law1", s, u, v)
-        for s in elements:
-            for t in elements:
-                for v in vectors:
-                    if act(s + t, v) != add_vectors(act(s, v), act(t, v)):
-                        return False, ("law2", s, t, v)
-                    if act(s, act(t, v)) != act(s * t, v):
-                        return False, ("law3", s, t, v)
-        one_bar = tgr.one()
-        for v in vectors:
-            if act(one_bar, v) != v:
-                return False, ("law4", v)
-        for b in scalars:
-            for s in elements:
-                for v in vectors:
-                    if act(s.scale(b), v) != scale_vector(b, act(s, v)):
-                        return False, ("law5", b, s, v)
+            for v in vectors:
+                if act(s.scale(b), v) != scale_vector(b, act(s, v)):
+                    return False, ("law5", b, s, v)
     return True, None
 
 
@@ -364,11 +376,11 @@ def shift_module(ring):
     ],
     ids=["gf3-c2", "gf3-c2-bracket2", "gf2-c2", "qq-c3-seed0", "qq-c3-seed1", "qq-c3-seed12345"],
 )
-def test_module_laws_match_reference(monkeypatch, build, seed):
+def test_module_laws_match_reference(build, seed):
     tgr, rep = build()
     got = validate_module_axioms(tgr, rep, seed=seed)
     assert got == (True, None)
-    assert got == reference_module_laws(tgr, rep, monkeypatch, seed=seed)
+    assert got == reference_module_laws(tgr, rep, seed=seed)
 
 
 class TamperedMap(SemilinearMap):
@@ -422,12 +434,12 @@ def doubled(v, image):
     ],
     ids=["nonadditive-gf3-c2", "nonadditive-qq-c3", "scaled-identity-gf3-c2", "scaled-shift-qq-c3"],
 )
-def test_failing_module_laws_match_reference(monkeypatch, build, g, tamper, laws):
+def test_failing_module_laws_match_reference(build, g, tamper, laws):
     tgr, rep = build()
     bad = tampered(rep, g, tamper)
     got = validate_module_axioms(tgr, bad)
     assert got[0] is False and got[1][0] in laws
-    assert got == reference_module_laws(tgr, bad, monkeypatch)
+    assert got == reference_module_laws(tgr, bad)
 
 
 def test_vector_ring_element_roundtrip(gf3):
