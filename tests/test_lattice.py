@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import glattice.lattice as lattice_module
 from glattice import (
     DivisionRing,
     FiniteLattice,
@@ -203,15 +204,41 @@ def corrupted(lat, which):
     return meet, join, (x, y)
 
 
+def mask_certificate_failure(table, masks):
+    """The first pair (x, y) at which masks is not injective or
+    masks[table[x][y]] != masks[x] & masks[y], or None.  With down-set
+    masks this certifies a meet table, with up-set masks a join table
+    (see FiniteLattice)."""
+    m = len(masks)
+    if len(set(masks)) != m:
+        return next((x, y) for y in range(m) for x in range(y) if masks[x] == masks[y])
+    for x, row in enumerate(table):
+        for y, z in enumerate(row):
+            # a negative entry would index masks from the end
+            if not 0 <= z < m or masks[z] != masks[x] & masks[y]:
+                return (x, y)
+    return None
+
+
+@pytest.fixture
+def bounds_returning(monkeypatch):
+    """Make FiniteLattice's bound computation return the given tables."""
+
+    def install(meet, join):
+        def bounds(down, up):
+            return [list(row) for row in meet], [list(row) for row in join]
+
+        monkeypatch.setattr(lattice_module, "_bounds", bounds)
+
+    return install
+
+
 @pytest.mark.parametrize("name", FAMILY)
 def test_certified_tables_satisfy_the_lattice_laws(name):
     lat = FAMILY[name]()
     assert (lat.size > 128) == (name in LARGE_FAMILY)
-    down, up = lat.down_masks, lat.up_masks
-    assert len(set(down)) == len(set(up)) == lat.size
-    for x in range(lat.size):
-        assert [down[z] for z in lat.meet[x]] == [down[x] & dy for dy in down]
-        assert [up[z] for z in lat.join[x]] == [up[x] & uy for uy in up]
+    assert mask_certificate_failure(lat.meet, lat.down_masks) is None
+    assert mask_certificate_failure(lat.join, lat.up_masks) is None
     assert reference_table_laws(lat.meet, lat.join) is None
 
 
@@ -224,6 +251,26 @@ def test_corrupted_supplied_table_rejected(name, which):
     with pytest.raises(TableMismatch, match="but the true bound is") as err:
         FiniteLattice(lat.leq, meet=meet, join=join)
     assert err.value.witness == pair
+
+
+@pytest.mark.parametrize("which", ["meet", "join"])
+@pytest.mark.parametrize("name", MUTATED)
+def test_corrupted_bound_computation_rejected(name, which, bounds_returning):
+    # FiniteLattice trusts its own bound computation; the mask certificate
+    # that pins it in test_certified_tables_satisfy_the_lattice_laws must
+    # catch a wrong entry there, at its pair
+    lat = FAMILY[name]()
+    meet, join, pair = corrupted(lat, which)
+    bounds_returning(meet, join)
+    # the order alone, then with supplied tables that agree on the wrong entry
+    for supplied in ({}, {"meet": meet, "join": join}):
+        built = FiniteLattice(lat.leq, **supplied)
+        assert mask_certificate_failure(built.meet, built.down_masks) == (
+            pair if which == "meet" else None
+        )
+        assert mask_certificate_failure(built.join, built.up_masks) == (
+            pair if which == "join" else None
+        )
 
 
 @pytest.mark.parametrize("name", ["chain3", "boolean2", "boolean3", "L(GF(2)^2)", "L(GF(3)^2)"])
@@ -262,6 +309,11 @@ def test_dual_tables_satisfy_the_laws_but_fail_the_certificate():
     with pytest.raises(TableMismatch, match="but the true bound is") as err:
         FiniteLattice(lat.leq, meet=lat.join, join=lat.meet)
     assert err.value.witness == (0, 1)
+
+
+def test_certificate_needs_injective_masks():
+    # constant tables pass the identity on equal masks; injectivity rejects them
+    assert mask_certificate_failure(((0, 0), (0, 0)), (1, 1)) == (0, 1)
 
 
 def test_bounds_match_reference_on_every_small_order():
