@@ -203,8 +203,11 @@ def parse_theta(ring, lit):
 
 
 def parse_matrix(space, rows):
-    if not isinstance(rows, list) or len(rows) != space.dim:
-        raise ParseError(f"matrix must be a {space.dim}x{space.dim} array")
+    n = space.dim
+    if not isinstance(rows, list) or len(rows) != n or not all(
+        isinstance(row, list) and len(row) == n for row in rows
+    ):
+        raise ParseError(f"matrix must be a {n}x{n} array")
     return tuple(
         tuple(parse_scalar(space.ring, x) for x in row) for row in rows
     )
@@ -246,6 +249,8 @@ def parse_rep_file(obj):
     group = parse_group(_need(obj, "group", "rep file"))
     space = parse_space(_need(obj, "space", "rep file"))
     entries = _need(obj, "rep", "rep file")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"rep file: field 'rep' must be an array of objects, got {entries!r}")
     assignment = {}
     for entry in entries:
         g = group.label_index(str(_need(entry, "g", "rep entry")))

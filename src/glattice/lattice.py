@@ -94,6 +94,8 @@ class FiniteLattice:
         computed_meet, computed_join = _bounds(down, up)
         for given, computed, name in ((meet, computed_meet, "meet"), (join, computed_join, "join")):
             if given is not None:
+                if not _is_square(given, m):
+                    raise ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
                 given = [list(row) for row in given]
                 if given != computed:
                     for x in range(m):
@@ -144,6 +146,15 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice(size={self.size})"
+
+
+def _is_square(table, m):
+    """Whether table is m rows (lists or tuples) of m entries each."""
+    return (
+        isinstance(table, (list, tuple))
+        and len(table) == m
+        and all(isinstance(row, (list, tuple)) and len(row) == m for row in table)
+    )
 
 
 def _bounds(down, up):

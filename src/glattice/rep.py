@@ -5,9 +5,10 @@ semilinear map such that rho(g) rho(h) = alpha(g,h) rho(gh) for scalars
 alpha(g,h) in K*.  Two maps with the same twist agree up to a scalar
 exactly when their matrices are proportional, so the cocycle, the
 equivalence scalars and the normalization are all read as one exact
-matrix ratio (``_ratio``): the scalar at the first nonzero entry,
-checked on every entry.  A pair with no such scalar raises
-ScalarInconsistent with the pair as witness.
+matrix ratio (``_ratio``), read on the maps' row supports: the
+supports must coincide, and the scalar at the first nonzero entry is
+checked on every other nonzero entry.  A pair with no such scalar
+raises ScalarInconsistent with the pair as witness.
 
 The bridge to lattices goes both ways: a representation over a finite
 field induces an action on the subspace lattice (scalars drop out), and
@@ -36,7 +37,7 @@ from .linalg import (
     Subspace,
     SubspaceLattice,
     enumerate_subspaces,
-    identity_matrix,
+    identity_map,
     map_subspace,
     rref,
 )
@@ -75,7 +76,7 @@ class SemilinearProjectiveRep:
         """
         if self.maps[0].is_identity():
             return self
-        c = _ratio(identity_matrix(self.space), self.maps[0].matrix)
+        c = _ratio(identity_map(self.space)._row_support(), self.maps[0]._row_support())
         if c is None or not self.maps[0].theta.is_identity():
             raise NotProjective("rho(e) is not a scalar multiple of the identity")
         one = self.space.ring.one()
@@ -110,16 +111,34 @@ def rep_from_matrices(group, space, assignment):
 def _ratio(a, b):
     """The scalar c with a == c*b entry by entry, or None.
 
-    c is read at the first nonzero entry of b in row-major order and then
-    checked on every entry, so a returned scalar is exact.  None also
-    when b is zero.
+    a and b are row supports (``SemilinearMap._row_support()``).  Unless a is zero,
+    such a c is a unit, so the two supports must coincide: c is read at
+    the first entry of b in row-major order and then checked on every
+    other support entry, so a returned scalar is exact.  A zero a
+    against a nonzero b gives 0; None when b is zero or no c exists.
+    This is the dense entry-by-entry ratio, read on the nonzero entries
+    only.
     """
-    pairs = [(x, y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)]
-    for x, y in pairs:
-        if not y.is_zero():
-            c = x * y.inverse()
-            return c if all(u == c * v for u, v in pairs) else None
-    return None
+    c = None
+    for row_a, row_b in zip(a, b):
+        if len(row_a) != len(row_b):
+            return _unequal_support_ratio(a, b)
+        for (ja, x), (jb, y) in zip(row_a, row_b):
+            if ja != jb:
+                return _unequal_support_ratio(a, b)
+            if c is None:
+                c = x * y.inverse()
+            elif x != c * y:
+                return None
+    return c
+
+
+def _unequal_support_ratio(a, b):
+    """The ratio of a to b when their supports differ: 0 if a is zero
+    (b is then nonzero), None otherwise."""
+    if any(a):
+        return None
+    return next(y for row in b for _, y in row).ring.zero()
 
 
 def extract_cocycle(rep):
@@ -127,7 +146,10 @@ def extract_cocycle(rep):
 
     Both sides of each pair share their twist, so they agree up to a
     scalar exactly when their matrices are proportional: alpha(g,h) is
-    the matrix ratio, checked on every entry.  A pair whose matrices are
+    the matrix ratio, checked on every entry.  Both the product
+    (``compose``) and the ratio run on row supports, so for monomial
+    maps, such as a regular representation, each pair costs O(n)
+    rather than a dense O(n^3) product.  A pair whose matrices are
     not proportional means the input is not actually projective and
     raises ScalarInconsistent with witness (g, h).
     """
@@ -142,7 +164,7 @@ def extract_cocycle(rep):
                     f"theta mismatch: theta({g})theta({h}) != theta({g}*{h})",
                     witness=(g, h),
                 )
-            alpha = _ratio(composite.matrix, target.matrix)
+            alpha = _ratio(composite._row_support(), target._row_support())
             if alpha is None:
                 raise ScalarInconsistent(
                     f"rho({g})rho({h}) is not a scalar multiple of rho({g}*{h})",
@@ -312,7 +334,7 @@ def rep_equivalence(rep1, rep2):
         f1, f2 = rep1.maps[g], rep2.maps[g]
         if f1.theta != f2.theta:
             return None
-        eta[g] = _ratio(f2.matrix, f1.matrix)
+        eta[g] = _ratio(f2._row_support(), f1._row_support())
         if eta[g] is None:
             return None
     return RepEquivalence(eta)

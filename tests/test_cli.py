@@ -115,6 +115,16 @@ def test_parse_rep_file():
                 "rep": [{"g": "1", "matrix": [[1]]}],
             }
         )
+    # wrong shapes are ParseErrors, not crashes
+    for rep in (7, [7], {"g": "1"}, [{"g": "1", "matrix": [7]}], [{"g": "1", "matrix": [[1, 2]]}]):
+        with pytest.raises(ParseError):
+            parse_rep_file(
+                {
+                    "group": {"group": "cyclic", "n": 2},
+                    "space": {"ring": {"ring": "gf", "p": 3}, "dim": 1},
+                    "rep": rep,
+                }
+            )
 
 
 def test_parse_factor_system_file():
@@ -504,6 +514,19 @@ def test_cli_roundtrip_extracts_the_cocycle_once(capsys, tmp_path, monkeypatch):
     report = json.loads(out)
     assert report["recovered_system_equal"] and report["regular_rep"] == "projective-linear"
     assert len(calls) == 1
+
+
+def test_cli_roundtrip_c24_over_rationals_within_ten_seconds(capsys, tmp_path):
+    # the cocycle of the 24-dimensional regular representation is read on
+    # row supports; a dense product per pair took about 50 s
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(rational_fs({"group": "cyclic", "n": 24})))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "roundtrip", "--fs", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["recovered_system_equal"] is True
+    assert elapsed < 10.0
 
 
 def test_cli_example_c3(capsys):

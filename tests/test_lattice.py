@@ -100,6 +100,12 @@ def test_not_partial_order_rejected():
 def test_table_mismatch_reported():
     with pytest.raises(TableMismatch):
         FiniteLattice([[1, 1], [0, 1]], meet=[[0, 1], [1, 1]])
+    # a supplied table of the wrong shape is refused before any entry is
+    # compared: an extra row, a long row, a short row, a row that is no row
+    for bad in ([[0, 0], [0, 1], [5, 5]], [[0, 1], [1, 1, 7]], [[0, 0], [0]], [0, 1], 7):
+        for name in ("meet", "join"):
+            with pytest.raises(ShapeMismatch, match=f"{name} table must be 2 rows of 2 entries"):
+                FiniteLattice([[1, 1], [0, 1]], **{name: bad})
 
 
 def test_covers_transitive_reduction():

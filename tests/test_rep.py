@@ -34,10 +34,11 @@ from glattice.lattice import (
     lattice_automorphism_group,
     orbits,
 )
-from glattice.linalg import SemilinearMap, enumerate_sgl, identity_map, map_subspace
-from glattice.rep import same_induced_lattice
+from glattice.linalg import SemilinearMap, enumerate_sgl, identity_map, map_subspace, mat_mul
+from glattice.rep import _ratio, same_induced_lattice
 from glattice.tgring import TwistedGroupRing, regular_representation
 
+from conftest import shift_rep
 from test_acceptance import enumerated_system_family
 
 
@@ -456,3 +457,97 @@ def test_equivalence_iff_same_lattice_family(gf2):
         for j in range(len(reps)):
             equivalent = rep_equivalence(reps[i], reps[j]) is not None
             assert equivalent == (tables[i] == tables[j])
+
+
+# ---------------------------------------------------------------------------
+# row supports against the dense reference
+
+
+def dense_ratio(a, b):
+    """The scalar c with a == c*b entry by entry, or None: read at the
+    first nonzero entry of b in row-major order and checked on every
+    entry of the two dense matrices."""
+    pairs = [(x, y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)]
+    for x, y in pairs:
+        if not y.is_zero():
+            c = x * y.inverse()
+            return c if all(u == c * v for u, v in pairs) else None
+    return None
+
+
+def dense_compose(f, g):
+    """f after g by the dense product M_f * theta_f(M_g)."""
+    twisted = tuple(tuple(f.theta(x) for x in row) for row in g.matrix)
+    return mat_mul(f.matrix, twisted), f.theta.compose(g.theta)
+
+
+def support_families():
+    """The regular representations of the acceptance suite's 66 systems,
+    the shift rep over QQ, all of SGL(GF(3)^2), and every ninth map of
+    SGL(GF(4)^2) (20 per twist, so the Frobenius twist moves entries)."""
+    families = [
+        list(regular_representation(TwistedGroupRing(fs)).maps.values())
+        for fs in enumerated_system_family()
+    ]
+    assert len(families) == 66
+    families.append(list(shift_rep(DivisionRing.rationals()).maps.values()))
+    families.append(enumerate_sgl(VectorSpace(DivisionRing.gf(3), 2)))
+    families.append(enumerate_sgl(VectorSpace(DivisionRing.gf(2, 2), 2))[::9])
+    return families
+
+
+def test_support_compose_matches_dense_product():
+    pairs = 0
+    for maps in support_families():
+        for f in maps:
+            for g in maps:
+                fg = f.compose(g)
+                assert (fg.matrix, fg.theta) == dense_compose(f, g)
+                # the support built during the product is the matrix's own
+                fresh = SemilinearMap(f.space, fg.matrix, fg.theta)
+                assert fg._row_support() == fresh._row_support()
+                pairs += 1
+    assert pairs > 48 * 48 + 40 * 40
+
+
+def test_support_ratio_matches_dense_ratio():
+    for maps in support_families()[:-2]:
+        for f in maps:
+            for g in maps:
+                fg = f.compose(g)
+                for target in maps:
+                    a, b = fg._row_support(), target._row_support()
+                    assert _ratio(a, b) == dense_ratio(fg.matrix, target.matrix)
+                    assert _ratio(b, a) == dense_ratio(target.matrix, fg.matrix)
+
+
+def test_support_ratio_on_multiples_zeros_and_mismatched_supports():
+    for ring in (DivisionRing.gf(3), DivisionRing.gf(2, 2), DivisionRing.rationals()):
+        space = VectorSpace(ring, 2)
+        units = ring.units() if ring.is_finite() else [ring.scalar(c) for c in (1, -2, "3/7")]
+        zero, one, two = ring.zero(), ring.one(), ring.scalar(2)
+        matrices = [
+            ((zero, zero), (zero, zero)),
+            ((one, zero), (zero, one)),
+            ((one, one), (zero, one)),
+            ((zero, one), (one, zero)),
+            ((one, zero), (zero, zero)),
+            ((zero, two), (zero, zero)),
+            ((two, one), (one, zero)),
+            ((one, two), (zero, one)),
+        ]
+        maps = [SemilinearMap(space, m) for m in matrices]
+        maps += [f.scale(c) for f in maps for c in units]
+        for f in maps:
+            for g in maps:
+                assert _ratio(f._row_support(), g._row_support()) == dense_ratio(f.matrix, g.matrix)
+        zero_map, identity, upper, _, first, second, _, upper_two = (
+            f._row_support() for f in maps[: len(matrices)]
+        )
+        assert _ratio(zero_map, identity) == zero  # zero against nonzero
+        assert _ratio(identity, zero_map) is None  # nothing against zero
+        assert _ratio(zero_map, zero_map) is None
+        assert _ratio(upper, identity) is None  # an extra entry
+        assert _ratio(identity, upper) is None  # a missing entry
+        assert _ratio(second, first) is None  # one entry each, in other columns
+        assert _ratio(upper_two, upper) is None  # one support, not proportional

@@ -2,6 +2,8 @@
 algebra criterion, and the module laws."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +15,7 @@ from glattice import (
     SemilinearProjectiveRep,
     TwistedGroupRing,
     TwistedModule,
+    VectorSpace,
     cyclic_group,
     dihedral_group,
     enumerate_factor_systems,
@@ -409,6 +412,11 @@ def doubled(v, image):
     return scale_vector(v[0].ring.scalar(2), image)
 
 
+def nudged_first_coordinate(v, image):
+    """Add 1/10^9 to the first coordinate of every image: affine, not linear."""
+    return (image[0] + Fraction(1, 10**9),) + image[1:]
+
+
 @pytest.mark.parametrize(
     "build,g,tamper,laws",
     [
@@ -431,8 +439,20 @@ def doubled(v, image):
             ("law3", "law4"),
         ),
         (lambda: shift_module(DivisionRing.rationals()), 1, doubled, ("law3", "law4")),
+        (
+            lambda: shift_module(DivisionRing.rationals()),
+            1,
+            nudged_first_coordinate,
+            ("law1",),
+        ),
     ],
-    ids=["nonadditive-gf3-c2", "nonadditive-qq-c3", "scaled-identity-gf3-c2", "scaled-shift-qq-c3"],
+    ids=[
+        "nonadditive-gf3-c2",
+        "nonadditive-qq-c3",
+        "scaled-identity-gf3-c2",
+        "scaled-shift-qq-c3",
+        "nudged-shift-qq-c3",
+    ],
 )
 def test_failing_module_laws_match_reference(build, g, tamper, laws):
     tgr, rep = build()
@@ -440,6 +460,42 @@ def test_failing_module_laws_match_reference(build, g, tamper, laws):
     got = validate_module_axioms(tgr, bad)
     assert got[0] is False and got[1][0] in laws
     assert got == reference_module_laws(tgr, bad)
+
+
+def test_rational_packing_is_canonical(rationals):
+    space = VectorSpace(rationals, 3)
+    kernel = tgring._RationalVectors(space)
+    pack = kernel.pack
+
+    def vec(*values):
+        return space.vector([Fraction(x) for x in values])
+
+    assert kernel.add(pack(vec("1/6", 0, 0)), pack(vec("1/3", 0, 0))) == pack(vec("1/2", 0, 0))
+    assert pack(vec("1/2", 0, 0)) == ((1, 0, 0), 2)
+    assert pack(space.zero_vector()) == ((0, 0, 0), 1)
+    minus = pack(vec("-1/6", "2/3", -5))
+    assert minus == ((-1, 4, -30), 6)
+    assert kernel.add(minus, pack(vec("1/6", "-2/3", 5))) == ((0, 0, 0), 1)
+    assert kernel.scale(rationals.scalar("-3/4"), minus) == ((1, -4, 30), 8)
+    assert kernel.scale(rationals.zero(), minus) == ((0, 0, 0), 1)
+    # against Fraction arithmetic on a seeded family: the same vectors, and
+    # every result reduced over a positive denominator
+    values = tgring._seeded_rationals(7, 60)
+    vectors = [vec(*values[i : i + 3]) for i in range(0, 60, 3)]
+    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), rationals))
+    for u, v in zip(vectors, vectors[1:]):
+        a = u[0]
+        for got, want in (
+            (kernel.add(pack(u), pack(v)), add_vectors(u, v)),
+            (kernel.scale(a, pack(v)), scale_vector(a, v)),
+            (
+                kernel.combine(kernel.terms(tgr.element({0: 1, 2: a})), [pack(u), pack(v), pack(u)]),
+                add_vectors(u, scale_vector(a, u)),
+            ),
+        ):
+            nums, den = got
+            assert den > 0 and gcd(*nums, den) == 1
+            assert got == pack(want) and kernel.unpack(got) == want
 
 
 def test_vector_ring_element_roundtrip(gf3):
