@@ -73,7 +73,12 @@ def _carrier_sample(ring):
 
 
 class FactorSystem:
-    """The (chi, bracket) data of a Schreier extension of K* by G."""
+    """The (chi, bracket) data of a Schreier extension of K* by G.
+
+    The data is immutable, so ``validate_factor_system`` keeps its report
+    on the object and checks each system once, however many of the CLI,
+    ``SchreierExtension`` and ``TwistedGroupRing`` ask.
+    """
 
     def __init__(self, group, ring, chi, bracket):
         order = group.order
@@ -101,6 +106,7 @@ class FactorSystem:
             table.append(tuple(row))
         self.chi = tuple(chi_list)
         self.bracket = tuple(table)
+        self._report = None
 
     def signature(self):
         """A hashable fingerprint: chi shapes plus bracket sort keys."""
@@ -163,15 +169,23 @@ def validate_factor_system(fs):
     homomorphism into the automorphism group, which the canonical form
     of automorphisms lets us check structurally; over the quaternions
     E1 is checked pointwise on a generating sample.  Groups above order
-    48 raise TooLarge before any check runs.
+    48 raise TooLarge before any check runs.  The report is computed
+    once per system and returned again on later calls.
     """
     group = fs.group
     if group.order > _FACTOR_SYSTEM_ORDER_LIMIT:
         raise TooLarge(
             f"factor-system check capped at |G| = {_FACTOR_SYSTEM_ORDER_LIMIT}, got {group.order}"
         )
+    if fs._report is None:
+        fs._report = _first_violation(fs)
+    return fs._report
+
+
+def _first_violation(fs):
     if not fs.bracket[0][0].is_one():
         return FsReport(False, "E3", (0, 0), "bracket(1,1) != 1")
+    group = fs.group
     commutative = fs.ring.is_commutative()
     for g in range(group.order):
         for h in range(group.order):
@@ -189,6 +203,20 @@ def validate_factor_system(fs):
                         (g, h, bad),
                         "chi(g)chi(h) differs from conjugated chi(gh)",
                     )
+    witness = _e2_violation(fs)
+    if witness is not None:
+        return FsReport(
+            False,
+            "E2",
+            witness,
+            "bracket(g,h)bracket(gh,k) != chi(g)(bracket(h,k))bracket(g,hk)",
+        )
+    return FsReport(True)
+
+
+def _e2_violation(fs):
+    """The first triple (g, h, k) that breaks E2, or None: |G|^3 products."""
+    group = fs.group
     for g in range(group.order):
         for h in range(group.order):
             gh = group.cayley[g][h]
@@ -196,13 +224,8 @@ def validate_factor_system(fs):
                 left = fs.bracket[g][h] * fs.bracket[gh][k]
                 right = fs.chi[g](fs.bracket[h][k]) * fs.bracket[g][group.cayley[h][k]]
                 if left != right:
-                    return FsReport(
-                        False,
-                        "E2",
-                        (g, h, k),
-                        "bracket(g,h)bracket(gh,k) != chi(g)(bracket(h,k))bracket(g,hk)",
-                    )
-    return FsReport(True)
+                    return (g, h, k)
+    return None
 
 
 # ---------------------------------------------------------------------------

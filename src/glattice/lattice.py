@@ -22,8 +22,10 @@ consequences of (1)-(3); they are still checked independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
+    GlatticeError,
     NoJoin,
     NoMeet,
     NotGSet,
@@ -141,6 +143,12 @@ class FiniteLattice:
                     out.append((x, y))
         return out
 
+    def _closed_automorphism_group(self):
+        """Every automorphism, sorted by permutation, when the lattice
+        knows its automorphism group in closed form; None sends
+        ``lattice_automorphism_group`` to the backtracking search."""
+        return None
+
     def __len__(self):
         return self.size
 
@@ -198,7 +206,13 @@ def boolean_lattice(num_atoms):
 
 
 class LatticeAutomorphism:
-    """An order-automorphism of a finite lattice, stored as a permutation."""
+    """An order-automorphism of a finite lattice, stored as a permutation.
+
+    The constructor checks the permutation on every ordered pair, O(m^2).
+    Products and inverses of checked automorphisms are automorphisms, so
+    ``compose``, ``inverse`` and the closure of checked generators build
+    their results through ``_unchecked``.
+    """
 
     __slots__ = ("lattice", "perm")
 
@@ -215,6 +229,13 @@ class LatticeAutomorphism:
         self.lattice = lattice
         self.perm = perm
 
+    @classmethod
+    def _unchecked(cls, lattice, perm):
+        """The automorphism with this permutation tuple, known to be one."""
+        a = object.__new__(cls)
+        a.lattice, a.perm = lattice, perm
+        return a
+
     def __call__(self, x):
         return self.perm[x]
 
@@ -222,13 +243,13 @@ class LatticeAutomorphism:
         """self after other."""
         if self.lattice is not other.lattice:
             raise ShapeMismatch("automorphisms of different lattices")
-        return LatticeAutomorphism(self.lattice, tuple(self.perm[other.perm[x]] for x in range(self.lattice.size)))
+        return LatticeAutomorphism._unchecked(self.lattice, tuple([self.perm[x] for x in other.perm]))
 
     def inverse(self):
         inv = [0] * self.lattice.size
         for x, y in enumerate(self.perm):
             inv[y] = x
-        return LatticeAutomorphism(self.lattice, inv)
+        return LatticeAutomorphism._unchecked(self.lattice, tuple(inv))
 
     def is_identity(self):
         return all(self.perm[x] == x for x in range(self.lattice.size))
@@ -249,6 +270,41 @@ class LatticeAutomorphism:
 
 def identity_automorphism(lattice):
     return LatticeAutomorphism(lattice, range(lattice.size))
+
+
+def automorphism_closure(lattice, generators, order):
+    """The group the checked automorphisms ``generators`` generate,
+    sorted by ``perm``; GlatticeError unless it has exactly ``order``
+    elements.
+
+    A breadth-first search from the identity over permutation tuples;
+    p after g is ``itemgetter(*g)(p)``, so composing is tuple indexing
+    in C.  In a finite group the products of the generators already
+    contain every inverse, and a product of automorphisms is one, so
+    only the generators are checked.  The search stops once it has
+    passed ``order`` elements.
+    """
+    identity = tuple(range(lattice.size))
+    # itemgetter of a single index returns a bare entry, but a one-element
+    # lattice has no permutation other than the identity, which is dropped
+    after = [itemgetter(*g) for g in dict.fromkeys(a.perm for a in generators) if g != identity]
+    seen = {identity}
+    frontier = [identity]
+    while frontier and len(seen) <= order:
+        grown = []
+        for p in frontier:
+            for g in after:
+                pg = g(p)
+                if pg not in seen:
+                    seen.add(pg)
+                    grown.append(pg)
+        frontier = grown
+    if len(seen) != order:
+        raise GlatticeError(
+            f"the generators close to {'at least ' if frontier else ''}{len(seen)} "
+            f"automorphisms, not the closed-form {order}"
+        )
+    return [LatticeAutomorphism._unchecked(lattice, p) for p in sorted(seen)]
 
 
 def _refine_signatures(lattice):
@@ -284,14 +340,30 @@ def _refine_signatures(lattice):
 
 
 def lattice_automorphism_group(lattice):
-    """Every order-automorphism, by backtracking over signature classes.
+    """Every order-automorphism, sorted by permutation.
 
-    The search prunes with an iterated degree/height refinement, so the
-    practical limit (enforced at 40 elements) is comfortable for the
-    subspace and subgroup lattices this package builds.
+    A lattice whose automorphism group is known in closed form returns
+    it from its ``_closed_automorphism_group`` hook; a subspace lattice
+    closes generators of PGammaL(V) and checks the count, under its own
+    cap on the group order.  Every other lattice goes to
+    ``search_automorphisms``, refused above 40 elements.
     """
+    found = lattice._closed_automorphism_group()
+    if found is not None:
+        return found
     if lattice.size > _AUT_SEARCH_LIMIT:
         raise TooLarge(f"automorphism search capped at {_AUT_SEARCH_LIMIT} elements")
+    return search_automorphisms(lattice)
+
+
+def search_automorphisms(lattice):
+    """Every order-automorphism, by backtracking over signature classes.
+
+    The search prunes with an iterated degree/height refinement.  A
+    leaf has compared the order on every pair of placed elements, so it
+    is an automorphism and is built unchecked.  The search has no cap of
+    its own and stays the reference the closed forms are tested against.
+    """
     m = lattice.size
     sig = _refine_signatures(lattice)
     classes = {}
@@ -305,7 +377,7 @@ def lattice_automorphism_group(lattice):
 
     def backtrack(i):
         if i == m:
-            found.append(LatticeAutomorphism(lattice, list(image)))
+            found.append(LatticeAutomorphism._unchecked(lattice, tuple(image)))
             return
         x = order[i]
         for y in classes[sig[x]]:

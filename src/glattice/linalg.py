@@ -21,21 +21,26 @@ Conventions (chosen once, used everywhere):
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     DimensionMismatch,
     InfiniteCarrier,
     NonCommutativeCarrier,
     NotInvertible,
+    NotLatticeAutomorphism,
     SpaceMismatch,
     TooLarge,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, LatticeAutomorphism, automorphism_closure
 from .scalar import RingAutomorphism, list_automorphisms
 
 _SUBSPACE_ENUM_LIMIT = 5000
 _SUBSPACE_COUNT_LIMIT = 3000
 _SGL_ENUM_LIMIT = 10**6
+# |Aut L(V)|: admits L(GF(2)^4) (20,160) and L(GF(3)^3) (5,616), refuses
+# L(GF(8)^2) (9!) and L(GF(4)^3) (120,960)
+_SUBSPACE_AUT_LIMIT = 50_000
 
 
 class VectorSpace:
@@ -460,13 +465,13 @@ class SubspaceLattice(FiniteLattice):
     """The lattice L(V) of all subspaces of a finite vector space.
 
     ``subspaces`` must be the whole family.  Each subspace is held as
-    the bitmask of the points (1-dimensional subspaces) it contains:
-    the order is inclusion of point sets and the meet is their
-    intersection.  The join is the sum, computed through annihilators
-    as ``W1 + W2 = (W1^perp meet W2^perp)^perp``, so only m
-    eliminations run.  The base class then cross-validates both tables
-    against the bounds it recomputes from the order alone, and certifies
-    them against the down-set and up-set masks.
+    the bitmask of the points (1-dimensional subspaces) it contains, bit
+    i for the point at index i: ``masks`` lists them by index and
+    ``by_mask`` inverts it.  The order is inclusion of point sets and
+    the meet is their intersection.  The join is the sum, computed
+    through annihilators as ``W1 + W2 = (W1^perp meet W2^perp)^perp``,
+    so only m eliminations run.  The base class then cross-validates
+    both tables against the bounds it recomputes from the order alone.
     """
 
     def __init__(self, space, subspaces):
@@ -486,9 +491,96 @@ class SubspaceLattice(FiniteLattice):
             payloads=subspaces,
             labels=[repr(s) for s in subspaces],
         )
+        self.masks = tuple(masks)
+        self.by_mask = by_mask
 
     def index_of(self, subspace):
         return self._index[subspace.basis]
+
+    def automorphism_order(self):
+        """|Aut L(GF(q)^n)| in closed form: 1 for n = 1, (q + 1)! for
+        n = 2 (every permutation of the q + 1 points), and
+        |PGammaL(n, q)| = |GL(n, q)| / (q - 1) * k for n >= 3 and
+        q = p^k (the fundamental theorem of projective geometry; Artin,
+        *Geometric Algebra*, ch. II)."""
+        n, q = self.space.dim, self.space.ring.order
+        if n == 1:
+            return 1
+        if n == 2:
+            return math.factorial(q + 1)
+        return general_linear_order(n, q) // (q - 1) * (self.space.ring.k or 1)
+
+    def automorphism_generators(self):
+        """Checked automorphisms that generate Aut L(V).
+
+        n = 1: none.  n = 2: a transposition and a (q + 1)-cycle of the
+        points.  n >= 3: the maps induced by I + E_12, the swap of the
+        first two coordinates, the cyclic shift of the coordinates and
+        diag(w, 1, ..., 1) for the first primitive w, which generate
+        GL(V) (transvections generate SL(V)), and over GF(p^k), k > 1,
+        the Frobenius twist of the identity matrix.
+        """
+        n, ring = self.space.dim, self.space.ring
+        if n == 1:
+            return []
+        points = [i for i, sub in enumerate(self.payloads) if sub.dim == 1]
+        if n == 2:
+            swap = [points[1], points[0]] + points[2:]
+            cycle = points[1:] + points[:1]
+            return [self._lift(dict(zip(points, image))) for image in (swap, cycle)]
+        zero, one = ring.zero(), ring.one()
+        unit = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        transvection = [row[:] for row in unit]
+        transvection[0][1] = one
+        swap = [unit[1], unit[0]] + unit[2:]
+        shift = unit[1:] + unit[:1]
+        scaling = [row[:] for row in unit]
+        scaling[0][0] = _primitive_element(ring)
+        maps = [SemilinearMap(self.space, m) for m in (transvection, swap, shift, scaling)]
+        if ring.k:
+            maps.append(SemilinearMap(self.space, unit, RingAutomorphism.frobenius(ring, 1)))
+        return [
+            self._lift({i: self.index_of(map_subspace(f, self.payloads[i])) for i in points})
+            for f in maps
+        ]
+
+    def _lift(self, point_image):
+        """The checked automorphism that moves the points as
+        ``point_image`` (index to index) and every subspace with its
+        point set."""
+        image = []
+        for mask in self.masks:
+            moved = 0
+            while mask:
+                low = mask & -mask
+                moved |= 1 << point_image[low.bit_length() - 1]
+                mask ^= low
+            if moved not in self.by_mask:
+                raise NotLatticeAutomorphism("a point permutation moves a subspace off the lattice")
+            image.append(self.by_mask[moved])
+        return LatticeAutomorphism(self, image)
+
+    def _closed_automorphism_group(self):
+        """Aut L(V): the generators closed and counted against the
+        closed-form order, which is capped before any generator is built."""
+        order = self.automorphism_order()
+        if order > _SUBSPACE_AUT_LIMIT:
+            raise TooLarge(
+                f"|Aut L(V)| = {order} exceeds the automorphism-group cap {_SUBSPACE_AUT_LIMIT}"
+            )
+        return automorphism_closure(self, self.automorphism_generators(), order)
+
+
+def _primitive_element(ring):
+    """The first unit, in enumeration order, of multiplicative order q - 1."""
+
+    def order(w):
+        x, steps = w, 1
+        while not x.is_one():
+            x, steps = x * w, steps + 1
+        return steps
+
+    return next(w for w in ring.units() if order(w) == ring.order - 1)
 
 
 def _rref_bases(space, k):

@@ -516,6 +516,48 @@ def test_cli_roundtrip_extracts_the_cocycle_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+C4_CARRY_GF5 = {
+    "group": {"group": "cyclic", "n": 4},
+    "ring": {"ring": "gf", "p": 5},
+    "bracket": {
+        f"{g},{h}": "2"
+        for g, h in [("a", "a^3"), ("a^2", "a^2"), ("a^2", "a^3"),
+                     ("a^3", "a"), ("a^3", "a^2"), ("a^3", "a^3")]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command,system,passes",
+    [
+        # the input system, once, where the CLI, the extension and the ring all ask
+        ("build-extension", C4_CARRY_GF5, 1),
+        ("build-extension", rational_fs({"group": "cyclic", "n": 6}), 1),
+        # the input system, then the one regular_representation extracts
+        ("roundtrip", C4_CARRY_GF5, 2),
+        ("roundtrip", rational_fs({"group": "cyclic", "n": 6}), 2),
+        # over the quaternions there is no regular representation to extract from
+        ("roundtrip", {"group": {"group": "cyclic", "n": 2}, "ring": {"ring": "quat"}}, 1),
+    ],
+    ids=["build-c4-gf5", "build-c6-qq", "roundtrip-c4-gf5", "roundtrip-c6-qq", "roundtrip-c2-hh"],
+)
+def test_cli_validates_each_factor_system_once(capsys, tmp_path, monkeypatch, command, system, passes):
+    calls = []
+    original = glattice.extension._e2_violation
+
+    def counted(fs):
+        calls.append(fs)
+        return original(fs)
+
+    monkeypatch.setattr(glattice.extension, "_e2_violation", counted)
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(system))
+    code, out = run_cli(capsys, command, "--fs", str(path))
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == passes
+    assert len({id(fs) for fs in calls}) == passes
+
+
 def test_cli_roundtrip_c24_over_rationals_within_ten_seconds(capsys, tmp_path):
     # the cocycle of the 24-dimensional regular representation is read on
     # row supports; a dense product per pair took about 50 s

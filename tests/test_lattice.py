@@ -394,6 +394,26 @@ def test_automorphism_group_closed():
             assert a.compose(b) in autos
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: boolean_lattice(3), lambda: enumerate_subspaces(VectorSpace(DivisionRing.gf(2), 3))],
+    ids=["boolean3", "gf2-dim3"],
+)
+def test_products_and_inverses_pass_the_full_check(make):
+    # compose and inverse build their results unchecked; the checking
+    # constructor must accept every one of them, with the same permutation
+    lat = make()
+    autos = lattice_automorphism_group(lat)
+    for a in autos:
+        inv = a.inverse()
+        assert LatticeAutomorphism(lat, inv.perm) == inv
+        assert a.compose(inv).is_identity() and inv.compose(a).is_identity()
+        for b in autos:
+            ab = a.compose(b)
+            assert ab.perm == tuple(a.perm[b.perm[x]] for x in range(lat.size))
+            assert LatticeAutomorphism(lat, ab.perm) == ab
+
+
 def test_automorphisms_preserve_meet_and_join():
     lat = boolean_lattice(3)
     for phi in lattice_automorphism_group(lat):
