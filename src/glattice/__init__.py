@@ -42,7 +42,6 @@ from .linalg import (
     Subspace,
     SubspaceLattice,
     VectorSpace,
-    enumerate_sgl,
     enumerate_subspaces,
     gaussian_binomial,
     map_subspace,

@@ -332,25 +332,6 @@ def conjugation_glattice(group):
     return action
 
 
-def normal_subgroup_indices(group, lat=None):
-    """Indices (in the subgroup lattice) of the normal subgroups,
-    decided by the direct coset test gH == Hg."""
-    lat = lat or subgroup_lattice(group)
-    normal = []
-    for i, sub in enumerate(lat.payloads):
-        mem = set(sub.members)
-        ok = True
-        for g in range(group.order):
-            left = {group.cayley[g][h] for h in mem}
-            right = {group.cayley[h][g] for h in mem}
-            if left != right:
-                ok = False
-                break
-        if ok:
-            normal.append(i)
-    return normal
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing (exhaustive search with pruning, small orders only)
 

@@ -1,11 +1,9 @@
 """Finite lattices, their automorphisms, and lattices acted on by a group.
 
-A lattice is stored as an order matrix plus meet/join tables.  The
-tables are redundant with the order and are cross-validated at
-construction: meets and joins are read off the down-set/up-set
-bitmasks as true greatest-lower / least-upper bounds, and any supplied
-tables must agree with them entry by entry.  Every step is quadratic in
-the number of elements and runs at every size.
+A lattice stores its order once, as the down-set and up-set bitmask of
+every element, and its meet/join tables read off those masks.  Any
+supplied table must agree with them entry by entry.  Every step is
+quadratic in the number of elements and runs at every size.
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -38,14 +36,20 @@ from .errors import (
 )
 
 _AUT_SEARCH_LIMIT = 40
+# |Aut L| on either route: admits L(GF(2)^4) (20,160) and the diamond M_8
+# (8!), refuses L(GF(8)^2) (9!), L(GF(4)^3) (120,960) and M_9
+_AUT_GROUP_LIMIT = 50_000
 _POWERSET_LIMIT = 16
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class FiniteLattice:
-    """A finite lattice with explicit order, meet and join tables.
+    """A finite lattice: its order as bitmasks, and meet and join tables.
 
-    Construction checks that ``leq`` is a partial order.  With down[x]
-    and up[x] the bitmasks of the elements below and above x, it reads
+    The order is given as an ``leq`` matrix and kept only as
+    ``down_masks`` and ``up_masks``: down[x] and up[x] are the bitmasks
+    of the elements below and above x (bit y for element y).
+    Construction checks that it is a partial order, then reads
     meet[x][y] as the z with down[z] == down[x] & down[y] and join[x][y]
     as the z with up[z] == up[x] & up[y] (NoMeet / NoJoin where there is
     none): the elements below z are exactly the common
@@ -68,25 +72,18 @@ class FiniteLattice:
         for row in leq:
             if len(row) != m:
                 raise ShapeMismatch("leq matrix is not square")
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-
-        # down[x] = bitmask of {y : y <= x}, up[x] = bitmask of {y : x <= y}
-        down = [0] * m
-        up = [0] * m
-        for y in range(m):
-            for x in range(m):
-                if leq[y][x]:
-                    down[x] |= 1 << y
-                    up[y] |= 1 << x
+        # up[x] is row x of leq, down[x] its column x
+        up = [_mask(row) for row in leq]
+        down = [_mask(column) for column in zip(*leq)]
 
         for x in range(m):
-            if not leq[x][x]:
+            if not up[x] >> x & 1:
                 raise NotPartialOrder(f"not reflexive at {x}", witness=(x,))
         for x in range(m):
-            for y in range(m):
-                if x != y and leq[x][y] and leq[y][x]:
+            for y in _bits(up[x]):
+                if x != y and down[x] >> y & 1:
                     raise NotPartialOrder(f"not antisymmetric at ({x},{y})", witness=(x, y))
-                if leq[x][y] and down[x] & ~down[y]:
+                if down[x] & ~down[y]:
                     z = (down[x] & ~down[y]).bit_length() - 1
                     raise NotPartialOrder(
                         f"not transitive: {z}<={x}<={y} but not {z}<={y}",
@@ -113,7 +110,6 @@ class FiniteLattice:
             if values is not None and len(values) != m:
                 raise ShapeMismatch(f"{len(values)} {name} for {m} elements")
         self.size = m
-        self.leq = leq
         self.meet = tuple(tuple(row) for row in computed_meet)
         self.join = tuple(tuple(row) for row in computed_join)
         self.down_masks = tuple(down)
@@ -133,15 +129,14 @@ class FiniteLattice:
 
     def covers(self):
         """Pairs (x, y) with y covering x (the Hasse diagram edges)."""
-        out = []
-        for x in range(self.size):
-            for y in range(self.size):
-                if x == y or not self.leq[x][y]:
-                    continue
-                between = self.up_masks[x] & self.down_masks[y] & ~(1 << x) & ~(1 << y)
-                if between == 0:
-                    out.append((x, y))
-        return out
+        down, up = self.down_masks, self.up_masks
+        # y covers x when x and y are all that lies between them
+        return [
+            (x, y)
+            for x in range(self.size)
+            for y in _bits(up[x])
+            if x != y and up[x] & down[y] == 1 << x | 1 << y
+        ]
 
     def _closed_automorphism_group(self):
         """Every automorphism, sorted by permutation, when the lattice
@@ -154,6 +149,46 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice(size={self.size})"
+
+
+def _mask(flags):
+    """The bitmask with bit i set where flags[i] is true."""
+    return int(bytes(map(bool, reversed(flags))).translate(_BIT_CHARS), 2)
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(mask, sets):
+    """The union of the bitmasks sets[z] over the set bits z of mask."""
+    out = 0
+    for z in _bits(mask):
+        out |= sets[z]
+    return out
+
+
+def _order_violation(lattice, row):
+    """The first (x, y) in row-major order at which the map x -> row[x]
+    breaks x <= y iff row[x] <= row[y], or None.
+
+    Row x of the comparison is up[x] ^ {y : row[x] <= row[y]}, the
+    preimage of up[row[x]]; the witness y is its lowest bit.
+    """
+    up = lattice.up_masks
+    # fibres[z]: the bitmask of the elements row sends to z
+    fibres = [0] * lattice.size
+    for y, z in enumerate(row):
+        fibres[z] |= 1 << y
+    for x, z in enumerate(row):
+        differ = up[x] ^ _union(up[z], fibres)
+        if differ:
+            return x, (differ & -differ).bit_length() - 1
+    return None
 
 
 def _is_square(table, m):
@@ -208,10 +243,11 @@ def boolean_lattice(num_atoms):
 class LatticeAutomorphism:
     """An order-automorphism of a finite lattice, stored as a permutation.
 
-    The constructor checks the permutation on every ordered pair, O(m^2).
-    Products and inverses of checked automorphisms are automorphisms, so
-    ``compose``, ``inverse`` and the closure of checked generators build
-    their results through ``_unchecked``.
+    The constructor checks the permutation on every ordered pair, one
+    up-set mask per element.  Products and inverses of checked
+    automorphisms are automorphisms, so ``compose``, ``inverse`` and the
+    closure of checked generators build their results through
+    ``_unchecked``.
     """
 
     __slots__ = ("lattice", "perm")
@@ -220,12 +256,10 @@ class LatticeAutomorphism:
         perm = tuple(perm)
         if sorted(perm) != list(range(lattice.size)):
             raise NotLatticeAutomorphism("not a permutation of the carrier")
-        for x in range(lattice.size):
-            for y in range(lattice.size):
-                if lattice.leq[x][y] != lattice.leq[perm[x]][perm[y]]:
-                    raise NotLatticeAutomorphism(
-                        f"order not preserved at ({x},{y})", witness=(x, y)
-                    )
+        witness = _order_violation(lattice, perm)
+        if witness is not None:
+            x, y = witness
+            raise NotLatticeAutomorphism(f"order not preserved at ({x},{y})", witness=witness)
         self.lattice = lattice
         self.perm = perm
 
@@ -344,9 +378,9 @@ def lattice_automorphism_group(lattice):
 
     A lattice whose automorphism group is known in closed form returns
     it from its ``_closed_automorphism_group`` hook; a subspace lattice
-    closes generators of PGammaL(V) and checks the count, under its own
-    cap on the group order.  Every other lattice goes to
-    ``search_automorphisms``, refused above 40 elements.
+    closes generators of PGammaL(V) and checks the count.  Every other
+    lattice goes to ``search_automorphisms``, refused above 40 elements.
+    Both routes refuse a group of more than 50,000 automorphisms.
     """
     found = lattice._closed_automorphism_group()
     if found is not None:
@@ -360,45 +394,45 @@ def search_automorphisms(lattice):
     """Every order-automorphism, by backtracking over signature classes.
 
     The search prunes with an iterated degree/height refinement.  A
-    leaf has compared the order on every pair of placed elements, so it
-    is an automorphism and is built unchecked.  The search has no cap of
-    its own and stays the reference the closed forms are tested against.
+    candidate y for x must relate to the images of the placed elements
+    as x relates to them: up[y] and down[y] restricted to the used
+    images equal the images of up[x] and down[x] restricted to the
+    placed elements.  So a leaf is an automorphism and is built
+    unchecked.  TooLarge as soon as more than 50,000 are found.  The
+    search stays the reference the closed forms are tested against.
     """
     m = lattice.size
     sig = _refine_signatures(lattice)
     classes = {}
     for x in range(m):
-        classes.setdefault(sig[x], []).append(x)
-    order = sorted(range(m), key=lambda x: (len(classes[sig[x]]), x))
-    leq = lattice.leq
+        classes[sig[x]] = classes.get(sig[x], 0) | 1 << x
+    # the bitmask of the elements x may be sent to
+    same = [classes[s] for s in sig]
+    order = sorted(range(m), key=lambda x: (bin(same[x]).count("1"), x))
+    down, up = lattice.down_masks, lattice.up_masks
     found = []
     image = [None] * m
-    used = [False] * m
+    image_bit = [0] * m
 
-    def backtrack(i):
+    def backtrack(i, placed, used):
         if i == m:
-            found.append(LatticeAutomorphism._unchecked(lattice, tuple(image)))
+            found.append(tuple(image))
+            if len(found) > _AUT_GROUP_LIMIT:
+                raise TooLarge(
+                    f"automorphism search found more than {_AUT_GROUP_LIMIT} automorphisms"
+                )
             return
         x = order[i]
-        for y in classes[sig[x]]:
-            if used[y]:
+        up_image = _union(up[x] & placed, image_bit)
+        down_image = _union(down[x] & placed, image_bit)
+        for y in _bits(same[x] & ~used):
+            if up[y] & used != up_image or down[y] & used != down_image:
                 continue
-            ok = True
-            for j in range(i):
-                z = order[j]
-                if leq[x][z] != leq[y][image[z]] or leq[z][x] != leq[image[z]][y]:
-                    ok = False
-                    break
-            if ok:
-                image[x] = y
-                used[y] = True
-                backtrack(i + 1)
-                image[x] = None
-                used[y] = False
+            image[x], image_bit[x] = y, 1 << y
+            backtrack(i + 1, placed | 1 << x, used | 1 << y)
 
-    backtrack(0)
-    found.sort(key=lambda a: a.perm)
-    return found
+    backtrack(0, 0, 0)
+    return [LatticeAutomorphism._unchecked(lattice, perm) for perm in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +509,10 @@ def _axiom2(action):
 
 
 def _axiom3(action):
-    leq = action.lattice.leq
-    for g in range(action.group.order):
-        row = action.table[g]
-        for x in range(action.lattice.size):
-            for y in range(action.lattice.size):
-                if leq[x][y] != leq[row[x]][row[y]]:
-                    return (g, x, y)
+    for g, row in enumerate(action.table):
+        witness = _order_violation(action.lattice, row)
+        if witness is not None:
+            return (g, *witness)
     return None
 
 
@@ -557,12 +588,17 @@ def action_from_homomorphism(group, lattice, rho):
 
 
 def homomorphism_from_action(action):
-    """Recover the automorphism family g -> (x -> gx) from an action."""
+    """Recover the automorphism family g -> (x -> gx) from an action.
+
+    The rows are built unchecked: axiom (3) has compared the order on
+    every pair for every row, and a row that keeps x <= y iff gx <= gy
+    is injective by antisymmetry, so it is a permutation.
+    """
     report = validate_glattice(action)
     if not report.ok:
         raise ShapeMismatch(f"not a valid action: {report}", witness=report.witness)
     return {
-        g: LatticeAutomorphism(action.lattice, action.table[g])
+        g: LatticeAutomorphism._unchecked(action.lattice, action.table[g])
         for g in range(action.group.order)
     }
 

@@ -1,5 +1,5 @@
 """Exact linear algebra over the scalar carriers: column spaces K^n,
-semilinear maps, subspace lattices, and enumeration of SGL(V).
+semilinear maps, and subspace lattices.
 
 Conventions (chosen once, used everywhere):
 
@@ -32,15 +32,11 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .lattice import FiniteLattice, LatticeAutomorphism, automorphism_closure
-from .scalar import RingAutomorphism, list_automorphisms
+from .lattice import _AUT_GROUP_LIMIT, FiniteLattice, LatticeAutomorphism, automorphism_closure
+from .scalar import RingAutomorphism
 
 _SUBSPACE_ENUM_LIMIT = 5000
 _SUBSPACE_COUNT_LIMIT = 3000
-_SGL_ENUM_LIMIT = 10**6
-# |Aut L(V)|: admits L(GF(2)^4) (20,160) and L(GF(3)^3) (5,616), refuses
-# L(GF(8)^2) (9!) and L(GF(4)^3) (120,960)
-_SUBSPACE_AUT_LIMIT = 50_000
 
 
 class VectorSpace:
@@ -467,11 +463,13 @@ class SubspaceLattice(FiniteLattice):
     ``subspaces`` must be the whole family.  Each subspace is held as
     the bitmask of the points (1-dimensional subspaces) it contains, bit
     i for the point at index i: ``masks`` lists them by index and
-    ``by_mask`` inverts it.  The order is inclusion of point sets and
-    the meet is their intersection.  The join is the sum, computed
-    through annihilators as ``W1 + W2 = (W1^perp meet W2^perp)^perp``,
-    so only m eliminations run.  The base class then cross-validates
-    both tables against the bounds it recomputes from the order alone.
+    ``by_mask`` inverts it.  The order is inclusion of point sets; the
+    base class reads the meet off it, and a down-set restricted to the
+    points is the point mask, so the meet is the intersection of point
+    sets.  The join is the sum, computed independently through
+    annihilators as ``W1 + W2 = (W1^perp meet W2^perp)^perp``, so only
+    m eliminations run, and the base class checks it entry by entry
+    against the join it reads off the order.
     """
 
     def __init__(self, space, subspaces):
@@ -481,12 +479,11 @@ class SubspaceLattice(FiniteLattice):
         masks = [sum(point_bit[row] for row in sub.point_rows()) for sub in subspaces]
         by_mask = {mask: i for i, mask in enumerate(masks)}
         leq = [[mi & ~mj == 0 for mj in masks] for mi in masks]
-        meet = [[by_mask[mi & mj] for mj in masks] for mi in masks]
         perp = [self._index[sub.annihilator().basis] for sub in subspaces]
-        join = [[perp[meet[pi][pj]] for pj in perp] for pi in perp]
+        perp_masks = [masks[p] for p in perp]
+        join = [[perp[by_mask[mi & mj]] for mj in perp_masks] for mi in perp_masks]
         super().__init__(
             leq,
-            meet=meet,
             join=join,
             payloads=subspaces,
             labels=[repr(s) for s in subspaces],
@@ -564,9 +561,9 @@ class SubspaceLattice(FiniteLattice):
         """Aut L(V): the generators closed and counted against the
         closed-form order, which is capped before any generator is built."""
         order = self.automorphism_order()
-        if order > _SUBSPACE_AUT_LIMIT:
+        if order > _AUT_GROUP_LIMIT:
             raise TooLarge(
-                f"|Aut L(V)| = {order} exceeds the automorphism-group cap {_SUBSPACE_AUT_LIMIT}"
+                f"|Aut L(V)| = {order} exceeds the automorphism-group cap {_AUT_GROUP_LIMIT}"
             )
         return automorphism_closure(self, self.automorphism_generators(), order)
 
@@ -636,49 +633,8 @@ def enumerate_subspaces(space):
     return SubspaceLattice(space, subspaces)
 
 
-# ---------------------------------------------------------------------------
-# SGL(V)
-
-
 def general_linear_order(n, q):
     out = 1
     for i in range(n):
         out *= q**n - q**i
     return out
-
-
-def _invertible_matrices(space):
-    """All invertible matrices, in row-major lexicographic order."""
-    n, ring = space.dim, space.ring
-    all_rows = [tuple(v) for v in itertools.product(ring.elements(), repeat=n)]
-
-    def extend(chosen, echelon):
-        if len(chosen) == n:
-            yield tuple(chosen)
-            return
-        for row in all_rows:
-            reduced, _ = rref(list(echelon) + [row], ring)
-            if len(reduced) == len(echelon) + 1:
-                yield from extend(chosen + [row], reduced)
-
-    yield from extend([], ())
-
-
-def iter_semilinear_automorphisms(space):
-    """Lazily yield all of SGL(V): automorphisms outer (identity first),
-    invertible matrices inner in lexicographic order."""
-    ring = space.ring
-    if not ring.is_finite():
-        raise InfiniteCarrier(f"cannot enumerate SGL over {ring}")
-    # |Aut GF(p^k)| = k, read off the spec: list_automorphisms verifies
-    # every Frobenius power on all pairs, too slow to run before the cap
-    total = general_linear_order(space.dim, ring.order) * (ring.k or 1)
-    if total > _SGL_ENUM_LIMIT:
-        raise TooLarge(f"|SGL(V)| = {total} exceeds {_SGL_ENUM_LIMIT}")
-    for theta in list_automorphisms(ring):
-        for matrix in _invertible_matrices(space):
-            yield SemilinearMap(space, matrix, theta)
-
-
-def enumerate_sgl(space):
-    return list(iter_semilinear_automorphisms(space))

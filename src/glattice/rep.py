@@ -294,7 +294,10 @@ def rep_from_glattice(action):
     Each group element's lattice automorphism is coordinatized
     independently; the resulting family is then checked to (a) induce
     the original table exactly and (b) satisfy the projective law via
-    cocycle extraction.
+    cocycle extraction.  The automorphisms are built unchecked: axiom
+    (3) has compared the order on every pair for every row, and a row
+    that keeps x <= y iff gx <= gy is injective by antisymmetry, so it
+    is a permutation.
     """
     lattice = action.lattice
     if not isinstance(lattice, SubspaceLattice):
@@ -304,7 +307,7 @@ def rep_from_glattice(action):
         raise NotProjective(f"not a valid action: {report}")
     maps = {}
     for g in range(action.group.order):
-        phi = LatticeAutomorphism(lattice, action.table[g])
+        phi = LatticeAutomorphism._unchecked(lattice, action.table[g])
         maps[g] = coordinatize(phi)
     rep = SemilinearProjectiveRep(action.group, lattice.space, maps)
     back = induced_glattice(rep, lattice)

@@ -46,10 +46,11 @@ from glattice import (
     validate_rep,
 )
 from glattice.lattice import boolean_lattice, chain_lattice, check_axiom
-from glattice.linalg import identity_map, iter_semilinear_automorphisms
+from glattice.linalg import identity_map
 from glattice.rep import rep_from_matrices
 
 from conftest import shift_rep
+from oracles import iter_semilinear_automorphisms
 
 
 def report(number, description, failures):

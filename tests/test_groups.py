@@ -16,8 +16,10 @@ from glattice import (
     validate_glattice,
 )
 from glattice.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
-from glattice.groups import all_subgroups, normal_subgroup_indices, trivial_group
+from glattice.groups import all_subgroups, trivial_group
 from glattice.lattice import fixed_points, orbits
+
+from oracles import normal_subgroup_indices
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import math
+import time
 
 import pytest
 
@@ -44,8 +46,11 @@ from glattice.lattice import (
     check_axiom,
     fixed_points,
     identity_automorphism,
+    search_automorphisms,
     trivial_action,
 )
+
+from oracles import leq_matrix
 
 
 def leq_from_pairs(m, pairs):
@@ -198,8 +203,9 @@ MUTATED = [name for name in FAMILY if name not in ("chain1", "boolean0")]
 def corrupted(lat, which):
     """(meet, join, (x, y)): one entry of one table replaced by the other
     table's entry, at the first incomparable pair (else the last pair)."""
+    leq = leq_matrix(lat)
     pairs = [(x, y) for x in range(lat.size) for y in range(x + 1, lat.size)]
-    incomparable = [(x, y) for x, y in pairs if not lat.leq[x][y] and not lat.leq[y][x]]
+    incomparable = [(x, y) for x, y in pairs if not leq[x][y] and not leq[y][x]]
     x, y = (incomparable or pairs[::-1])[0]
     meet = [list(row) for row in lat.meet]
     join = [list(row) for row in lat.join]
@@ -255,7 +261,7 @@ def test_corrupted_supplied_table_rejected(name, which):
     assert (lat.size > 128) == (name in LARGE_FAMILY)
     meet, join, pair = corrupted(lat, which)
     with pytest.raises(TableMismatch, match="but the true bound is") as err:
-        FiniteLattice(lat.leq, meet=meet, join=join)
+        FiniteLattice(leq_matrix(lat), meet=meet, join=join)
     assert err.value.witness == pair
 
 
@@ -270,7 +276,7 @@ def test_corrupted_bound_computation_rejected(name, which, bounds_returning):
     bounds_returning(meet, join)
     # the order alone, then with supplied tables that agree on the wrong entry
     for supplied in ({}, {"meet": meet, "join": join}):
-        built = FiniteLattice(lat.leq, **supplied)
+        built = FiniteLattice(leq_matrix(lat), **supplied)
         assert mask_certificate_failure(built.meet, built.down_masks) == (
             pair if which == "meet" else None
         )
@@ -285,6 +291,7 @@ def test_certificate_rejects_every_single_entry_corruption(name):
     # aliases of the true value included
     lat = FAMILY[name]()
     m = lat.size
+    leq = leq_matrix(lat)
     for which, x, y in itertools.product(("meet", "join"), range(m), range(m)):
         for value in range(-m, m + 1):
             meet = [list(row) for row in lat.meet]
@@ -294,7 +301,7 @@ def test_certificate_rejects_every_single_entry_corruption(name):
                 continue
             table[x][y] = value
             with pytest.raises(TableMismatch, match="but the true bound is") as err:
-                FiniteLattice(lat.leq, meet=meet, join=join)
+                FiniteLattice(leq, meet=meet, join=join)
             assert err.value.witness == (x, y)
 
 
@@ -305,7 +312,7 @@ def test_law_check_passes_a_wrong_chain_table():
     meet[1][0] = 1
     assert reference_table_laws(meet, lat.join) is None
     with pytest.raises(TableMismatch, match="but the true bound is") as err:
-        FiniteLattice(lat.leq, meet=meet, join=lat.join)
+        FiniteLattice(leq_matrix(lat), meet=meet, join=lat.join)
     assert err.value.witness == (1, 0)
 
 
@@ -313,7 +320,7 @@ def test_dual_tables_satisfy_the_laws_but_fail_the_certificate():
     lat = boolean_lattice(3)
     assert reference_table_laws(lat.join, lat.meet) is None
     with pytest.raises(TableMismatch, match="but the true bound is") as err:
-        FiniteLattice(lat.leq, meet=lat.join, join=lat.meet)
+        FiniteLattice(leq_matrix(lat), meet=lat.join, join=lat.meet)
     assert err.value.witness == (0, 1)
 
 
@@ -322,29 +329,73 @@ def test_certificate_needs_injective_masks():
     assert mask_certificate_failure(((0, 0), (0, 0)), (1, 1)) == (0, 1)
 
 
+def reference_partial_order_failure(leq):
+    """The pairwise scan the masks replaced: (message, witness) of the
+    first failure of reflexivity, then of antisymmetry or transitivity
+    at the first pair in row-major order, with z the largest element
+    that breaks transitivity; None for a partial order."""
+    m = len(leq)
+    for x in range(m):
+        if not leq[x][x]:
+            return f"not reflexive at {x}", (x,)
+    for x in range(m):
+        for y in range(m):
+            if x != y and leq[x][y] and leq[y][x]:
+                return f"not antisymmetric at ({x},{y})", (x, y)
+            broken = [z for z in range(m) if leq[z][x] and not leq[z][y]]
+            if leq[x][y] and broken:
+                z = broken[-1]
+                return f"not transitive: {z}<={x}<={y} but not {z}<={y}", (z, x, y)
+    return None
+
+
 def test_bounds_match_reference_on_every_small_order():
-    # every partial order on 1..4 labeled elements: the same tables, or
-    # the same error at the same first pair
+    # every relation on 1..4 labeled elements: the same partial-order
+    # failure, the same tables, or the same error at the same first pair
     for m in range(1, 5):
-        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-        for bits in range(1 << len(pairs)):
-            leq = [[i == j for j in range(m)] for i in range(m)]
-            for b, (i, j) in enumerate(pairs):
+        cells = list(itertools.product(range(m), repeat=2))
+        for bits in range(1 << len(cells)):
+            leq = [[False] * m for _ in range(m)]
+            for b, (i, j) in enumerate(cells):
                 leq[i][j] = bool(bits >> b & 1)
+            failure = reference_partial_order_failure(leq)
             try:
                 lat = FiniteLattice(leq)
-            except NotPartialOrder:
+            except NotPartialOrder as exc:
+                assert (str(exc), exc.witness) == failure
                 continue
             except (NoMeet, NoJoin) as exc:
+                assert failure is None
                 down = [sum(1 << y for y in range(m) if leq[y][x]) for x in range(m)]
                 up = [sum(1 << x for x in range(m) if leq[y][x]) for y in range(m)]
                 with pytest.raises(type(exc)) as err:
                     reference_bounds(down, up)
                 assert err.value.witness == exc.witness
                 continue
+            assert failure is None
+            assert leq_matrix(lat) == leq
             ref_meet, ref_join = reference_bounds(lat.down_masks, lat.up_masks)
             assert [list(r) for r in lat.meet] == ref_meet
             assert [list(r) for r in lat.join] == ref_join
+
+
+def reference_covers(leq):
+    """Hasse edges by the pairwise definition: x < y with no z strictly
+    between them."""
+    m = len(leq)
+    return [
+        (x, y)
+        for x in range(m)
+        for y in range(m)
+        if x != y and leq[x][y]
+        and not any(leq[x][z] and leq[z][y] for z in range(m) if z not in (x, y))
+    ]
+
+
+@pytest.mark.parametrize("name", SMALL_FAMILY)
+def test_covers_match_pairwise_definition(name):
+    lat = SMALL_FAMILY[name]()
+    assert lat.covers() == reference_covers(leq_matrix(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +484,91 @@ def test_automorphism_search_cap():
         lattice_automorphism_group(boolean_lattice(6))
 
 
+def diamond(k):
+    """M_k: the bottom 0, the atoms 1..k and the top k + 1."""
+    top = k + 1
+    pairs = [(0, top)] + [(0, a) for a in range(1, top)] + [(a, top) for a in range(1, top)]
+    return FiniteLattice(leq_from_pairs(top + 1, pairs))
+
+
+def test_search_returns_every_automorphism_of_m8():
+    autos = lattice_automorphism_group(diamond(8))
+    assert len(autos) == math.factorial(8) == len({a.perm for a in autos})
+
+
+@pytest.mark.parametrize("k", [9, 38])
+def test_search_refuses_a_group_past_the_cap_quickly(k):
+    # M_k passes the 40-element cap, but has k! automorphisms: the search
+    # stops once it has found more than 50,000 of them
+    lat = diamond(k)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="found more than 50000 automorphisms"):
+        lattice_automorphism_group(lat)
+    assert time.perf_counter() - start < 1.0
+
+
+def reference_order_violation(leq, row):
+    """The pairwise scan the masks replaced: the first (x, y) in
+    row-major order with leq[x][y] != leq[row[x]][row[y]], or None."""
+    m = len(leq)
+    for x in range(m):
+        for y in range(m):
+            if leq[x][y] != leq[row[x]][row[y]]:
+                return (x, y)
+    return None
+
+
+PERMUTED = {
+    "chain3": functools.partial(chain_lattice, 3),
+    "M3": functools.partial(diamond, 3),
+    "boolean2": functools.partial(boolean_lattice, 2),
+}
+
+
+@pytest.mark.parametrize("name", PERMUTED)
+def test_order_checks_match_pairwise_scan(name):
+    # axiom (3) on every map of the carrier to itself, the checking
+    # constructor on every permutation: the same verdict and witness
+    lat = PERMUTED[name]()
+    leq = leq_matrix(lat)
+    c2 = cyclic_group(2)
+    identity = list(range(lat.size))
+    for row in itertools.product(range(lat.size), repeat=lat.size):
+        expected = reference_order_violation(leq, row)
+        action = GLatticeAction(c2, lat, [identity, list(row)])
+        assert check_axiom(action, 3) == (None if expected is None else (1, *expected))
+        if len(set(row)) < lat.size:
+            continue
+        if expected is None:
+            assert LatticeAutomorphism(lat, row).perm == row
+            continue
+        with pytest.raises(NotLatticeAutomorphism) as err:
+            LatticeAutomorphism(lat, row)
+        assert err.value.witness == expected
+        assert str(err.value) == "order not preserved at ({},{})".format(*expected)
+
+
+SEARCHED = {
+    **{f"chain{m}": functools.partial(chain_lattice, m) for m in range(1, 6)},
+    **{f"boolean{n}": functools.partial(boolean_lattice, n) for n in range(4)},
+    "M3": functools.partial(diamond, 3),
+    "L(GF(2)^2)": _subspace_lattice(2, 1, 2),
+    "sub(S3)": lambda: subgroup_lattice(symmetric_group(3)),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHED)
+def test_search_matches_brute_force(name):
+    lat = SEARCHED[name]()
+    leq = leq_matrix(lat)
+    brute = [
+        perm
+        for perm in itertools.permutations(range(lat.size))
+        if reference_order_violation(leq, perm) is None
+    ]
+    assert [a.perm for a in search_automorphisms(lat)] == brute
+
+
 # ---------------------------------------------------------------------------
 # action validation and per-axiom mutation catches
 
@@ -453,7 +589,8 @@ def test_axiom3_first_failure_with_witness():
     report = validate_glattice(action)
     assert not report.ok and report.axiom == 3
     g, x, y = report.witness
-    assert action.lattice.leq[x][y] != action.lattice.leq[action.table[g][x]][action.table[g][y]]
+    leq = leq_matrix(action.lattice)
+    assert leq[x][y] != leq[action.table[g][x]][action.table[g][y]]
 
 
 def test_each_axiom_individually_catchable():

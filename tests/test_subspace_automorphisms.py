@@ -16,13 +16,14 @@ from glattice import (
     DivisionRing,
     LatticeAutomorphism,
     VectorSpace,
-    enumerate_sgl,
     enumerate_subspaces,
     lattice_automorphism_group,
     map_subspace,
 )
 from glattice.errors import GlatticeError, TooLarge
 from glattice.lattice import search_automorphisms
+
+from oracles import enumerate_sgl
 
 
 def subspace_lattice(p, k, n):
@@ -143,6 +144,6 @@ def test_cap_is_checked_before_any_generator(monkeypatch):
     monkeypatch.setattr(lattice, "automorphism_generators", refuse)
     with pytest.raises(TooLarge):
         lattice_automorphism_group(lattice)
-    monkeypatch.setattr(linalg_module, "_SUBSPACE_AUT_LIMIT", math.factorial(9))
+    monkeypatch.setattr(linalg_module, "_AUT_GROUP_LIMIT", math.factorial(9))
     with pytest.raises(AssertionError):
         lattice_automorphism_group(lattice)
