@@ -9,6 +9,7 @@ malformed input.  Execution is single-threaded and deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -387,9 +388,13 @@ def build_parser():
     return parser
 
 
+# built on first use and kept: building it costs about as much as a small
+# command, and parsing leaves it unchanged
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -46,10 +46,11 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 class FiniteLattice:
     """A finite lattice: its order as bitmasks, and meet and join tables.
 
-    The order is given as an ``leq`` matrix and kept only as
-    ``down_masks`` and ``up_masks``: down[x] and up[x] are the bitmasks
-    of the elements below and above x (bit y for element y).
-    Construction checks that it is a partial order, then reads
+    The order is given as an ``leq`` matrix, whose first step is to fold
+    it into ``down_masks`` and ``up_masks`` (a subclass may hand those
+    over itself, through ``_set_order``); only the masks are kept.
+    down[x] and up[x] are the bitmasks of the elements below and above x
+    (bit y for element y).  Construction checks that it is a partial order, then reads
     meet[x][y] as the z with down[z] == down[x] & down[y] and join[x][y]
     as the z with up[z] == up[x] & up[y] (NoMeet / NoJoin where there is
     none): the elements below z are exactly the common
@@ -75,7 +76,14 @@ class FiniteLattice:
         # up[x] is row x of leq, down[x] its column x
         up = [_mask(row) for row in leq]
         down = [_mask(column) for column in zip(*leq)]
+        self._set_order(down, up, meet, join, payloads, labels)
 
+    def _set_order(self, down, up, meet=None, join=None, payloads=None, labels=None):
+        """Check the order given as down-set and up-set masks, read the
+        bounds off it and keep both.  Every lattice is built through
+        here: ``__init__`` hands over the masks of its ``leq`` matrix, a
+        subclass that knows its order otherwise hands over its own."""
+        m = len(up)
         for x in range(m):
             if not up[x] >> x & 1:
                 raise NotPartialOrder(f"not reflexive at {x}", witness=(x,))

@@ -25,6 +25,7 @@ import math
 
 from .errors import (
     DimensionMismatch,
+    GlatticeError,
     InfiniteCarrier,
     NonCommutativeCarrier,
     NotInvertible,
@@ -32,7 +33,13 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .lattice import _AUT_GROUP_LIMIT, FiniteLattice, LatticeAutomorphism, automorphism_closure
+from .lattice import (
+    _AUT_GROUP_LIMIT,
+    FiniteLattice,
+    LatticeAutomorphism,
+    _bits,
+    automorphism_closure,
+)
 from .scalar import RingAutomorphism
 
 _SUBSPACE_ENUM_LIMIT = 5000
@@ -323,6 +330,14 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
+    def _reduced(cls, space, basis, pivots):
+        """The subspace with this basis, already in reduced row echelon
+        form with these pivot columns: no elimination runs."""
+        w = object.__new__(cls)
+        w.space, w.basis, w.pivots = space, basis, pivots
+        return w
+
+    @classmethod
     def from_vectors(cls, space, vectors):
         return cls(space, [space.vector(v) for v in vectors])
 
@@ -370,23 +385,6 @@ class Subspace:
         if self.space != other.space:
             raise SpaceMismatch("subspaces of different spaces")
         return Subspace(self.space, list(self.basis) + list(other.basis))
-
-    def point_rows(self):
-        """Canonical basis rows of the 1-dimensional subspaces inside this one.
-
-        The first nonzero entry of ``sum(c_i * basis[i])`` is ``c_t`` at
-        ``pivots[t]``, for the first t with ``c_t != 0``; so the
-        combinations with ``c_t = 1`` are already in reduced form.
-        """
-        units = self.space.ring.units()
-        span = [self.space.zero_vector()]  # span of basis[t + 1:]
-        rows = []
-        for t in reversed(range(self.dim)):
-            rows.extend(add_vectors(self.basis[t], v) for v in span)
-            if t:
-                multiples = [scale_vector(c, self.basis[t]) for c in units]
-                span += [add_vectors(w, v) for w in multiples for v in span]
-        return rows
 
     def annihilator(self):
         """W^perp = {x : sum_j x_j w_j = 0 for all w in W}, of dimension n - dim W.
@@ -458,41 +456,114 @@ def subspace_count(n, q):
 
 
 class SubspaceLattice(FiniteLattice):
-    """The lattice L(V) of all subspaces of a finite vector space.
+    """The lattice L(V) of all subspaces of a finite vector space
+    V = GF(q)^n.
 
-    ``subspaces`` must be the whole family.  Each subspace is held as
-    the bitmask of the points (1-dimensional subspaces) it contains, bit
-    i for the point at index i: ``masks`` lists them by index and
-    ``by_mask`` inverts it.  The order is inclusion of point sets; the
-    base class reads the meet off it, and a down-set restricted to the
-    points is the point mask, so the meet is the intersection of point
-    sets.  The join is the sum, computed independently through
-    annihilators as ``W1 + W2 = (W1^perp meet W2^perp)^perp``, so only
-    m eliminations run, and the base class checks it entry by entry
-    against the join it reads off the order.
+    ``bases`` lists every subspace once, in lattice order, as its
+    reduced row echelon basis in element coordinates: ``(rows,
+    pivots)``, each row a tuple of element indices over ``range(q)``
+    and ``pivots`` its pivot columns.  The payloads are the
+    ``Subspace`` objects of those bases, built without elimination.
+
+    Each subspace is held as the bitmask of the points (1-dimensional
+    subspaces) it contains, bit i for the point at index i: ``masks``
+    lists them by index, ``by_mask`` inverts it and ``points`` lists the
+    point indices.  A mask is spanned on element indices with the
+    ring's add/mul index tables, which only n >= 2 needs (and there
+    q <= 70); the masks must be pairwise distinct, so two bases that
+    span one subspace raise.  The order is inclusion of point sets,
+    handed to the base class as masks: the elements above W are those
+    that hold all of its points, and the down-sets are the transpose of
+    the up-sets.  The base class reads the meet off it (a down-set
+    restricted to the points is the point mask, so the meet is the
+    intersection of point sets).  The join is the sum, computed independently through
+    orthogonality as ``W1 + W2 = (W1^perp meet W2^perp)^perp``: every
+    basis row is a point, so the point mask of W^perp is the
+    intersection of ``orth[r]`` over the rows r of W, where ``orth[r]``
+    is the mask of the points whose dot product with r is zero.  The
+    base class checks that join entry by entry against the join it
+    reads off the order.
     """
 
-    def __init__(self, space, subspaces):
+    def __init__(self, space, bases):
+        ring, n = space.ring, space.dim
         self.space = space
+        elements = ring.elements()
+        subspaces = [
+            Subspace._reduced(space, tuple(tuple(elements[i] for i in row) for row in rows), pivots)
+            for rows, pivots in bases
+        ]
         self._index = {sub.basis: i for i, sub in enumerate(subspaces)}
-        point_bit = {sub.basis[0]: 1 << i for i, sub in enumerate(subspaces) if sub.dim == 1}
-        masks = [sum(point_bit[row] for row in sub.point_rows()) for sub in subspaces]
-        by_mask = {mask: i for i, mask in enumerate(masks)}
-        leq = [[mi & ~mj == 0 for mj in masks] for mi in masks]
-        perp = [self._index[sub.annihilator().basis] for sub in subspaces]
-        perp_masks = [masks[p] for p in perp]
-        join = [[perp[by_mask[mi & mj]] for mj in perp_masks] for mi in perp_masks]
-        super().__init__(
-            leq,
+        point_of = {rows[0]: i for i, (rows, _) in enumerate(bases) if len(rows) == 1}
+        # L(K^1) = {0, K} needs no arithmetic; for n >= 2, q^2 <= q^n <= 5000
+        add, mul = ring._index_tables() if n > 1 else (None, None)
+        masks = _point_masks(bases, point_of, add, mul, ring.order)
+        by_mask = {}
+        for x, mask in enumerate(masks):
+            if mask in by_mask:
+                raise GlatticeError(
+                    f"enumeration bug: bases {by_mask[mask]} and {x} span one subspace",
+                    witness=(by_mask[mask], x),
+                )
+            by_mask[mask] = x
+
+        # contain[p]: the elements whose point set holds point p
+        contain = dict.fromkeys(point_of.values(), 0)
+        for x, mask in enumerate(masks):
+            for p in _bits(mask):
+                contain[p] |= 1 << x
+        everything = (1 << len(masks)) - 1
+        up = []
+        for mask in masks:
+            above = everything
+            for p in _bits(mask):
+                above &= contain[p]
+            up.append(above)
+        down = [0] * len(masks)
+        for x, above in enumerate(up):
+            for y in _bits(above):
+                down[y] |= 1 << x
+
+        perp_masks = _annihilator_masks(bases, point_of, _orthogonality(point_of, n, add, mul))
+        # W1 + W2 is the W whose annihilator is W1^perp meet W2^perp; a mask
+        # that is no annihilator leaves None, which the join check reports
+        sum_of = {mask: x for x, mask in enumerate(perp_masks)}
+        join = [[sum_of.get(pi & pj) for pj in perp_masks] for pi in perp_masks]
+        self._set_order(
+            down,
+            up,
             join=join,
             payloads=subspaces,
             labels=[repr(s) for s in subspaces],
         )
         self.masks = tuple(masks)
         self.by_mask = by_mask
+        self.points = tuple(point_of.values())
 
     def index_of(self, subspace):
         return self._index[subspace.basis]
+
+    def point_image(self, f):
+        """Where the semilinear map f sends each point, as a dict from
+        point index to point index.
+
+        f is applied to the point's canonical row and the image scaled
+        by the inverse of its first nonzero entry, which is the image
+        point's canonical row.  NotInvertible when a point goes to zero,
+        which happens exactly when f is singular: its kernel is a
+        nonzero subspace and so holds a point.
+        """
+        if f.space != self.space:
+            raise SpaceMismatch("map and lattice live on different spaces")
+        image = {}
+        for i in self.points:
+            v = f.apply(self.payloads[i].basis[0])
+            lead = next((x for x in v if not x.is_zero()), None)
+            if lead is None:
+                raise NotInvertible("images of subspaces need an invertible map")
+            lead = lead.inverse()
+            image[i] = self._index[(tuple([lead * x for x in v]),)]
+        return image
 
     def automorphism_order(self):
         """|Aut L(GF(q)^n)| in closed form: 1 for n = 1, (q + 1)! for
@@ -520,7 +591,7 @@ class SubspaceLattice(FiniteLattice):
         n, ring = self.space.dim, self.space.ring
         if n == 1:
             return []
-        points = [i for i, sub in enumerate(self.payloads) if sub.dim == 1]
+        points = list(self.points)
         if n == 2:
             swap = [points[1], points[0]] + points[2:]
             cycle = points[1:] + points[:1]
@@ -536,15 +607,18 @@ class SubspaceLattice(FiniteLattice):
         maps = [SemilinearMap(self.space, m) for m in (transvection, swap, shift, scaling)]
         if ring.k:
             maps.append(SemilinearMap(self.space, unit, RingAutomorphism.frobenius(ring, 1)))
-        return [
-            self._lift({i: self.index_of(map_subspace(f, self.payloads[i])) for i in points})
-            for f in maps
-        ]
+        return [self._lift(self.point_image(f)) for f in maps]
 
     def _lift(self, point_image):
         """The checked automorphism that moves the points as
         ``point_image`` (index to index) and every subspace with its
         point set."""
+        return LatticeAutomorphism(self, self._induced_row(point_image))
+
+    def _induced_row(self, point_image):
+        """The index each subspace goes to when the points move as
+        ``point_image``: its point mask, moved bit by bit.
+        NotLatticeAutomorphism when a moved mask is no subspace's."""
         image = []
         for mask in self.masks:
             moved = 0
@@ -555,7 +629,7 @@ class SubspaceLattice(FiniteLattice):
             if moved not in self.by_mask:
                 raise NotLatticeAutomorphism("a point permutation moves a subspace off the lattice")
             image.append(self.by_mask[moved])
-        return LatticeAutomorphism(self, image)
+        return image
 
     def _closed_automorphism_group(self):
         """Aut L(V): the generators closed and counted against the
@@ -580,11 +654,11 @@ def _primitive_element(ring):
     return next(w for w in ring.units() if order(w) == ring.order - 1)
 
 
-def _rref_bases(space, k):
-    """All canonical bases of k-dimensional subspaces, in a fixed order."""
-    n, ring = space.dim, space.ring
-    elements = ring.elements()
-    zero, one = ring.zero(), ring.one()
+def _rref_bases(n, q, k):
+    """Every reduced row echelon basis of a k-dimensional subspace of
+    GF(q)^n, as ``(rows, pivots)``: each row a tuple of element indices
+    (index 0 is zero and index 1 is one in every finite ring), pivots
+    its pivot columns.  No field arithmetic runs."""
     for pivots in itertools.combinations(range(n), k):
         free_slots = [
             (i, j)
@@ -592,45 +666,110 @@ def _rref_bases(space, k):
             for j in range(n)
             if j > pivots[i] and j not in pivots
         ]
-        for values in itertools.product(elements, repeat=len(free_slots)):
-            rows = [[zero] * n for _ in range(k)]
+        for values in itertools.product(range(q), repeat=len(free_slots)):
+            rows = [[0] * n for _ in range(k)]
             for i in range(k):
-                rows[i][pivots[i]] = one
+                rows[i][pivots[i]] = 1
             for (i, j), val in zip(free_slots, values):
                 rows[i][j] = val
-            yield [tuple(r) for r in rows]
+            yield tuple(map(tuple, rows)), pivots
+
+
+def _point_masks(bases, point_of, add, mul, q):
+    """The bitmask of the points inside the span of each basis.
+
+    The combinations of reduced rows whose first nonzero coefficient is
+    1 are already canonical point rows: the one with c_t = 1 and c_s = 0
+    for s < t is rows[t] plus a vector of the span of rows[t + 1:].  So
+    the points are spanned from the last row up, on element indices
+    through the ``add``/``mul`` index tables, and looked up in
+    ``point_of`` (canonical row to point index).  A basis of at most one
+    row needs no arithmetic.
+    """
+    masks = []
+    for rows, _ in bases:
+        if len(rows) < 2:
+            masks.append(1 << point_of[rows[0]] if rows else 0)
+            continue
+        span = [(0,) * len(rows[0])]  # the span of rows[t + 1:]
+        mask = 0
+        for t in reversed(range(len(rows))):
+            row = rows[t]
+            for v in span:
+                mask |= 1 << point_of[tuple([add[a][b] for a, b in zip(row, v)])]
+            if t:
+                multiples = [tuple([mul[c][a] for a in row]) for c in range(1, q)]
+                span += [tuple([add[a][b] for a, b in zip(w, v)]) for w in multiples for v in span]
+        masks.append(mask)
+    return masks
+
+
+def _orthogonality(point_of, n, add, mul):
+    """orth[p]: the bitmask of the points whose dot product with point p
+    is zero, for each point index p.  Dot products are symmetric, so
+    each pair is computed once."""
+    orth = dict.fromkeys(point_of.values(), 0)
+    if n == 1:
+        # the one point of K^1 is <1>, and 1 * 1 = 1
+        return orth
+    points = list(point_of.items())
+    for i, (u, p) in enumerate(points):
+        for v, r in points[i:]:
+            dot = 0
+            for a, b in zip(u, v):
+                dot = add[dot][mul[a][b]]
+            if dot == 0:
+                orth[p] |= 1 << r
+                orth[r] |= 1 << p
+    return orth
+
+
+def _annihilator_masks(bases, point_of, orth):
+    """The point mask of W^perp for each basis of W: the points
+    orthogonal to every basis row (each row is a point), and every
+    point for W = 0."""
+    all_points = sum(1 << p for p in orth)
+    out = []
+    for rows, _ in bases:
+        mask = all_points
+        for row in rows:
+            mask &= orth[point_of[row]]
+        out.append(mask)
+    return out
 
 
 def enumerate_subspaces(space):
     """Build L(V) for a finite field V = GF(q)^n with q^n <= 5000 and at
     most 3000 subspaces (counted by Gaussian binomials before any work).
 
-    Subspaces come out in (dimension, basis) order.  The total count is
-    checked against the Gaussian-binomial sum before the lattice is
-    assembled.
+    The bases are enumerated in element indices and each dimension's
+    layer is sorted on them, which is the (dimension, basis) order of
+    ``Subspace.sort_key``, since a finite element's sort key is its
+    index.  Each layer must hold distinct bases, as many as its Gaussian
+    binomial; ``SubspaceLattice`` then refuses two bases with one point
+    set, so the family is all of L(V).
     """
     ring = space.ring
     if not ring.is_finite():
         raise InfiniteCarrier(f"cannot enumerate subspaces over {ring}")
     if not ring.is_commutative():
         raise InfiniteCarrier("subspace enumeration needs a commutative carrier")
-    q = ring.order
-    if q**space.dim > _SUBSPACE_ENUM_LIMIT:
-        raise TooLarge(f"q^n = {q ** space.dim} exceeds {_SUBSPACE_ENUM_LIMIT}")
-    count = subspace_count(space.dim, q)
+    q, n = ring.order, space.dim
+    if q**n > _SUBSPACE_ENUM_LIMIT:
+        raise TooLarge(f"q^n = {q ** n} exceeds {_SUBSPACE_ENUM_LIMIT}")
+    count = subspace_count(n, q)
     if count > _SUBSPACE_COUNT_LIMIT:
         raise TooLarge(f"{count} subspaces exceeds {_SUBSPACE_COUNT_LIMIT}")
-    subspaces = []
-    for k in range(space.dim + 1):
-        layer = [Subspace(space, rows) for rows in _rref_bases(space, k)]
-        layer.sort(key=Subspace.sort_key)
-        expected = gaussian_binomial(space.dim, k, q)
-        if len(layer) != len({s.basis for s in layer}) or len(layer) != expected:
+    bases = []
+    for k in range(n + 1):
+        layer = sorted(_rref_bases(n, q, k))
+        expected = gaussian_binomial(n, k, q)
+        if len(layer) != len({rows for rows, _ in layer}) or len(layer) != expected:
             raise TooLarge(
                 f"enumeration bug: got {len(layer)} subspaces of dim {k}, expected {expected}"
             )
-        subspaces.extend(layer)
-    return SubspaceLattice(space, subspaces)
+        bases.extend(layer)
+    return SubspaceLattice(space, bases)
 
 
 def general_linear_order(n, q):

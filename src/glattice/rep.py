@@ -17,8 +17,9 @@ by coordinatizing each lattice automorphism.  By the fundamental
 theorem of projective geometry the images of the frame <e_1>, ...,
 <e_n>, <e_1 + ... + e_n> fix the matrix up to a scalar, so
 coordinatization is one linear solve followed by a check of each ring
-automorphism on every subspace; it returns the same map as the first
-match of a scan of SGL(V) in enumeration order.
+automorphism on the points; it returns the same map as the first
+match of a scan of SGL(V) in enumeration order.  Both directions move
+points (``SubspaceLattice.point_image``), never whole subspaces.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .linalg import (
     SubspaceLattice,
     enumerate_subspaces,
     identity_map,
-    map_subspace,
     rref,
 )
 from .scalar import list_automorphisms
@@ -212,17 +212,19 @@ def validate_rep(rep):
 def induced_glattice(rep, lattice=None):
     """The action of G on the subspace lattice L(V) through rho.
 
-    Scalar factors are invisible here: projectively equivalent maps move
-    every subspace identically.
+    Each rho(g) moves only the points (``SubspaceLattice.point_image``);
+    every subspace then goes where its point mask goes, and a moved mask
+    that is no subspace's raises.  The whole table is validated
+    afterwards.  Scalar factors are invisible here: projectively
+    equivalent maps move every subspace identically.
     """
     if lattice is None:
         lattice = enumerate_subspaces(rep.space)
     elif not isinstance(lattice, SubspaceLattice) or lattice.space != rep.space:
         raise SpaceMismatch("lattice does not coordinatize this space")
-    table = []
-    for g in range(rep.group.order):
-        f = rep.maps[g]
-        table.append([lattice.index_of(map_subspace(f, w)) for w in lattice.payloads])
+    table = [
+        lattice._induced_row(lattice.point_image(rep.maps[g])) for g in range(rep.group.order)
+    ]
     action = GLatticeAction(rep.group, lattice, table)
     report = validate_glattice(action)
     if not report.ok:
@@ -276,12 +278,10 @@ def coordinatize(phi):
     matrix = [[coeffs[j] * columns[j][r] for j in range(n)] for r in range(n)]
     lead = next(x for row in matrix for x in row if not x.is_zero()).inverse()
     matrix = [[lead * x for x in row] for row in matrix]
-    targets = [
-        (w, lattice.payloads[phi(i)]) for i, w in enumerate(lattice.payloads) if w.dim == 1
-    ]
+    targets = {i: phi(i) for i in lattice.points}
     for theta in list_automorphisms(ring):
         f = SemilinearMap(space, matrix, theta)
-        if all(map_subspace(f, w) == target for w, target in targets):
+        if lattice.point_image(f) == targets:
             return f
     raise NotCoordinatizable(
         "no semilinear automorphism induces this lattice automorphism"

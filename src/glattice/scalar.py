@@ -178,7 +178,7 @@ class DivisionRing:
 
     __slots__ = (
         "kind", "p", "k", "modulus", "_zero", "_one",
-        "_elems", "_index", "_exp", "_log", "_autos",
+        "_elems", "_index", "_exp", "_log", "_autos", "_tables",
     )
 
     def __init__(self, kind, p=None, k=None, modulus=None):
@@ -195,6 +195,7 @@ class DivisionRing:
         else:
             self._zero, self._one = _QUAT_ZERO, _QUAT_ONE
         self._elems = self._index = self._exp = self._log = self._autos = None
+        self._tables = None
         if kind == EXTENSION:
             self._build_tables()
 
@@ -362,6 +363,24 @@ class DivisionRing:
     def units(self):
         """All nonzero elements, in enumeration order (finite rings only)."""
         return [a for a in self.elements() if not a.is_zero()]
+
+    def _index_tables(self):
+        """Addition and multiplication of a finite ring on element indices:
+        ``add[a][b]`` is the index of a + b and ``mul[a][b]`` that of a * b.
+
+        Built on first use and kept, q^2 entries each, so a caller asks
+        only for small rings.  On a prime field an index is its residue.
+        """
+        if self._tables is None:
+            if self.kind == PRIME:
+                elems = index = range(self.p)  # a residue is its own index
+            else:
+                elems, index = self._elems, self._index
+            self._tables = tuple(
+                tuple(tuple(index[op(a, b)] for b in elems) for a in elems)
+                for op in (self._add, self._mul)
+            )
+        return self._tables
 
     # -- payload arithmetic (internal) ----------------------------------
 

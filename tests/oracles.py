@@ -6,7 +6,7 @@ whole search space, so it only runs on the small families of the tests.
 
 import itertools
 
-from glattice.linalg import SemilinearMap, rref
+from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
 from glattice.scalar import list_automorphisms
 
 
@@ -15,6 +15,29 @@ def leq_matrix(lattice):
     up-set masks: entry (x, y) is x <= y."""
     m = lattice.size
     return [[bool(lattice.up_masks[x] >> y & 1) for y in range(m)] for x in range(m)]
+
+
+# ---------------------------------------------------------------------------
+# subspaces
+
+
+def point_rows(w):
+    """Canonical basis rows of the 1-dimensional subspaces inside the
+    ``Subspace`` w, spanned with ``Scalar`` arithmetic.
+
+    The first nonzero entry of ``sum(c_i * basis[i])`` is ``c_t`` at
+    ``pivots[t]``, for the first t with ``c_t != 0``; so the
+    combinations with ``c_t = 1`` are already in reduced form.
+    """
+    units = w.space.ring.units()
+    span = [w.space.zero_vector()]  # span of basis[t + 1:]
+    rows = []
+    for t in reversed(range(w.dim)):
+        rows.extend(add_vectors(w.basis[t], v) for v in span)
+        if t:
+            multiples = [scale_vector(c, w.basis[t]) for c in units]
+            span += [add_vectors(u, v) for u in multiples for v in span]
+    return rows
 
 
 # ---------------------------------------------------------------------------

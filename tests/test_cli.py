@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import glattice.cli
 import glattice.extension
 import glattice.rep
 from glattice.cli import main
@@ -594,6 +595,22 @@ def test_cli_malformed_input_exit_2(capsys, tmp_path):
     assert "line" in json.loads(out)["error"]
     code, _ = run_cli(capsys, "verify-action", "--in", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_cli_parser_is_shared_and_unchanged_by_bad_arguments(capsys, tmp_path, monkeypatch):
+    good = ["subspace-lattice", "--ring", "gf:2", "--dim", "2"]
+    dot = tmp_path / "bad.dot"
+    assert glattice.cli._shared_parser() is glattice.cli._shared_parser()
+    with pytest.raises(SystemExit) as bad:
+        main(["subspace-lattice", "--ring", "gf:3", "--dim", "two", "--dot", str(dot)])
+    assert bad.value.code == 2
+    capsys.readouterr()
+    shared = run_cli(capsys, *good)
+    monkeypatch.setattr(glattice.cli, "_shared_parser", glattice.cli.build_parser)
+    fresh = run_cli(capsys, *good)
+    assert shared == fresh
+    assert shared[0] == 0
+    assert not dot.exists()
 
 
 GOOD_ACTION = {

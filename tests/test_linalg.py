@@ -1,6 +1,7 @@
 """Semilinear maps, subspace canonicalization, L(V) and SGL(V)."""
 
 import random
+import time
 
 import pytest
 
@@ -14,16 +15,19 @@ from glattice import (
     gaussian_binomial,
     map_subspace,
 )
+from glattice import linalg
 from glattice.errors import (
+    GlatticeError,
     InfiniteCarrier,
     NonCommutativeCarrier,
     NotInvertible,
+    TableMismatch,
     TooLarge,
 )
 from glattice.lattice import LatticeAutomorphism
-from glattice.linalg import add_vectors, identity_map
+from glattice.linalg import add_vectors, identity_map, rref
 
-from oracles import enumerate_sgl, iter_semilinear_automorphisms, leq_matrix
+from oracles import enumerate_sgl, iter_semilinear_automorphisms, leq_matrix, point_rows
 
 
 def gaussian_binomial_oracle(n, k, q):
@@ -174,9 +178,11 @@ def test_meet_join_against_vector_sets(gf2):
 
 
 # (p, k, n) for L(GF(p^k)^n): GF(2)^1..4, GF(3)^2, GF(3)^3, GF(4)^2,
-# GF(5)^2, GF(8)^2 and GF(9)^2, prime and extension fields alike
+# GF(5)^2, GF(8)^2, GF(9)^2, GF(4)^3, GF(5)^3 and GF(7)^3, prime and
+# extension fields alike
 _LATTICE_FAMILY = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
-                   (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
+                   (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (5, 1, 3),
+                   (7, 1, 3)]
 
 
 @pytest.mark.parametrize("p,k,n", _LATTICE_FAMILY)
@@ -205,12 +211,111 @@ def test_annihilator_is_an_involution(p, k, n):
                 assert sum((a * b for a, b in zip(x, y)), w.space.ring.zero()).is_zero()
 
 
+@pytest.mark.parametrize("p,k,n", _LATTICE_FAMILY)
+def test_index_construction_matches_scalar_route(p, k, n, monkeypatch):
+    # masks, annihilators, payloads and their order built on element
+    # indices against the Scalar route: point_rows, Subspace.annihilator,
+    # rref and Subspace.sort_key
+    perps = []
+
+    def recorded(*args):
+        perps.append(annihilator_masks(*args))
+        return perps[-1]
+
+    annihilator_masks = linalg._annihilator_masks
+    monkeypatch.setattr(linalg, "_annihilator_masks", recorded)
+    space = VectorSpace(DivisionRing.gf(p, k), n)
+    lattice = enumerate_subspaces(space)
+    (perp_masks,) = perps
+    for i, w in enumerate(lattice.payloads):
+        spanned = [lattice.index_of(Subspace(space, [row])) for row in point_rows(w)]
+        assert lattice.masks[i] == sum(1 << j for j in spanned)
+        assert lattice.by_mask[perp_masks[i]] == lattice.index_of(w.annihilator())
+        assert rref(w.basis, space.ring) == (w.basis, w.pivots)
+        assert Subspace(space, w.basis) == w
+    assert lattice.points == tuple(i for i, w in enumerate(lattice.payloads) if w.dim == 1)
+    assert list(lattice.payloads) == sorted(lattice.payloads, key=Subspace.sort_key)
+
+
+def _replace_basis(monkeypatch, old, new):
+    """Make the enumeration yield ``new`` (rows, pivots) in place of ``old``."""
+    rref_bases = linalg._rref_bases
+
+    def patched(n, q, k):
+        for basis in rref_bases(n, q, k):
+            yield new if basis == old else basis
+
+    monkeypatch.setattr(linalg, "_rref_bases", patched)
+
+
+def test_duplicated_basis_is_refused(monkeypatch, gf2):
+    _replace_basis(monkeypatch, (((0, 1, 0), (0, 0, 1)), (1, 2)), (((1, 0, 0), (0, 1, 0)), (0, 1)))
+    with pytest.raises(TooLarge, match="enumeration bug"):
+        enumerate_subspaces(VectorSpace(gf2, 3))
+
+
+def test_two_bases_spanning_one_subspace_are_refused(monkeypatch, gf2):
+    # (0,1,0), (1,1,0) is not reduced and spans <e_1, e_2>, whose reduced
+    # basis is enumerated too; the count and the bases stay distinct
+    space = VectorSpace(gf2, 3)
+    lattice = enumerate_subspaces(space)
+    replaced = lattice.index_of(Subspace.from_vectors(space, [(0, 1, 0), (0, 0, 1)]))
+    plane = lattice.index_of(Subspace.from_vectors(space, [(1, 0, 0), (0, 1, 0)]))
+    _replace_basis(monkeypatch, (((0, 1, 0), (0, 0, 1)), (1, 2)), (((0, 1, 0), (1, 1, 0)), (1, 0)))
+    with pytest.raises(GlatticeError, match="span one subspace") as caught:
+        enumerate_subspaces(space)
+    assert sorted(caught.value.witness) == sorted([replaced, plane])
+
+
+def test_corrupted_orthogonality_is_caught_by_the_join(monkeypatch, gf3):
+    orthogonality = linalg._orthogonality
+
+    def corrupted(*args):
+        orth = orthogonality(*args)
+        first, second = list(orth)[:2]
+        orth[first] = orth[second]  # another hyperplane's points
+        return orth
+
+    monkeypatch.setattr(linalg, "_orthogonality", corrupted)
+    with pytest.raises(TableMismatch, match="join") as caught:
+        enumerate_subspaces(VectorSpace(gf3, 3))
+    assert len(caught.value.witness) == 2
+
+
+@pytest.mark.parametrize("corruption", ["swap", "no-annihilator"])
+def test_corrupted_annihilator_is_caught_by_the_join(monkeypatch, gf3, corruption):
+    annihilator_masks = linalg._annihilator_masks
+
+    def corrupted(*args):
+        perp = annihilator_masks(*args)
+        if corruption == "swap":
+            perp[1], perp[2] = perp[2], perp[1]
+        else:
+            perp[5] |= perp[1]
+        return perp
+
+    monkeypatch.setattr(linalg, "_annihilator_masks", corrupted)
+    with pytest.raises(TableMismatch, match="join") as caught:
+        enumerate_subspaces(VectorSpace(gf3, 3))
+    assert len(caught.value.witness) == 2
+
+
+@pytest.mark.parametrize("p,k,n", [(4999, 1, 1), (2, 12, 1), (67, 1, 2)])
+def test_enumeration_set_up_is_not_quadratic_in_q(p, k, n):
+    # a q x q table would take 25 million entries for GF(4999)
+    start = time.perf_counter()
+    lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+    elapsed = time.perf_counter() - start
+    assert lattice.size == (2 if n == 1 else p + 3)
+    assert elapsed < 1.0
+
+
 def test_point_rows_are_the_points_inside(gf3):
     space = VectorSpace(gf3, 3)
     lattice = enumerate_subspaces(space)
     points = [s for s in lattice.payloads if s.dim == 1]
     for w in lattice.payloads:
-        rows = w.point_rows()
+        rows = point_rows(w)
         assert len(rows) == len(set(rows)) == (3**w.dim - 1) // 2
         assert set(rows) == {s.basis[0] for s in points if s.leq(w)}
 

@@ -22,6 +22,7 @@ from glattice import (
 )
 from glattice.errors import (
     NotCoordinatizable,
+    NotInvertible,
     NotNormalized,
     NotProjective,
     SpaceMismatch,
@@ -235,6 +236,42 @@ def test_frobenius_action_fixes_rational_subspaces(gf4):
     ]
     assert fixed == rational
     assert len(fixed) == 5  # 0, V, and the three GF(2)-rational lines
+
+
+def _small_lattice_reps():
+    """The shift reps over GF(2), GF(3) and GF(4), and the regular reps
+    of the acceptance suite's systems over those fields on at most 64
+    vectors, among them Frobenius twists over GF(4)."""
+    reps = [shift_rep(DivisionRing.gf(p, k)) for p, k in ((2, 1), (3, 1), (2, 2))]
+    for fs in enumerated_system_family():
+        if fs.ring.order in (2, 3, 4) and fs.ring.order**fs.group.order <= 64:
+            reps.append(regular_representation(TwistedGroupRing(fs)))
+    return reps
+
+
+def test_induced_rows_match_per_subspace_images():
+    # moving the points against one map_subspace elimination per subspace
+    reps = _small_lattice_reps()
+    assert any(not f.theta.is_identity() for rep in reps for f in rep.maps.values())
+    lattices = {}
+    for rep in reps:
+        if rep.space not in lattices:
+            lattices[rep.space] = enumerate_subspaces(rep.space)
+        lattice = lattices[rep.space]
+        action = induced_glattice(rep, lattice)
+        for g, f in rep.maps.items():
+            assert action.table[g] == _induced_perm(lattice, f)
+
+
+def test_singular_map_moves_no_points(gf3):
+    space = VectorSpace(gf3, 3)
+    lattice = enumerate_subspaces(space)
+    one, zero = gf3.one(), gf3.zero()
+    singular = SemilinearMap(space, ((one, one, zero), (zero, zero, one), (one, one, one)))
+    with pytest.raises(NotInvertible):
+        lattice.point_image(singular)
+    with pytest.raises(NotInvertible):
+        _induced_perm(lattice, singular)
 
 
 def test_scalars_invisible_on_lattice(shift_rep_gf3):
