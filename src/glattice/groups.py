@@ -35,7 +35,8 @@ class FiniteGroup:
             if len(row) != n:
                 raise MalformedTable("table is not square")
             for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry < n:
+                # not isinstance: a bool is an int, and JSON true/false are no indices
+                if type(entry) is not int or not 0 <= entry < n:
                     raise MalformedTable(f"entry {entry!r} out of range")
         cayley = tuple(tuple(row) for row in cayley)
         for x in range(n):

@@ -227,6 +227,12 @@ def parse_lattice(obj):
         return enumerate_subspaces(parse_space(obj["space"]))
     if "leq" in obj:
         leq = _need_table(obj, "leq", "lattice literal")
+        for row in leq:
+            for entry in row:
+                if type(entry) not in (bool, int) or entry not in (0, 1):
+                    raise ParseError(
+                        f"lattice literal: leq entry {entry!r} is not 0, 1 or a boolean"
+                    )
         labels = _optional(obj, "labels", list, "lattice literal")
         try:
             return FiniteLattice(leq, labels=labels)

@@ -459,7 +459,8 @@ class GLatticeAction:
             if len(row) != lattice.size:
                 raise ShapeMismatch("action row length differs from lattice size")
             for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry < lattice.size:
+                # not isinstance: a bool is an int, and JSON true/false are no indices
+                if type(entry) is not int or not 0 <= entry < lattice.size:
                     raise ShapeMismatch(f"action entry {entry!r} out of range")
         self.group = group
         self.lattice = lattice
@@ -524,29 +525,25 @@ def _axiom3(action):
     return None
 
 
-def _axiom4(action):
-    meet = action.lattice.meet
+def _preserves(action, op):
+    """The first (g, x, y) with g(x op y) != gx op gy, for a meet or
+    join table op."""
     for g in range(action.group.order):
         row = action.table[g]
         for x in range(action.lattice.size):
             for y in range(action.lattice.size):
-                if row[meet[x][y]] != meet[row[x]][row[y]]:
+                if row[op[x][y]] != op[row[x]][row[y]]:
                     return (g, x, y)
     return None
 
 
-def _axiom5(action):
-    join = action.lattice.join
-    for g in range(action.group.order):
-        row = action.table[g]
-        for x in range(action.lattice.size):
-            for y in range(action.lattice.size):
-                if row[join[x][y]] != join[row[x]][row[y]]:
-                    return (g, x, y)
-    return None
-
-
-AXIOM_CHECKERS = {1: _axiom1, 2: _axiom2, 3: _axiom3, 4: _axiom4, 5: _axiom5}
+AXIOM_CHECKERS = {
+    1: _axiom1,
+    2: _axiom2,
+    3: _axiom3,
+    4: lambda action: _preserves(action, action.lattice.meet),
+    5: lambda action: _preserves(action, action.lattice.join),
+}
 
 _AXIOM_TEXT = {
     1: "g(hx) = (gh)x",

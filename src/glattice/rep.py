@@ -35,7 +35,6 @@ from .errors import (
 from .lattice import GLatticeAction, LatticeAutomorphism, validate_glattice
 from .linalg import (
     SemilinearMap,
-    Subspace,
     SubspaceLattice,
     enumerate_subspaces,
     identity_map,
@@ -262,7 +261,8 @@ def coordinatize(phi):
     ring, n = space.ring, space.dim
 
     def image_row(v):
-        return lattice.payloads[phi(lattice.index_of(Subspace(space, [v])))].basis[0]
+        # e_i and the basis sum are already reduced rows
+        return lattice.payloads[phi(lattice._index[(v,)])].basis[0]
 
     columns = [image_row(e) for e in space.basis()]
     u = image_row((ring.one(),) * n)

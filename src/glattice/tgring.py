@@ -10,6 +10,11 @@ Elements are sparse coefficient maps (zeros dropped).  The ring is
 associative exactly because the bracket satisfies the E2 law; the tests
 re-verify that on basis triples for every enumerated system.
 
+Whether the ring is a K-algebra (``is_algebra``) is decided from the
+basis-product formula, checked once per pair, and chi: it is one exactly
+when K is commutative and chi is trivial.  Otherwise a witness triple is
+replayed through the product.
+
 A representation whose factor system is the ring's makes its space a
 left module (``TwistedModule``); that association is checked once, when
 the module is built.
@@ -236,66 +241,56 @@ class AlgebraVerdict:
         )
 
 
-def _bimodule_scalars(ring):
-    if ring.is_finite():
-        return ring.elements()
-    if ring.is_commutative():
-        return [ring.scalar(Fraction(n, d)) for n in (-2, -1, 0, 1, 3) for d in (1, 2, 5)]
-    return [
-        ring.scalar((1, 0, 0, 0)),
-        ring.scalar((0, 1, 0, 0)),
-        ring.scalar((0, 0, 1, 0)),
-        ring.scalar((0, 0, 0, 1)),
-        ring.scalar((Fraction(1, 2), Fraction(-2), Fraction(0), Fraction(3, 7))),
-    ]
-
-
 def is_algebra(tgr):
     """Decide whether the twisted ring is a K-algebra, with a witness.
 
-    The scalar action must satisfy (a u) v = a (u v) and u (a v) =
-    a (u v).  The first law holds for free; the second fails exactly
-    when either K is noncommutative or some chi(g) moves a scalar, and
-    in both cases a concrete witness triple is produced and verified.
-    When the verdict is positive the two laws are checked on all basis
-    pairs against the scalar sample.
+    The scalar action a * sum(c_g gbar) = sum((a c_g) gbar) must satisfy
+    (a u) v = a (u v) and u (a v) = a (u v).  First the product is
+    checked once per basis pair against gbar * hbar = [g,h] (gh)bar
+    (GlatticeError with witness (g, h) otherwise).  The product is the
+    distributive extension of that formula, twisted by chi, so the first
+    law then holds by associativity in K, and the second holds exactly
+    when K is commutative and every chi(g) is the identity.
+
+    When K is noncommutative the witness is a = i, u = j 1bar, v = 1bar;
+    otherwise it is the first g with chi(g) != id, the first a in
+    ``ring.elements()`` it moves, u = gbar and v = 1bar.  The witness is
+    replayed through the ring product before it is returned.
     """
-    ring = tgr.ring
+    fs, ring, group = tgr.fs, tgr.ring, tgr.group
+    for g in range(group.order):
+        gbar = tgr.basis_element(g)
+        for h in range(group.order):
+            product = gbar * tgr.basis_element(h)
+            if product.coeffs != ((group.cayley[g][h], fs.bracket[g][h]),):
+                raise GlatticeError(
+                    f"gbar*hbar != [g,h]*(gh)bar at g={g}, h={h}: {product!r}",
+                    witness=(g, h),
+                )
     one_bar = tgr.one()
     if not ring.is_commutative():
         a = ring.scalar((0, 1, 0, 0))  # i
-        b = ring.scalar((0, 0, 1, 0))  # j
-        u = one_bar.scale(b)
-        v = one_bar
-        lhs = u * v.scale(a)
-        rhs = (u * v).scale(a)
-        if lhs == rhs:
-            raise GlatticeError("quaternion commutator witness failed to fail")
-        return AlgebraVerdict(False, "u*(a*v) == a*(u*v)", a, u, v, lhs, rhs)
-    for g in range(tgr.group.order):
-        phi = tgr.fs.chi[g]
-        if phi.is_identity():
-            continue
-        for a in ring.elements():
-            if phi(a) != a:
-                u = tgr.basis_element(g)
-                v = one_bar
-                lhs = u * v.scale(a)
-                rhs = (u * v).scale(a)
-                if lhs == rhs:
-                    raise GlatticeError("chi witness failed to fail")
-                return AlgebraVerdict(False, "u*(a*v) == a*(u*v)", a, u, v, lhs, rhs)
-    # commutative carrier, trivial chi: verify the bimodule laws
-    for g in range(tgr.group.order):
-        for h in range(tgr.group.order):
-            u, v = tgr.basis_element(g), tgr.basis_element(h)
-            uv = u * v
-            for a in _bimodule_scalars(ring):
-                if (u.scale(a)) * v != uv.scale(a):
-                    raise GlatticeError("left bimodule law failed unexpectedly")
-                if u * (v.scale(a)) != uv.scale(a):
-                    raise GlatticeError("right bimodule law failed unexpectedly")
-    return AlgebraVerdict(True)
+        u = one_bar.scale(ring.scalar((0, 0, 1, 0)))  # j 1bar
+    else:
+        moved = next(
+            (
+                (a, g)
+                for g, phi in enumerate(fs.chi)
+                if not phi.is_identity()
+                for a in ring.elements()
+                if phi(a) != a
+            ),
+            None,
+        )
+        if moved is None:
+            return AlgebraVerdict(True)
+        a, g = moved
+        u = tgr.basis_element(g)
+    lhs = u * one_bar.scale(a)
+    rhs = (u * one_bar).scale(a)
+    if lhs == rhs:
+        raise GlatticeError("algebra witness failed to fail")
+    return AlgebraVerdict(False, "u*(a*v) == a*(u*v)", a, u, one_bar, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

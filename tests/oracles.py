@@ -5,9 +5,12 @@ whole search space, so it only runs on the small families of the tests.
 """
 
 import itertools
+from fractions import Fraction
 
+from glattice.errors import GlatticeError
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
 from glattice.scalar import list_automorphisms
+from glattice.tgring import AlgebraVerdict
 
 
 def leq_matrix(lattice):
@@ -90,3 +93,64 @@ def normal_subgroup_indices(group, lat):
         ):
             normal.append(i)
     return normal
+
+
+# ---------------------------------------------------------------------------
+# the algebra criterion
+
+
+def _bimodule_scalars(ring):
+    if ring.is_finite():
+        return ring.elements()
+    if ring.is_commutative():
+        return [ring.scalar(Fraction(n, d)) for n in (-2, -1, 0, 1, 3) for d in (1, 2, 5)]
+    return [
+        ring.scalar((1, 0, 0, 0)),
+        ring.scalar((0, 1, 0, 0)),
+        ring.scalar((0, 0, 1, 0)),
+        ring.scalar((0, 0, 0, 1)),
+        ring.scalar((Fraction(1, 2), Fraction(-2), Fraction(0), Fraction(3, 7))),
+    ]
+
+
+def is_algebra(tgr):
+    """The algebra verdict by sampling: the witness search of
+    ``glattice.tgring.is_algebra``, and on a positive verdict both
+    bimodule laws on all basis pairs against a scalar sample, with full
+    ring products."""
+    ring = tgr.ring
+    one_bar = tgr.one()
+    if not ring.is_commutative():
+        a = ring.scalar((0, 1, 0, 0))  # i
+        b = ring.scalar((0, 0, 1, 0))  # j
+        u = one_bar.scale(b)
+        v = one_bar
+        lhs = u * v.scale(a)
+        rhs = (u * v).scale(a)
+        if lhs == rhs:
+            raise GlatticeError("quaternion commutator witness failed to fail")
+        return AlgebraVerdict(False, "u*(a*v) == a*(u*v)", a, u, v, lhs, rhs)
+    for g in range(tgr.group.order):
+        phi = tgr.fs.chi[g]
+        if phi.is_identity():
+            continue
+        for a in ring.elements():
+            if phi(a) != a:
+                u = tgr.basis_element(g)
+                v = one_bar
+                lhs = u * v.scale(a)
+                rhs = (u * v).scale(a)
+                if lhs == rhs:
+                    raise GlatticeError("chi witness failed to fail")
+                return AlgebraVerdict(False, "u*(a*v) == a*(u*v)", a, u, v, lhs, rhs)
+    # commutative carrier, trivial chi: verify the bimodule laws
+    for g in range(tgr.group.order):
+        for h in range(tgr.group.order):
+            u, v = tgr.basis_element(g), tgr.basis_element(h)
+            uv = u * v
+            for a in _bimodule_scalars(ring):
+                if (u.scale(a)) * v != uv.scale(a):
+                    raise GlatticeError("left bimodule law failed unexpectedly")
+                if u * (v.scale(a)) != uv.scale(a):
+                    raise GlatticeError("right bimodule law failed unexpectedly")
+    return AlgebraVerdict(True)

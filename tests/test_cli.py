@@ -275,6 +275,40 @@ def test_cli_extension_field_reports_pinned(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "system,digest",
+    [
+        # the i*j != j*i witness
+        (
+            {"group": {"group": "cyclic", "n": 2}, "ring": {"ring": "quat"}},
+            "3c2082138556a0f330d9e4cd3b668ad0deb35a465f168968e8552fec9a784f20",
+        ),
+        # the Frobenius witness; lattice_size 148
+        (
+            {
+                "group": {"group": "cyclic", "n": 3},
+                "ring": {"ring": "gf", "p": 2, "k": 3},
+                "chi": {"a": {"frob": 1}, "a^2": {"frob": 2}},
+            },
+            "74b058641d461eb17415570fbd9bd64407e51a4fe63b6e18aaef3782f7e422dd",
+        ),
+        # an algebra
+        (
+            {"group": {"group": "cyclic", "n": 12}, "ring": {"ring": "q"}},
+            "13ccf2d3d22d68f4808c81f1ba91007c9656349a4e7fc0b314bc6cd93ccc4e70",
+        ),
+    ],
+    ids=["c2-quat", "c3-gf8-frobenius", "c12-qq"],
+)
+def test_cli_roundtrip_algebra_reports_pinned(capsys, tmp_path, system, digest):
+    # digests recorded from the sampled bimodule-law check
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(system))
+    code, out = run_cli(capsys, "roundtrip", "--fs", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv,expected",
     [
         (("classify-extensions", "--group", "cyclic:2", "--ring", "gf:1000000007"), 1),
@@ -635,10 +669,13 @@ def test_cli_shape_baselines_are_well_formed(capsys, tmp_path):
     [
         ("hasse-dot", {"leq": 5}),
         ("hasse-dot", {"leq": [5]}),
+        ("hasse-dot", {"leq": [[1, "no"], [0, 1]]}),
         ("verify-action", {**GOOD_ACTION, "lattice": {"leq": [[1, 1], [0, 1]], "labels": ["0"]}}),
         ("verify-action", {**GOOD_ACTION, "group": {"group": "table", "cayley": 5}}),
         ("verify-action", {**GOOD_ACTION, "group": {"group": "cyclic", "n": "x"}}),
         ("verify-action", {**GOOD_ACTION, "action": 7}),
+        ("verify-action", {**GOOD_ACTION, "action": [[False, True], [False, True]]}),
+        ("verify-action", {**GOOD_ACTION, "group": {"group": "table", "cayley": [[False, True], [True, False]]}}),
         ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": "x"}}),
         ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 3, "k": None}}),
         ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 2, "k": 2, "modulus": 5}}),
@@ -649,9 +686,10 @@ def test_cli_shape_baselines_are_well_formed(capsys, tmp_path):
         ("roundtrip", {**GOOD_FS, "group": {"group": "table", "cayley": [[0, 1], [1, 0]], "labels": ["e"]}}),
     ],
     ids=[
-        "leq-scalar", "leq-row-scalar", "short-labels", "cayley-scalar", "n-not-int",
-        "action-scalar", "p-not-int", "k-null", "modulus-scalar", "modulus-entry",
-        "chi-scalar", "frob-not-int", "bracket-scalar", "short-group-labels",
+        "leq-scalar", "leq-row-scalar", "leq-entry-string", "short-labels", "cayley-scalar",
+        "n-not-int", "action-scalar", "action-bool", "cayley-bool", "p-not-int", "k-null",
+        "modulus-scalar", "modulus-entry", "chi-scalar", "frob-not-int", "bracket-scalar",
+        "short-group-labels",
     ],
 )
 def test_cli_malformed_shapes_exit_2(capsys, tmp_path, command, data):

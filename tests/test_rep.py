@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+import glattice.linalg
+import glattice.rep
 from glattice import (
     DivisionRing,
     RingAutomorphism,
@@ -322,6 +324,27 @@ def test_not_coordinatizable_witness():
     phi = LatticeAutomorphism(lattice, perm)
     with pytest.raises(NotCoordinatizable):
         coordinatize(phi)
+
+
+def test_coordinatize_solves_one_system(monkeypatch):
+    # the frame rows are looked up, not reduced; only the frame solve eliminates
+    calls = []
+    original = glattice.linalg.rref
+
+    def counted(rows, ring):
+        calls.append(rows)
+        return original(rows, ring)
+
+    monkeypatch.setattr(glattice.linalg, "rref", counted)
+    monkeypatch.setattr(glattice.rep, "rref", counted)
+    space = VectorSpace(DivisionRing.gf(5), 2)
+    f = SemilinearMap(space, [[1, 2], [3, 4]])
+    lattice = enumerate_subspaces(space)
+    phi = LatticeAutomorphism(lattice, _induced_perm(lattice, f))
+    calls.clear()
+    g = coordinatize(phi)
+    assert len(calls) == 1
+    assert _induced_perm(lattice, g) == phi.perm
 
 
 def _induced_perm(lattice, f):

@@ -2,6 +2,7 @@
 algebra criterion, and the module laws."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -28,13 +29,15 @@ from glattice import (
     validate_rep,
 )
 from glattice import tgring
-from glattice.errors import NonCommutativeCarrier, NotAssociated, ParentMismatch
+from glattice.errors import GlatticeError, NonCommutativeCarrier, NotAssociated, ParentMismatch
 from glattice.lattice import orbits
 from glattice.linalg import add_vectors, scale_vector
 from glattice.rep import induced_glattice
 from glattice.tgring import ring_element_to_vector, vector_to_ring_element
 
+from oracles import is_algebra as sampled_is_algebra
 from conftest import shift_rep
+from test_acceptance import enumerated_system_family
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,72 @@ def test_algebra_biconditional_over_enumerated_family():
             phi.is_identity() for phi in tgr.fs.chi
         )
         assert is_algebra(tgr).ok == expected
+
+
+def _frobenius_ring(ring, group):
+    """chi(a^k) = frob^k on a cyclic group whose order divides [K : GF(p)]."""
+    chi = {g: RingAutomorphism.frobenius(ring, g) for g in range(group.order)}
+    return TwistedGroupRing(FactorSystem(group, ring, chi, {}))
+
+
+def _algebra_reference_rings():
+    rationals, quaternions = DivisionRing.rationals(), DivisionRing.quaternions()
+    rings = enumerated_rings()
+    rings += [TwistedGroupRing(fs) for fs in enumerated_system_family()]
+    rings += [
+        TwistedGroupRing(trivial_factor_system(cyclic_group(n), rationals))
+        for n in (1, 2, 3, 6, 12)
+    ]
+    rings += [
+        TwistedGroupRing(trivial_factor_system(group, quaternions))
+        for group in (cyclic_group(2), symmetric_group(3))
+    ]
+    rings += [
+        _frobenius_ring(DivisionRing.gf(2, 2), cyclic_group(2)),
+        _frobenius_ring(DivisionRing.gf(2, 3), cyclic_group(3)),
+        _frobenius_ring(DivisionRing.gf(3, 2), cyclic_group(2)),
+    ]
+    return rings
+
+
+def test_algebra_verdict_matches_sampled_reference():
+    fields = ("ok", "law", "scalar", "left_factor", "right_factor", "lhs", "rhs")
+    rings = _algebra_reference_rings()
+    for tgr in rings:
+        verdict, reference = is_algebra(tgr), sampled_is_algebra(tgr)
+        for name in fields:
+            assert getattr(verdict, name) == getattr(reference, name), (tgr, name)
+        assert str(verdict) == str(reference)
+    verdicts = [is_algebra(tgr).ok for tgr in rings]
+    assert True in verdicts and False in verdicts
+
+
+def test_algebra_check_catches_a_product_without_bracket(monkeypatch, gf3):
+    tgr = TwistedGroupRing(FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2}))
+
+    def unbracketed(self, other):
+        out = {}
+        for g, a in self.coeffs:
+            for h, b in other.coeffs:
+                k = self.parent.group.cayley[g][h]
+                out[k] = out.get(k, gf3.zero()) + a * self.parent.fs.chi[g](b)
+        return self.parent.element(out)
+
+    monkeypatch.setattr(tgring.TwistedRingElement, "__mul__", unbracketed)
+    # the sampled bimodule laws hold for this product too
+    assert sampled_is_algebra(tgr).ok
+    with pytest.raises(GlatticeError) as caught:
+        is_algebra(tgr)
+    assert caught.value.witness == (1, 1)
+
+
+def test_algebra_verdict_on_c48_over_rationals_is_fast(rationals):
+    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(48), rationals))
+    start = time.perf_counter()
+    verdict = is_algebra(tgr)
+    elapsed = time.perf_counter() - start
+    assert verdict.ok
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
