@@ -214,17 +214,24 @@ def _first_violation(fs):
     return FsReport(True)
 
 
-def _e2_violation(fs):
-    """The first triple (g, h, k) that breaks E2, or None: |G|^3 products."""
-    group = fs.group
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.cayley[g][h]
-            for k in range(group.order):
-                left = fs.bracket[g][h] * fs.bracket[gh][k]
-                right = fs.chi[g](fs.bracket[h][k]) * fs.bracket[g][group.cayley[h][k]]
-                if left != right:
-                    return (g, h, k)
+def _e2_violation(fs, bracket=None, triples=None):
+    """The first triple (g, h, k) that breaks E2, or None.
+
+    ``bracket`` defaults to the system's own table and ``triples`` to all
+    |G|^3 triples in row-major order, so a full check reports the first
+    witness in that order.  ``enumerate_factor_systems`` passes its
+    partial table and only the triples a search node completes.
+    """
+    cayley = fs.group.cayley
+    if bracket is None:
+        bracket = fs.bracket
+    if triples is None:
+        triples = itertools.product(range(fs.group.order), repeat=3)
+    for g, h, k in triples:
+        left = bracket[g][h] * bracket[cayley[g][h]][k]
+        right = fs.chi[g](bracket[h][k]) * bracket[g][cayley[h][k]]
+        if left != right:
+            return (g, h, k)
     return None
 
 
@@ -560,66 +567,52 @@ def _enumeration_feasible(group, ring):
 
 
 def enumerate_factor_systems(group, ring, chi=None):
-    """All factor systems with the given chi (default: trivial).
+    """All factor systems with the given chi (default: trivial), sorted
+    by signature.
 
-    Bracket values on pairs involving the identity are pinned to 1 --
-    E2+E3 force that, so no system is missed -- and the remaining
-    entries are filled depth-first with E2 instances checked as soon as
-    all their pairs are assigned.
+    chi is checked by ``validate_factor_system`` on the all-ones bracket,
+    for which E2 and E3 hold, so only E1 can fail there.  Bracket values
+    on pairs involving the identity are pinned to 1 -- E2+E3 force that,
+    so no system is missed -- and the remaining free pairs are filled
+    depth-first, in row-major order, into one table.  Each E2 triple is
+    due at the node that fills the last free pair it reads, and is
+    checked there only, by ``_e2_violation``: a node passes exactly when
+    every triple it completes holds.  Each leaf is validated again in
+    full.
     """
     _enumeration_feasible(group, ring)
     if chi is None:
         chi = {g: RingAutomorphism.identity(ring) for g in range(group.order)}
     probe = FactorSystem(group, ring, chi, {})
-    for g in range(group.order):
-        for h in range(group.order):
-            if probe.chi[g].compose(probe.chi[h]) != probe.chi[group.cayley[g][h]]:
-                raise GlatticeError("chi is not a homomorphism; E1 cannot hold")
+    if not validate_factor_system(probe).ok:
+        raise GlatticeError("chi is not a homomorphism; E1 cannot hold")
 
     order = group.order
+    cayley = group.cayley
     units = ring.units()
     free_pairs = [(g, h) for g in range(1, order) for h in range(1, order)]
-    triples = [
-        (g, h, k)
-        for g in range(order)
-        for h in range(order)
-        for k in range(order)
-    ]
-    one = ring.one()
-    assigned = {}
-    for g in range(order):
-        assigned[(0, g)] = one
-        assigned[(g, 0)] = one
-
+    position = {pair: i for i, pair in enumerate(free_pairs)}
+    due = [[] for _ in free_pairs]
+    for g, h, k in itertools.product(range(order), repeat=3):
+        read = ((g, h), (cayley[g][h], k), (h, k), (g, cayley[h][k]))
+        filled = [position[pair] for pair in read if pair in position]
+        # a triple that reads no free pair multiplies ones and holds
+        if filled:
+            due[max(filled)].append((g, h, k))
+    table = [[ring.one()] * order for _ in range(order)]
     results = []
-
-    def value(pair):
-        return assigned.get(pair)
-
-    def e2_consistent():
-        for g, h, k in triples:
-            gh = group.cayley[g][h]
-            hk = group.cayley[h][k]
-            parts = (value((g, h)), value((gh, k)), value((h, k)), value((g, hk)))
-            if any(p is None for p in parts):
-                continue
-            if parts[0] * parts[1] != probe.chi[g](parts[2]) * parts[3]:
-                return False
-        return True
 
     def fill(i):
         if i == len(free_pairs):
-            bracket = {pair: val for pair, val in assigned.items()}
-            fs = FactorSystem(group, ring, chi, bracket)
+            fs = FactorSystem(group, ring, chi, table)
             if validate_factor_system(fs).ok:
                 results.append(fs)
             return
-        pair = free_pairs[i]
+        g, h = free_pairs[i]
         for unit in units:
-            assigned[pair] = unit
-            if e2_consistent():
+            table[g][h] = unit
+            if _e2_violation(probe, table, due[i]) is None:
                 fill(i + 1)
-            del assigned[pair]
 
     fill(0)
     results.sort(key=lambda fs: fs.signature())

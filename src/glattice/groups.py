@@ -9,6 +9,7 @@ on a generating set for larger ones.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     MalformedTable,
@@ -390,13 +391,11 @@ def identify_group(group):
     n = group.order
     if n == 1:
         return "C1"
-    if max(group.element_order(x) for x in range(n)) == n:
+    orders = [group.element_order(x) for x in range(n)]
+    if max(orders) == n:
         return f"C{n}"
     if group.is_abelian():
-        for factors in _abelian_factorizations(n):
-            cand = _direct_product_of_cyclics(factors)
-            if are_isomorphic(group, cand):
-                return "x".join(f"C{d}" for d in factors)
+        return "x".join(f"C{d}" for d in _invariant_factors(orders))
     if n % 2 == 0 and n >= 6:
         if n == 6 and are_isomorphic(group, symmetric_group(3)):
             return "S3"
@@ -404,35 +403,28 @@ def identify_group(group):
             return "S4"
         if are_isomorphic(group, dihedral_group(n // 2)):
             return f"D{n // 2}"
-        if n == 8 and sum(1 for x in range(n) if group.element_order(x) == 2) == 1:
+        if n == 8 and orders.count(2) == 1:
             return "Q8"
-    kind = "abelian" if group.is_abelian() else "nonabelian"
-    maxo = max(group.element_order(x) for x in range(n))
-    return f"order{n}-{kind}-maxord{maxo}"
+    return f"order{n}-nonabelian-maxord{max(orders)}"
 
 
-def _abelian_factorizations(n):
-    """Tuples (d1, d2, ...) with d_{i+1} | d_i and product n, largest first."""
-    results = []
+def _invariant_factors(orders):
+    """The invariant factors (d1, d2, ...), each divisible by the next,
+    of the abelian group with these element orders.
 
-    def recurse(remaining, max_d, acc):
-        if remaining == 1:
-            results.append(tuple(acc))
-            return
-        for d in range(min(remaining, max_d), 1, -1):
-            if remaining % d == 0:
-                recurse(remaining // d, d, acc + [d])
-
-    recurse(n, n, [])
-    return results
-
-
-def _direct_product_of_cyclics(factors):
-    shape = list(factors)
-    elems = list(itertools.product(*[range(d) for d in shape]))
-    index = {e: i for i, e in enumerate(elems)}
-    cayley = [
-        [index[tuple((a + b) % d for a, b, d in zip(x, y, shape))] for y in elems]
-        for x in elems
-    ]
-    return FiniteGroup(cayley, name="x".join(f"C{d}" for d in shape))
+    In C_d1 x ... x C_dr the number of x with x^e = 1 is the product of
+    the gcd(e, d_i).  So d1 is the least divisor e of n at which all n
+    elements qualify, and dividing each count by gcd(e, d1) leaves the
+    counts of the other factors.
+    """
+    n = len(orders)
+    divisors = [e for e in range(1, n + 1) if n % e == 0]
+    counts = {e: sum(1 for o in orders if e % o == 0) for e in divisors}
+    factors = []
+    remaining = n
+    while remaining > 1:
+        d = next(e for e in divisors if counts[e] == remaining)
+        factors.append(d)
+        remaining //= d
+        counts = {e: c // math.gcd(e, d) for e, c in counts.items()}
+    return factors

@@ -9,7 +9,10 @@ Literal forms:
   The modulus is little-endian (constant coefficient first), length k+1,
   monic.  Omitting it selects the canonical smallest irreducible.
 * scalar:  integer | "n/d" string | 4-element list (quaternions) |
-           coefficient list (extension fields)
+           coefficient list (extension fields); list entries are
+           integers or strings
+  Integer fields (p, k, n, dim, frob, modulus coefficients) take JSON
+  integers only: no booleans, fractions or digit strings.
 * group:   {"group": "cyclic", "n": 3} | {"group": "sym", "n": 3} |
            {"group": "dihedral", "n": 4} | {"group": "table", "cayley": [[...]]}
 * lattice: {"leq": [[...]]} | {"space": {"ring": ..., "dim": n}}
@@ -53,10 +56,10 @@ def _need(obj, key, where):
 
 def _need_int(obj, key, where):
     value = _need(obj, key, where)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+    # not isinstance or int(): true, 2.7 and "3" are no JSON integers
+    if type(value) is not int:
+        raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _optional(obj, key, kind, where):
@@ -84,7 +87,7 @@ def parse_ring(obj):
             p = _need_int(obj, "p", "ring literal")
             k = _need_int(obj, "k", "ring literal") if "k" in obj else 1
             modulus = _optional(obj, "modulus", list, "ring literal")
-            if modulus and not all(isinstance(c, int) for c in modulus):
+            if modulus and not all(type(c) is int for c in modulus):
                 raise ParseError(f"ring literal: modulus {modulus!r} has a non-integer coefficient")
             return DivisionRing.gf(p, k, tuple(modulus) if modulus else None)
         if kind == "q":
@@ -104,7 +107,10 @@ def parse_scalar(ring, lit):
             if "/" in lit:
                 return ring.scalar(lit)
             return ring.scalar(int(lit))
-        if isinstance(lit, (int, list, tuple)):
+        # a bool is an int, and JSON true/false are no scalars
+        if type(lit) is int:
+            return ring.scalar(lit)
+        if isinstance(lit, (list, tuple)) and all(type(c) in (int, str) for c in lit):
             return ring.scalar(lit)
     except (GlatticeError, ValueError) as exc:
         raise ParseError(f"scalar literal {lit!r}: {exc}") from exc
@@ -194,7 +200,10 @@ def parse_theta(ring, lit):
         if lit in (None, "id", "identity"):
             return RingAutomorphism.identity(ring)
         if isinstance(lit, dict) and "frob" in lit:
-            return RingAutomorphism.frobenius(ring, int(lit["frob"]))
+            power = lit["frob"]
+            if type(power) is not int:
+                raise TypeError(f"frob power {power!r} is not an integer")
+            return RingAutomorphism.frobenius(ring, power)
         if isinstance(lit, dict) and "inner" in lit:
             return RingAutomorphism.inner(parse_scalar(ring, lit["inner"]))
     except (GlatticeError, TypeError, ValueError) as exc:

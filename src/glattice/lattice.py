@@ -707,7 +707,7 @@ def hasse_dot(lattice, action=None, name="hasse"):
             for x in orbit:
                 color[x] = _DOT_PALETTE[i % len(_DOT_PALETTE)]
     for x in range(lattice.size):
-        label = str(lattice.labels[x]).replace('"', '\\"')
+        label = str(lattice.labels[x]).replace("\\", "\\\\").replace('"', '\\"')
         attrs = f'label="{label}"'
         if x in color:
             attrs += f', fillcolor="{color[x]}"'

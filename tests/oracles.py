@@ -8,6 +8,8 @@ import itertools
 from fractions import Fraction
 
 from glattice.errors import GlatticeError
+from glattice.extension import FactorSystem, validate_factor_system
+from glattice.groups import FiniteGroup
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
 from glattice.scalar import list_automorphisms
 from glattice.tgring import AlgebraVerdict
@@ -93,6 +95,36 @@ def normal_subgroup_indices(group, lat):
         ):
             normal.append(i)
     return normal
+
+
+def direct_product_of_cyclics(factors):
+    """C_d1 x C_d2 x ... on coordinate tuples in lexicographic order."""
+    shape = list(factors)
+    elems = list(itertools.product(*[range(d) for d in shape]))
+    index = {e: i for i, e in enumerate(elems)}
+    cayley = [
+        [index[tuple((a + b) % d for a, b, d in zip(x, y, shape))] for y in elems]
+        for x in elems
+    ]
+    return FiniteGroup(cayley, name="x".join(f"C{d}" for d in shape))
+
+
+# ---------------------------------------------------------------------------
+# factor systems
+
+
+def enumerate_factor_systems(group, ring, chi):
+    """Every bracket table with the identity row and column pinned to 1
+    that passes ``validate_factor_system``, sorted by signature."""
+    order = group.order
+    free_pairs = [(g, h) for g in range(1, order) for h in range(1, order)]
+    found = []
+    for values in itertools.product(ring.units(), repeat=len(free_pairs)):
+        fs = FactorSystem(group, ring, chi, dict(zip(free_pairs, values)))
+        if validate_factor_system(fs).ok:
+            found.append(fs)
+    found.sort(key=lambda fs: fs.signature())
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,15 @@ def test_cli_roundtrip_algebra_reports_pinned(capsys, tmp_path, system, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def space_action(p, dim):
+    """An action file on L(GF(p)^dim); the lattice is refused before the action is read."""
+    return {"group": {"group": "cyclic", "n": 2}, "lattice": {"space": gf_space(p, dim)}, "action": [[0]]}
+
+
+def gf_space(p, dim):
+    return {"ring": {"ring": "gf", "p": p}, "dim": dim}
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [
@@ -325,6 +334,10 @@ def test_cli_roundtrip_algebra_reports_pinned(capsys, tmp_path, system, digest):
             ),
             1,
         ),
+        # lattice literals past the q^n cap and past the subspace-count cap
+        (("verify-action", "--in", space_action(2, 13)), 1),
+        (("orbit-report", "--in", space_action(2, 7)), 1),
+        (("hasse-dot", "--in", {"space": gf_space(3, 6)}), 1),
     ],
     ids=[
         "classify-prime",
@@ -334,6 +347,9 @@ def test_cli_roundtrip_algebra_reports_pinned(capsys, tmp_path, system, digest):
         "subspace-101pow5",
         "subspace-mersenne61",
         "fs-literal-2pow13",
+        "verify-action-2pow13",
+        "orbit-report-gf2-dim7",
+        "hasse-dot-gf3-dim6",
     ],
 )
 def test_cli_large_field_orders_refused_quickly(capsys, tmp_path, argv, expected):
@@ -621,6 +637,44 @@ def test_cli_hasse_dot(capsys, tmp_path):
     assert "n0 -> n1;" in out
 
 
+def test_cli_hasse_dot_escapes_backslashes_and_quotes(capsys, tmp_path):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"leq": [[1, 1], [0, 1]], "labels": ["a\\", 'b"c']}))
+    code, out = run_cli(capsys, "hasse-dot", "--in", str(path))
+    assert code == 0
+    assert 'n0 [label="a\\\\"];' in out
+    assert 'n1 [label="b\\"c"];' in out
+
+
+@pytest.mark.parametrize(
+    "command,system,name,digest",
+    [
+        (
+            "roundtrip",
+            {"group": {"group": "cyclic", "n": 48}, "ring": {"ring": "gf", "p": 2, "k": 2}},
+            "C48xC3",
+            "2525103c509bbae28f351f75789a34c173df9b66e7003889a23d8e5d7bc68ab4",
+        ),
+        (
+            "build-extension",
+            {"group": {"group": "cyclic", "n": 12}, "ring": {"ring": "gf", "p": 5}},
+            "C12xC4",
+            "0c0164aae901bd4ce874d01b8941c78b32f0c049af8c5e0500250c7e22fece0a",
+        ),
+    ],
+    ids=["roundtrip-c48-gf4", "build-c12-gf5"],
+)
+def test_cli_abelian_extensions_above_forty_elements_named(capsys, tmp_path, command, system, name, digest):
+    # invariant factors come from element orders, with no isomorphism search
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(system))
+    code, out = run_cli(capsys, command, "--fs", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["extension_group" if command == "roundtrip" else "group"] == name
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_cli_malformed_input_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -684,12 +738,21 @@ def test_cli_shape_baselines_are_well_formed(capsys, tmp_path):
         ("roundtrip", {**GOOD_FS, "chi": {"a": {"frob": "x"}}}),
         ("roundtrip", {**GOOD_FS, "bracket": 5}),
         ("roundtrip", {**GOOD_FS, "group": {"group": "table", "cayley": [[0, 1], [1, 0]], "labels": ["e"]}}),
+        # JSON numbers that are not integers, and booleans, where the dialect says integer
+        ("roundtrip", {"group": {"group": "cyclic", "n": 2.7}, "ring": {"ring": "gf", "p": 3}}),
+        ("roundtrip", {"group": {"group": "cyclic", "n": 2}, "ring": {"ring": "gf", "p": 3.9}}),
+        ("roundtrip", {**GOOD_FS, "group": {"group": "cyclic", "n": True}}),
+        ("roundtrip", {**GOOD_FS, "chi": {"a": {"frob": 1.9}}}),
+        ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 2, "k": 2, "modulus": [True, True, True]}}),
+        ("roundtrip", {**GOOD_FS, "bracket": {"a,a": True}}),
+        ("roundtrip", {**GOOD_FS, "bracket": {"a,a": [1.5, 0]}}),
     ],
     ids=[
         "leq-scalar", "leq-row-scalar", "leq-entry-string", "short-labels", "cayley-scalar",
         "n-not-int", "action-scalar", "action-bool", "cayley-bool", "p-not-int", "k-null",
         "modulus-scalar", "modulus-entry", "chi-scalar", "frob-not-int", "bracket-scalar",
-        "short-group-labels",
+        "short-group-labels", "n-float", "p-float", "n-bool", "frob-float", "modulus-bool",
+        "bracket-bool", "coefficient-float",
     ],
 )
 def test_cli_malformed_shapes_exit_2(capsys, tmp_path, command, data):

@@ -35,9 +35,11 @@ from glattice.errors import (
     TooLarge,
     ZeroBracket,
 )
+from glattice.jsonio import parse_group_spec, parse_ring_spec
 from glattice.rep import rep_equivalence
 from glattice.tgring import TwistedGroupRing, regular_representation
 
+import oracles
 from test_rep import frobenius_rep_gf4
 
 
@@ -386,6 +388,39 @@ def test_enumeration_with_frobenius_chi(gf4):
     assert len(found) == 1
     assert all(x.is_one() for row in found[0].bracket for x in row)
     assert len(classify_up_to_equivalence(c2, gf4, chi)) == 1
+
+
+@pytest.mark.parametrize(
+    "group_spec,ring_spec,frobenius",
+    [
+        ("cyclic:2", "gf:2", False),
+        ("cyclic:2", "gf:3", False),
+        ("cyclic:2", "gf:4", False),
+        ("cyclic:2", "gf:5", False),
+        ("cyclic:3", "gf:2", False),
+        ("cyclic:3", "gf:3", False),
+        ("cyclic:3", "gf:4", False),
+        ("cyclic:3", "gf:5", False),
+        ("cyclic:4", "gf:2", False),
+        ("cyclic:4", "gf:3", False),
+        ("dihedral:2", "gf:3", False),
+        ("cyclic:2", "gf:4", True),
+    ],
+)
+def test_enumeration_matches_brute_force(group_spec, ring_spec, frobenius):
+    # the search checks each E2 triple once, at the node that fills its last free pair
+    group, ring = parse_group_spec(group_spec), parse_ring_spec(ring_spec)
+    chi = {1: RingAutomorphism.frobenius(ring, 1)} if frobenius else {}
+    found = enumerate_factor_systems(group, ring, chi)
+    assert found == oracles.enumerate_factor_systems(group, ring, chi)
+    assert found
+
+
+def test_enumeration_refuses_chi_that_is_not_a_homomorphism(gf4):
+    # chi(a) = Frobenius on C3: chi(a)chi(a^2) = Frobenius != chi(1)
+    chi = {1: RingAutomorphism.frobenius(gf4, 1)}
+    with pytest.raises(GlatticeError, match="^chi is not a homomorphism; E1 cannot hold$"):
+        enumerate_factor_systems(cyclic_group(3), gf4, chi)
 
 
 def test_classes_closed_under_equivalence(gf3, gf4):

@@ -1,6 +1,7 @@
 """Cayley-table groups, subgroup lattices, conjugation actions."""
 
 import itertools
+import math
 
 import pytest
 
@@ -19,7 +20,7 @@ from glattice.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
 from glattice.groups import all_subgroups, trivial_group
 from glattice.lattice import fixed_points, orbits
 
-from oracles import normal_subgroup_indices
+from oracles import direct_product_of_cyclics, normal_subgroup_indices
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +229,16 @@ def test_identify_group_names():
     assert identify_group(dihedral_group(4)) == "D4"
     assert identify_group(symmetric_group(3)) == "S3"
     assert identify_group(trivial_group()) == "C1"
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2), (2, 6), (6, 2), (3, 4), (4, 6), (2, 2, 2), (2, 3, 4), (2, 2, 6), (3, 3), (3, 9), (2, 4, 4), (5, 5), (2, 2, 2, 2)],
+)
+def test_identify_group_names_abelian_groups_by_invariant_factors(shape):
+    # the name is the invariant-factor form of a group isomorphic to this one
+    group = direct_product_of_cyclics(shape)
+    factors = [int(part[1:]) for part in identify_group(group).split("x")]
+    assert math.prod(factors) == group.order
+    assert all(d % e == 0 for d, e in zip(factors, factors[1:]))
+    assert are_isomorphic(group, direct_product_of_cyclics(factors))
