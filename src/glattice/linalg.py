@@ -282,6 +282,12 @@ class SemilinearMap:
         return self._rank
 
     def is_invertible(self):
+        """Whether the matrix has full rank.  A monomial matrix, one
+        nonzero entry per row in pairwise distinct columns, is read off
+        the row supports; any other matrix is row reduced."""
+        rows = self._row_support()
+        if all(len(row) == 1 for row in rows) and len({row[0][0] for row in rows}) == len(rows):
+            return True
         return self.rank() == self.space.dim
 
     def inverse(self):
@@ -468,7 +474,9 @@ class SubspaceLattice(FiniteLattice):
     Each subspace is held as the bitmask of the points (1-dimensional
     subspaces) it contains, bit i for the point at index i: ``masks``
     lists them by index, ``by_mask`` inverts it and ``points`` lists the
-    point indices.  A mask is spanned on element indices with the
+    point indices, ``point_rows`` their canonical rows (element-index
+    tuples) in the same order and ``point_of`` maps each such row back
+    to its point index.  A mask is spanned on element indices with the
     ring's add/mul index tables, which only n >= 2 needs (and there
     q <= 70); the masks must be pairwise distinct, so two bases that
     span one subspace raise.  The order is inclusion of point sets,
@@ -539,6 +547,8 @@ class SubspaceLattice(FiniteLattice):
         self.masks = tuple(masks)
         self.by_mask = by_mask
         self.points = tuple(point_of.values())
+        self.point_rows = tuple(point_of)
+        self.point_of = point_of
 
     def index_of(self, subspace):
         return self._index[subspace.basis]
@@ -547,22 +557,47 @@ class SubspaceLattice(FiniteLattice):
         """Where the semilinear map f sends each point, as a dict from
         point index to point index.
 
-        f is applied to the point's canonical row and the image scaled
-        by the inverse of its first nonzero entry, which is the image
-        point's canonical row.  NotInvertible when a point goes to zero,
-        which happens exactly when f is singular: its kernel is a
-        nonzero subspace and so holds a point.
+        Points move on element indices: f's matrix and twist are turned
+        into indices once, and each point row v goes to
+        ``out[r] = sum_j M[r][j] * theta(v_j)`` through the ring's
+        add/mul index tables, is scaled by the index inverse of its first
+        nonzero entry, and is looked up in ``point_of``.  NotInvertible at
+        the first point, in ``points`` order, that goes to zero, which
+        happens exactly when f is singular: its kernel is a nonzero
+        subspace and so holds a point.  L(K^1) has the one point <1>,
+        which goes to itself unless the 1x1 matrix is zero; it needs no
+        tables, which would hold q^2 entries.
         """
         if f.space != self.space:
             raise SpaceMismatch("map and lattice live on different spaces")
-        image = {}
-        for i in self.points:
-            v = f.apply(self.payloads[i].basis[0])
-            lead = next((x for x in v if not x.is_zero()), None)
-            if lead is None:
+        ring = self.space.ring
+        if self.space.dim == 1:
+            if f.matrix[0][0].is_zero():
                 raise NotInvertible("images of subspaces need an invertible map")
-            lead = lead.inverse()
-            image[i] = self._index[(tuple([lead * x for x in v]),)]
+            return {i: i for i in self.points}
+        add, mul = ring._index_tables()
+        inv = ring._index_inverses()
+        # per matrix row, the mul rows of its entries: mul[M[r][j]][x] is M[r][j] * x
+        matrix = [[mul[x.index()] for x in row] for row in f.matrix]
+        twist = None if f.theta.is_identity() else ring._frobenius_indices(f.theta.power)
+        point_of = self.point_of
+        image = {}
+        for i, v in zip(self.points, self.point_rows):
+            if twist is not None:
+                v = [twist[a] for a in v]
+            out = []
+            for row in matrix:
+                acc = 0
+                for times, a in zip(row, v):
+                    acc = add[acc][times[a]]
+                out.append(acc)
+            lead = next((a for a in out if a), 0)
+            if not lead:
+                raise NotInvertible("images of subspaces need an invertible map")
+            if lead != 1:
+                scale = mul[inv[lead]]
+                out = [scale[a] for a in out]
+            image[i] = point_of[tuple(out)]
         return image
 
     def automorphism_order(self):

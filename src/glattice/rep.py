@@ -19,7 +19,8 @@ theorem of projective geometry the images of the frame <e_1>, ...,
 coordinatization is one linear solve followed by a check of each ring
 automorphism on the points; it returns the same map as the first
 match of a scan of SGL(V) in enumeration order.  Both directions move
-points (``SubspaceLattice.point_image``), never whole subspaces.
+points, on element indices (``SubspaceLattice.point_image``), never
+whole subspaces.
 """
 
 from __future__ import annotations

@@ -179,6 +179,7 @@ class DivisionRing:
     __slots__ = (
         "kind", "p", "k", "modulus", "_zero", "_one",
         "_elems", "_index", "_exp", "_log", "_autos", "_tables",
+        "_inverses", "_frobenii",
     )
 
     def __init__(self, kind, p=None, k=None, modulus=None):
@@ -195,7 +196,7 @@ class DivisionRing:
         else:
             self._zero, self._one = _QUAT_ZERO, _QUAT_ONE
         self._elems = self._index = self._exp = self._log = self._autos = None
-        self._tables = None
+        self._tables = self._inverses = self._frobenii = None
         if kind == EXTENSION:
             self._build_tables()
 
@@ -364,23 +365,51 @@ class DivisionRing:
         """All nonzero elements, in enumeration order (finite rings only)."""
         return [a for a in self.elements() if not a.is_zero()]
 
+    def _payloads_by_index(self):
+        """The payloads of a finite ring in index order, and the index of
+        each payload; on a prime field a residue is its own index."""
+        if self.kind == PRIME:
+            return range(self.p), range(self.p)
+        return self._elems, self._index
+
     def _index_tables(self):
         """Addition and multiplication of a finite ring on element indices:
         ``add[a][b]`` is the index of a + b and ``mul[a][b]`` that of a * b.
 
         Built on first use and kept, q^2 entries each, so a caller asks
-        only for small rings.  On a prime field an index is its residue.
+        only for small rings.
         """
         if self._tables is None:
-            if self.kind == PRIME:
-                elems = index = range(self.p)  # a residue is its own index
-            else:
-                elems, index = self._elems, self._index
+            elems, index = self._payloads_by_index()
             self._tables = tuple(
                 tuple(tuple(index[op(a, b)] for b in elems) for a in elems)
                 for op in (self._add, self._mul)
             )
         return self._tables
+
+    def _index_inverses(self):
+        """Inversion of a finite ring on element indices: ``inv[a]`` is the
+        index of 1/a, and ``inv[0]`` is 0, which no caller reads.
+
+        Built on first use and kept, q entries.
+        """
+        if self._inverses is None:
+            elems, index = self._payloads_by_index()
+            self._inverses = (0,) + tuple(index[self._inv(a)] for a in elems[1:])
+        return self._inverses
+
+    def _frobenius_indices(self, j):
+        """The Frobenius power x -> x^(p^j) of an extension field on element
+        indices, as a tuple: entry a is the index of the image of element a.
+
+        All k powers are built on first use and kept, q * k entries.
+        """
+        if self._frobenii is None:
+            index, elems = self._index, self._elems
+            self._frobenii = tuple(
+                tuple(index[self._frobenius(a, i)] for a in elems) for i in range(self.k)
+            )
+        return self._frobenii[j]
 
     # -- payload arithmetic (internal) ----------------------------------
 

@@ -7,9 +7,10 @@ whole search space, so it only runs on the small families of the tests.
 import itertools
 from fractions import Fraction
 
-from glattice.errors import GlatticeError
+from glattice.errors import GlatticeError, NotInvertible, SpaceMismatch
 from glattice.extension import FactorSystem, validate_factor_system
 from glattice.groups import FiniteGroup
+from glattice.lattice import _AXIOM_TEXT, ActionReport, check_axiom
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
 from glattice.scalar import list_automorphisms
 from glattice.tgring import AlgebraVerdict
@@ -20,6 +21,16 @@ def leq_matrix(lattice):
     up-set masks: entry (x, y) is x <= y."""
     m = lattice.size
     return [[bool(lattice.up_masks[x] >> y & 1) for y in range(m)] for x in range(m)]
+
+
+def validate_all_five_axioms(action):
+    """The action validator's loop over all five axioms, (4) and (5)
+    included: the first that fails, with its witness."""
+    for k in (1, 2, 3, 4, 5):
+        witness = check_axiom(action, k)
+        if witness is not None:
+            return ActionReport(False, axiom=k, witness=witness, message=_AXIOM_TEXT[k])
+    return ActionReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +54,25 @@ def point_rows(w):
             multiples = [scale_vector(c, w.basis[t]) for c in units]
             span += [add_vectors(u, v) for u in multiples for v in span]
     return rows
+
+
+def point_image(lattice, f):
+    """Where the semilinear map f sends each point of the
+    ``SubspaceLattice`` lattice, with ``Scalar`` arithmetic: f applied to
+    each point's canonical row, the image scaled by the inverse of its
+    first nonzero entry and looked up among the 1-dimensional bases.
+    NotInvertible at the first point that goes to zero."""
+    if f.space != lattice.space:
+        raise SpaceMismatch("map and lattice live on different spaces")
+    image = {}
+    for i in lattice.points:
+        v = f.apply(lattice.payloads[i].basis[0])
+        lead = next((x for x in v if not x.is_zero()), None)
+        if lead is None:
+            raise NotInvertible("images of subspaces need an invertible map")
+        lead = lead.inverse()
+        image[i] = lattice._index[(tuple([lead * x for x in v]),)]
+    return image
 
 
 # ---------------------------------------------------------------------------

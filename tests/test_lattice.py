@@ -22,6 +22,7 @@ from glattice import (
     enumerate_subspaces,
     hasse_dot,
     homomorphism_from_action,
+    induced_glattice,
     lattice_automorphism_group,
     orbits,
     powerset_glattice,
@@ -50,7 +51,8 @@ from glattice.lattice import (
     trivial_action,
 )
 
-from oracles import leq_matrix
+from conftest import shift_rep
+from oracles import leq_matrix, validate_all_five_axioms
 
 
 def leq_from_pairs(m, pairs):
@@ -640,6 +642,50 @@ def test_each_axiom_individually_catchable():
     assert bad45.table[g][b2.meet[x][y]] != b2.meet[bad45.table[g][x]][bad45.table[g][y]]
     w5 = check_axiom(bad45, 5)
     assert w5 is not None
+
+
+# every self-map of these lattices, as the second row of a C2 action
+DIFFERENTIAL = {**PERMUTED, "L(GF(2)^2)": _subspace_lattice(2, 1, 2)}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_three_axioms_decide_all_five_on_every_self_map(name):
+    # a row that passes (3) is an order automorphism, so it keeps every
+    # meet and join: the three-axiom validator returns the five-axiom report
+    lat = DIFFERENTIAL[name]()
+    c2 = cyclic_group(2)
+    identity = list(range(lat.size))
+    passed = 0
+    for row in itertools.product(range(lat.size), repeat=lat.size):
+        action = GLatticeAction(c2, lat, [identity, list(row)])
+        assert validate_glattice(action) == validate_all_five_axioms(action)
+        if check_axiom(action, 3) is None:
+            passed += 1
+            assert check_axiom(action, 4) is None and check_axiom(action, 5) is None
+    assert passed == len(lattice_automorphism_group(lat))
+
+
+def _reference_actions():
+    s3, c2, c3 = symmetric_group(3), cyclic_group(2), cyclic_group(3)
+    conj = conjugation_glattice(s3)
+    broken = [list(row) for row in conj.table]
+    broken[1] = list(range(conj.lattice.size))
+    b2 = boolean_lattice(2)
+    yield trivial_action(c3, b2)
+    yield conj
+    yield GLatticeAction(s3, conj.lattice, broken)
+    yield powerset_glattice(c3, [[(x + g) % 3 for x in range(3)] for g in range(3)])
+    yield powerset_glattice(c2, [[0, 1], [1, 0]])
+    yield GLatticeAction(c2, b2, [list(range(4)), [3, 1, 2, 0]])
+    yield GLatticeAction(trivial_group(), chain_lattice(2), [[0, 0]])
+    for p, k in ((2, 1), (3, 1), (2, 2)):
+        yield induced_glattice(shift_rep(DivisionRing.gf(p, k)))
+
+
+def test_three_axioms_decide_all_five_on_reference_actions():
+    reports = [validate_glattice(action) for action in _reference_actions()]
+    assert reports == [validate_all_five_axioms(action) for action in _reference_actions()]
+    assert [report.axiom for report in reports] == [None, None, 1, None, None, 3, 2, None, None, None]
 
 
 # ---------------------------------------------------------------------------

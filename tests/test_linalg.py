@@ -1,5 +1,7 @@
 """Semilinear maps, subspace canonicalization, L(V) and SGL(V)."""
 
+import copy
+import itertools
 import random
 import time
 
@@ -26,8 +28,16 @@ from glattice.errors import (
 )
 from glattice.lattice import LatticeAutomorphism
 from glattice.linalg import add_vectors, identity_map, rref
+from glattice.scalar import list_automorphisms
 
-from oracles import enumerate_sgl, iter_semilinear_automorphisms, leq_matrix, point_rows
+from oracles import (
+    enumerate_sgl,
+    invertible_matrices,
+    iter_semilinear_automorphisms,
+    leq_matrix,
+    point_image,
+    point_rows,
+)
 
 
 def gaussian_binomial_oracle(n, k, q):
@@ -121,6 +131,16 @@ def test_matrix_maps_reject_quaternions(quaternions):
     space = VectorSpace(quaternions, 2)
     with pytest.raises(NonCommutativeCarrier):
         identity_map(space)
+
+
+def test_invertibility_matches_rank_on_every_matrix(gf2):
+    # every 3x3 matrix over GF(2): the monomial ones are read off their
+    # row supports, the others row reduced, and both agree with the rank
+    space = VectorSpace(gf2, 3)
+    rows = list(itertools.product(range(2), repeat=3))
+    for matrix in itertools.product(rows, repeat=3):
+        f = SemilinearMap(space, matrix)
+        assert f.is_invertible() == (linalg.matrix_rank(f.matrix, gf2) == 3)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +338,113 @@ def test_point_rows_are_the_points_inside(gf3):
         rows = point_rows(w)
         assert len(rows) == len(set(rows)) == (3**w.dim - 1) // 2
         assert set(rows) == {s.basis[0] for s in points if s.leq(w)}
+
+
+# ---------------------------------------------------------------------------
+# moving points on element indices, against the Scalar route
+
+
+def _same_point_image(lattice, f):
+    """The index route and the Scalar oracle agree on f: the same dict,
+    or NotInvertible from both at the same first point, in ``points``
+    order.  The first point is pinned by cutting the point list: on the
+    points before the oracle's first zero image both routes return the
+    same dict, and with that point added both raise."""
+    try:
+        expected = point_image(lattice, f)
+    except NotInvertible:
+        expected = None
+    if expected is not None:
+        assert lattice.point_image(f) == expected
+        return
+    with pytest.raises(NotInvertible):
+        lattice.point_image(f)
+    points = lattice.points
+    cut = copy.copy(lattice)
+    for k in range(1, len(points) + 1):
+        cut.points, cut.point_rows = points[:k], lattice.point_rows[:k]
+        try:
+            prefix = point_image(cut, f)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                cut.point_image(f)
+            return
+        assert cut.point_image(f) == prefix
+    raise AssertionError("the oracle raised on no prefix of the points")
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)])
+def test_point_image_matches_scalar_route_on_all_of_sgl(p, k, n):
+    space = VectorSpace(DivisionRing.gf(p, k), n)
+    lattice = enumerate_subspaces(space)
+    matrices = list(invertible_matrices(space))
+    for theta in list_automorphisms(space.ring):
+        for matrix in matrices:
+            f = SemilinearMap(space, matrix, theta)
+            assert lattice.point_image(f) == point_image(lattice, f)
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", [(2, 3, None), (3, 2, None), (3, 2, (2, 1, 1))],
+    ids=["gf8", "gf9", "gf9-x2+x+2"],
+)
+def test_point_image_matches_scalar_route_on_a_sample(p, k, modulus):
+    # random matrices, singular ones among them, under every twist
+    ring = DivisionRing.gf(p, k, modulus)
+    space = VectorSpace(ring, 2)
+    lattice = enumerate_subspaces(space)
+    elements = ring.elements()
+    rng = random.Random(16)
+    for _ in range(60):
+        matrix = [[rng.choice(elements) for _ in range(2)] for _ in range(2)]
+        f = SemilinearMap(space, matrix, rng.choice(list_automorphisms(ring)))
+        _same_point_image(lattice, f)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
+def test_singular_maps_fail_at_the_same_first_point(p, k, n):
+    # rank-deficient matrices: a zero row, a repeated row, a zero column,
+    # and each matrix of rank 1 spanned by a point row
+    ring = DivisionRing.gf(p, k)
+    space = VectorSpace(ring, n)
+    lattice = enumerate_subspaces(space)
+    zero, one = ring.zero(), ring.one()
+    unit = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    singular = [
+        unit[:-1] + [[zero] * n],
+        [unit[0]] + unit[:-1],
+        [row[:-1] + [zero] for row in unit],
+        [[zero] * n] * n,
+    ]
+    mul = ring._index_tables()[1]
+    for u in lattice.point_rows:
+        for v in lattice.point_rows[:4]:
+            singular.append([[mul[a][b] for b in u] for a in v])
+    for matrix in singular:
+        for theta in list_automorphisms(ring):
+            _same_point_image(lattice, SemilinearMap(space, matrix, theta))
+
+
+@pytest.mark.parametrize("p", [7, 4999])
+def test_point_image_on_a_line_needs_no_tables(p, monkeypatch):
+    # L(K^1) has one point; q^2 = 25 million entries for GF(4999) is never built
+    ring = DivisionRing.gf(p)
+    space = VectorSpace(ring, 1)
+    lattice = enumerate_subspaces(space)
+
+    def refuse(self):
+        raise AssertionError("index tables built for n = 1")
+
+    monkeypatch.setattr(DivisionRing, "_index_tables", refuse)
+    monkeypatch.setattr(DivisionRing, "_index_inverses", refuse)
+    start = time.perf_counter()
+    for c in (1, 2, p - 1):
+        f = SemilinearMap(space, [[ring.scalar(c)]])
+        assert lattice.point_image(f) == point_image(lattice, f) == {1: 1}
+    for route in (lattice.point_image, lambda f: point_image(lattice, f)):
+        with pytest.raises(NotInvertible):
+            route(SemilinearMap(space, [[ring.zero()]]))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_annihilator_needs_commutative_ring(quaternions):

@@ -119,6 +119,28 @@ def test_not_projective_detected():
         validate_rep(rep)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [((0, 2, 0), (0, 0, 0), (5, 0, 0)), ((0, 2, 0), (7, 0, 0), (0, 3, 0))],
+    ids=["zero-row", "repeated-column"],
+)
+def test_singular_monomial_shaped_maps_are_not_projective(rationals, matrix):
+    # at most one nonzero entry per row, yet singular: the support check
+    # must not pass them, and the rank decides
+    space = VectorSpace(rationals, 3)
+    f = SemilinearMap(space, matrix)
+    assert not f.is_invertible() and f.rank() < 3
+    with pytest.raises(NotProjective, match="map for element 1 is singular"):
+        SemilinearProjectiveRep(cyclic_group(2), space, {0: identity_map(space), 1: f})
+
+
+def test_monomial_maps_are_invertible_without_row_reduction(rationals):
+    space = VectorSpace(rationals, 3)
+    f = SemilinearMap(space, ((0, "1/2", 0), (0, 0, -3), (7, 0, 0)))
+    assert f.is_invertible() and f._rank is None
+    assert f.rank() == 3
+
+
 # ---------------------------------------------------------------------------
 # cocycle extraction
 

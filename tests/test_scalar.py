@@ -409,3 +409,21 @@ def test_list_automorphisms_checked_once_per_ring():
     assert first == second and first is not second
     second.pop()
     assert list_automorphisms(ring) == first
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [(2, 1, None), (7, 1, None), (2, 2, None), (2, 3, None), (3, 2, None), (3, 2, (2, 1, 1))],
+    ids=["gf2", "gf7", "gf4", "gf8", "gf9", "gf9-x2+x+2"],
+)
+def test_index_inverse_and_frobenius_tables_match_scalars(p, k, modulus):
+    ring = DivisionRing.gf(p, k, modulus)
+    inv = ring._index_inverses()
+    assert len(inv) == ring.order and ring._index_inverses() is inv
+    for a in ring.units():
+        assert ring.from_index(inv[a.index()]) == a.inverse()
+    for theta in list_automorphisms(ring):
+        if theta.is_identity():
+            continue
+        perm = ring._frobenius_indices(theta.power)
+        assert [ring.from_index(b) for b in perm] == [theta(a) for a in ring.elements()]
