@@ -1,8 +1,9 @@
 """Finite lattices, their automorphisms, and lattices acted on by a group.
 
 A lattice stores its order once, as the down-set and up-set bitmask of
-every element, and its meet/join tables read off those masks.  Any
-supplied table must agree with them entry by entry.  Every step is
+every element, and reads its meet/join tables off those masks when they
+are first read.  Construction checks every bound one row at a time, and
+any supplied table must agree with them entry by entry.  Every step is
 quadratic in the number of elements and runs at every size.
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
@@ -20,6 +21,7 @@ joins, so (4) and (5) cannot fail after it; their checkers stay public.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -45,26 +47,30 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class FiniteLattice:
-    """A finite lattice: its order as bitmasks, and meet and join tables.
+    """A finite lattice: its order as bitmasks, and meet and join tables
+    read off them.
 
     The order is given as an ``leq`` matrix, whose first step is to fold
     it into ``down_masks`` and ``up_masks`` (a subclass may hand those
     over itself, through ``_set_order``); only the masks are kept.
     down[x] and up[x] are the bitmasks of the elements below and above x
-    (bit y for element y).  Construction checks that it is a partial order, then reads
-    meet[x][y] as the z with down[z] == down[x] & down[y] and join[x][y]
-    as the z with up[z] == up[x] & up[y] (NoMeet / NoJoin where there is
-    none): the elements below z are exactly the common
-    lower bounds of x and y, so z is their greatest lower bound, and
-    dually.  The masks are injective, since down[x] == down[y] gives
-    x <= y <= x, which antisymmetry has excluded for x != y; so a
-    supplied entry is right exactly when it equals the computed one, and
-    the first that differs in row-major order raises TableMismatch with
-    witness (x, y).  All of it is O(m^2) mask operations.  The glb and
-    lub operations of a partial order satisfy the lattice laws
-    (idempotence, commutativity, associativity, absorption): Davey &
-    Priestley, *Introduction to Lattices and Order*, 2nd ed., ch. 2
-    ("lattices as algebraic structures"), so no cubic law check runs.
+    (bit y for element y).  Construction checks that it is a partial
+    order, then reads meet[x][y] as the z with down[z] == down[x] &
+    down[y] and join[x][y] as the z with up[z] == up[x] & up[y] (NoMeet
+    / NoJoin where there is none), one row at a time: the elements below
+    z are exactly the common lower bounds of x and y, so z is their
+    greatest lower bound, and dually.  The masks are injective, since
+    down[x] == down[y] gives x <= y <= x, which antisymmetry has
+    excluded for x != y; so a supplied entry is right exactly when it
+    equals the computed one, and the first that differs in row-major
+    order raises TableMismatch with witness (x, y).  Supplied tables are
+    compared row by row and not kept; ``meet`` and ``join`` are built
+    again from the masks when first read.  All of it is O(m^2) mask
+    operations.  The glb and lub operations of a partial order satisfy
+    the lattice laws (idempotence, commutativity, associativity,
+    absorption): Davey & Priestley, *Introduction to Lattices and
+    Order*, 2nd ed., ch. 2 ("lattices as algebraic structures"), so no
+    cubic law check runs.
     """
 
     def __init__(self, leq, meet=None, join=None, payloads=None, labels=None):
@@ -80,10 +86,15 @@ class FiniteLattice:
         self._set_order(down, up, meet, join, payloads, labels)
 
     def _set_order(self, down, up, meet=None, join=None, payloads=None, labels=None):
-        """Check the order given as down-set and up-set masks, read the
-        bounds off it and keep both.  Every lattice is built through
-        here: ``__init__`` hands over the masks of its ``leq`` matrix, a
-        subclass that knows its order otherwise hands over its own."""
+        """Check the order given as down-set and up-set masks, check that
+        every bound exists and keep the masks.  Every lattice is built
+        through here: ``__init__`` hands over the masks of its ``leq``
+        matrix, a subclass that knows its order otherwise hands over its
+        own.  ``meet`` and ``join`` are supplied tables, or functions
+        from x to row x; each is compared with the true bounds one row
+        at a time, as ``_bounds`` yields them.  The errors come in a
+        fixed order: NotPartialOrder, NoMeet / NoJoin, then the meet
+        table's shape or first wrong entry, then the join table's."""
         m = len(up)
         for x in range(m):
             if not up[x] >> x & 1:
@@ -99,32 +110,48 @@ class FiniteLattice:
                         witness=(z, x, y),
                     )
 
-        computed_meet, computed_join = _bounds(down, up)
-        for given, computed, name in ((meet, computed_meet, "meet"), (join, computed_join, "join")):
-            if given is not None:
-                if not _is_square(given, m):
-                    raise ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
-                given = [list(row) for row in given]
-                if given != computed:
-                    for x in range(m):
-                        for y in range(m):
-                            if given[x][y] != computed[x][y]:
-                                raise TableMismatch(
-                                    f"{name}[{x}][{y}] = {given[x][y]}, "
-                                    f"but the true bound is {computed[x][y]}",
-                                    witness=(x, y),
-                                )
+        # per supplied table, a function from x to row x and its first error:
+        # the shape, else the first wrong entry in row-major order; raised
+        # once every bound has been found, the meet's before the join's
+        rows_of, errors = {}, {}
+        for name, given in (("meet", meet), ("join", join)):
+            if callable(given):
+                rows_of[name] = given
+            elif given is not None and _is_square(given, m):
+                rows_of[name] = given.__getitem__
+            elif given is not None:
+                errors[name] = ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
+        for x, true_rows in enumerate(_bounds(down, up)):
+            for name, true_row in zip(("meet", "join"), true_rows):
+                if name in rows_of and name not in errors:
+                    row = list(rows_of[name](x))
+                    if row != true_row:
+                        y = next(y for y in range(m) if row[y] != true_row[y])
+                        errors[name] = TableMismatch(
+                            f"{name}[{x}][{y}] = {row[y]}, but the true bound is {true_row[y]}",
+                            witness=(x, y),
+                        )
+        if errors:
+            raise errors.get("meet", errors.get("join"))
 
         for name, values in (("payloads", payloads), ("labels", labels)):
             if values is not None and len(values) != m:
                 raise ShapeMismatch(f"{len(values)} {name} for {m} elements")
         self.size = m
-        self.meet = tuple(tuple(row) for row in computed_meet)
-        self.join = tuple(tuple(row) for row in computed_join)
         self.down_masks = tuple(down)
         self.up_masks = tuple(up)
         self.payloads = tuple(payloads) if payloads is not None else tuple(range(m))
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(m))
+
+    @functools.cached_property
+    def meet(self):
+        """The meet table, read off the masks when first read."""
+        return tuple(tuple(row) for row, _ in _bounds(self.down_masks, self.up_masks))
+
+    @functools.cached_property
+    def join(self):
+        """The join table, read off the masks when first read."""
+        return tuple(tuple(row) for _, row in _bounds(self.down_masks, self.up_masks))
 
     @property
     def bottom(self):
@@ -210,26 +237,24 @@ def _is_square(table, m):
 
 
 def _bounds(down, up):
-    """Meet and join tables read off the down-set and up-set bitmasks.
+    """The rows (meet[x], join[x]) read off the down-set and up-set
+    bitmasks, for x = 0, 1, ... in turn.
 
     A missing bound raises at the first pair in row-major order, the
     meet before the join of the same pair.
     """
     by_down = {mask: x for x, mask in enumerate(down)}
     by_up = {mask: x for x, mask in enumerate(up)}
-    meet = []
-    join = []
     for x, (dx, ux) in enumerate(zip(down, up)):
         try:
-            meet.append([by_down[dx & dy] for dy in down])
-            join.append([by_up[ux & uy] for uy in up])
+            rows = [by_down[dx & dy] for dy in down], [by_up[ux & uy] for uy in up]
         except KeyError:
             for y, (dy, uy) in enumerate(zip(down, up)):
                 if dx & dy not in by_down:
                     raise NoMeet(f"elements {x},{y} have no meet", witness=(x, y)) from None
                 if ux & uy not in by_up:
                     raise NoJoin(f"elements {x},{y} have no join", witness=(x, y)) from None
-    return meet, join
+        yield rows
 
 
 def chain_lattice(m):

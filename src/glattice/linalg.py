@@ -488,9 +488,10 @@ class SubspaceLattice(FiniteLattice):
     orthogonality as ``W1 + W2 = (W1^perp meet W2^perp)^perp``: every
     basis row is a point, so the point mask of W^perp is the
     intersection of ``orth[r]`` over the rows r of W, where ``orth[r]``
-    is the mask of the points whose dot product with r is zero.  The
-    base class checks that join entry by entry against the join it
-    reads off the order.
+    is the mask of the points whose dot product with r is zero.  That
+    join is handed over as a function from x to row x, and the base
+    class compares each row with the join row it reads off the order;
+    no m x m table is built.
     """
 
     def __init__(self, space, bases):
@@ -536,11 +537,10 @@ class SubspaceLattice(FiniteLattice):
         # W1 + W2 is the W whose annihilator is W1^perp meet W2^perp; a mask
         # that is no annihilator leaves None, which the join check reports
         sum_of = {mask: x for x, mask in enumerate(perp_masks)}
-        join = [[sum_of.get(pi & pj) for pj in perp_masks] for pi in perp_masks]
         self._set_order(
             down,
             up,
-            join=join,
+            join=lambda x: [sum_of.get(perp_masks[x] & pj) for pj in perp_masks],
             payloads=subspaces,
             labels=[repr(s) for s in subspaces],
         )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import rep
 from .errors import (
     GlatticeError,
     NonCommutativeCarrier,
@@ -176,8 +177,10 @@ def regular_representation(tgr):
 
     Concretely rho(g) has theta = chi(g) and matrix entry bracket(g,h)
     in row g*h, column h, which makes rho(g)rho(h) = bracket(g,h)
-    rho(gh) an exact matrix identity.  The extracted factor system is
-    compared against the input system on every call.
+    rho(gh) an exact matrix identity.  The extracted cocycle is
+    compared with the input bracket on every call; the twists are chi
+    by construction, and the ring validated its system once, so E2 is
+    not checked again.
     """
     fs = tgr.fs
     if not fs.ring.is_commutative():
@@ -196,7 +199,8 @@ def regular_representation(tgr):
             matrix[group.cayley[g][h]][h] = fs.bracket[g][h]
         maps[g] = SemilinearMap(space, matrix, fs.chi[g])
     rho = SemilinearProjectiveRep(group, space, maps)
-    if factor_system_from_rep(rho) != fs:
+    cocycle = rep.extract_cocycle(rho)
+    if any(cocycle[g, h] != fs.bracket[g][h] for g in range(n) for h in range(n)):
         raise GlatticeError("regular representation does not reproduce its system")
     return rho
 

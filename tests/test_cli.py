@@ -584,9 +584,10 @@ C4_CARRY_GF5 = {
         # the input system, once, where the CLI, the extension and the ring all ask
         ("build-extension", C4_CARRY_GF5, 1),
         ("build-extension", rational_fs({"group": "cyclic", "n": 6}), 1),
-        # the input system, then the one regular_representation extracts
-        ("roundtrip", C4_CARRY_GF5, 2),
-        ("roundtrip", rational_fs({"group": "cyclic", "n": 6}), 2),
+        # the input system only: regular_representation compares the
+        # cocycle it extracts with the validated bracket entry by entry
+        ("roundtrip", C4_CARRY_GF5, 1),
+        ("roundtrip", rational_fs({"group": "cyclic", "n": 6}), 1),
         # over the quaternions there is no regular representation to extract from
         ("roundtrip", {"group": {"group": "cyclic", "n": 2}, "ring": {"ring": "quat"}}, 1),
     ],

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,70 @@ def test_table_mismatch_reported():
         for name in ("meet", "join"):
             with pytest.raises(ShapeMismatch, match=f"{name} table must be 2 rows of 2 entries"):
                 FiniteLattice([[1, 1], [0, 1]], **{name: bad})
+
+
+# 0 and 3 have no meet, 1 and 2 no join
+NO_BOUNDS = [[1, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
+# B2 without its top: 1 and 2 have no join, every meet exists
+NO_TOP = leq_from_pairs(4, [(0, 1), (0, 2), (0, 3), (3, 1), (3, 2)])
+
+
+def b2_tables(*changes):
+    """boolean_lattice(2)'s meet and join tables as lists, with each
+    (table, x, y, value) in changes written in."""
+    lat = boolean_lattice(2)
+    tables = {"meet": [list(row) for row in lat.meet], "join": [list(row) for row in lat.join]}
+    for name, x, y, value in changes:
+        tables[name][x][y] = value
+    return tables
+
+
+@pytest.mark.parametrize(
+    "leq,supplied,error,witness,message",
+    [
+        # the order first, then the bounds, then the meet table (its shape,
+        # then its entries), then the join table; the first pair in
+        # row-major order within each kind
+        ([[1, 1], [1, 1]], {"meet": [[0]], "join": [[0]]}, NotPartialOrder, (0, 1), "antisymmetric"),
+        (NO_BOUNDS, {"meet": [[0]]}, NoMeet, (0, 3), "0,3 have no meet"),
+        (NO_TOP, {"meet": [[5] * 4] * 4, "join": [[0]]}, NoJoin, (1, 2), "1,2 have no join"),
+        (leq_matrix(boolean_lattice(2)), {**b2_tables(("join", 0, 1, 0)), "meet": [[0]]},
+         ShapeMismatch, None, "meet table must be 4 rows"),
+        (leq_matrix(boolean_lattice(2)), {**b2_tables(("meet", 3, 3, 0)), "join": [[0]]},
+         TableMismatch, (3, 3), r"meet\[3\]\[3\] = 0, but the true bound is 3"),
+        (leq_matrix(boolean_lattice(2)), b2_tables(("meet", 2, 1, 3), ("join", 0, 1, 0)),
+         TableMismatch, (2, 1), r"meet\[2\]\[1\] = 3, but the true bound is 0"),
+        (leq_matrix(boolean_lattice(2)), b2_tables(("meet", 2, 0, 2), ("meet", 1, 3, 3)),
+         TableMismatch, (1, 3), r"meet\[1\]\[3\] = 3, but the true bound is 1"),
+        (leq_matrix(boolean_lattice(2)), {"meet": b2_tables()["meet"], "join": [[0] * 4] * 3},
+         ShapeMismatch, None, "join table must be 4 rows"),
+        (leq_matrix(boolean_lattice(2)), b2_tables(("join", 3, 0, 0), ("join", 1, 2, 1)),
+         TableMismatch, (1, 2), r"join\[1\]\[2\] = 1, but the true bound is 3"),
+    ],
+    ids=["order", "no-meet", "no-join", "meet-shape", "meet-entry", "meet-before-join",
+         "first-meet-entry", "join-shape", "first-join-entry"],
+)
+def test_construction_errors_come_in_a_fixed_order(leq, supplied, error, witness, message):
+    with pytest.raises(error, match=message) as err:
+        FiniteLattice(leq, **supplied)
+    assert err.value.witness == witness
+
+
+def test_construction_keeps_no_table():
+    # one m x m table of pointers is m^2 * 8 bytes; the first build warms
+    # the ring's index tables
+    space = VectorSpace(DivisionRing.gf(2), 5)
+    enumerate_subspaces(space)
+    tracemalloc.start()
+    try:
+        lat = enumerate_subspaces(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat.size == 374
+    assert peak < lat.size**2 * 8
+    assert "meet" not in vars(lat) and "join" not in vars(lat)
+    assert lat.meet[1][2] == 0 and "meet" in vars(lat)
 
 
 def test_covers_transitive_reduction():
@@ -236,11 +301,12 @@ def mask_certificate_failure(table, masks):
 
 @pytest.fixture
 def bounds_returning(monkeypatch):
-    """Make FiniteLattice's bound computation return the given tables."""
+    """Make FiniteLattice's bound computation yield the rows of the given
+    tables."""
 
     def install(meet, join):
         def bounds(down, up):
-            return [list(row) for row in meet], [list(row) for row in join]
+            return ((list(meet_row), list(join_row)) for meet_row, join_row in zip(meet, join))
 
         monkeypatch.setattr(lattice_module, "_bounds", bounds)
 

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+import glattice.rep
 from glattice import (
     DivisionRing,
     FactorSystem,
@@ -186,6 +187,21 @@ def test_regular_rep_roundtrips_every_enumerated_system():
     for tgr in enumerated_rings():
         reg = regular_representation(tgr)
         assert factor_system_from_rep(reg) == tgr.fs
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (1, 2), (2, 2)])
+def test_regular_rep_rejects_a_cocycle_off_by_one_entry(monkeypatch, gf3, pair):
+    original = glattice.rep.extract_cocycle
+
+    def off_by_one(rep):
+        cocycle = original(rep)
+        cocycle[pair] = cocycle[pair] * gf3.scalar(2)
+        return cocycle
+
+    monkeypatch.setattr(glattice.rep, "extract_cocycle", off_by_one)
+    tgr = TwistedGroupRing(FactorSystem(cyclic_group(3), gf3, {}, {}))
+    with pytest.raises(GlatticeError, match="does not reproduce its system"):
+        regular_representation(tgr)
 
 
 def test_regular_rep_rejects_quaternions(quaternions):
