@@ -9,6 +9,7 @@ malformed input.  Execution is single-threaded and deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -157,7 +158,7 @@ def cmd_build_extension(args):
     payload = {
         "command": "build-extension",
         "ok": True,
-        "flags": flags.as_dict(),
+        "flags": dataclasses.asdict(flags),
         "finite": ext.is_finite,
     }
     if ext.is_finite:
@@ -215,7 +216,7 @@ def cmd_roundtrip(args):
     flags = classify_extension(fs)
     payload = {
         "command": "roundtrip",
-        "flags": flags.as_dict(),
+        "flags": dataclasses.asdict(flags),
         "finite": ext.is_finite,
     }
     if ext.is_finite:

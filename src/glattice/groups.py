@@ -108,24 +108,37 @@ def _default_labels(n):
     return [f"g{i}" for i in range(n)]
 
 
+def _close(cayley, closed, new):
+    """The product closure of ``closed``, already closed, with ``new``.
+
+    Each added element is multiplied on both sides with every member, so
+    no pair inside ``closed`` is formed again.  In a finite group the
+    closure holds the inverses, so it is the subgroup generated.
+    """
+    closure = set(closed)
+    queue = list(set(new) - closure)
+    closure.update(queue)
+    members = list(closure)
+    while queue:
+        x = queue.pop()
+        for y in members:
+            for z in (cayley[x][y], cayley[y][x]):
+                if z not in closure:
+                    closure.add(z)
+                    members.append(z)
+                    queue.append(z)
+    return frozenset(closure)
+
+
 def _generating_set(cayley):
+    """The least element outside the closure so far, until it is all."""
     n = len(cayley)
     gens = []
-    closure = {0}
+    closure = frozenset({0})
     while len(closure) < n:
         g = min(x for x in range(n) if x not in closure)
         gens.append(g)
-        frontier = list(closure | {g})
-        closure.add(g)
-        queue = [g]
-        while queue:
-            x = queue.pop()
-            for y in frontier:
-                for z in (cayley[x][y], cayley[y][x]):
-                    if z not in closure:
-                        closure.add(z)
-                        frontier.append(z)
-                        queue.append(z)
+        closure = _close(cayley, closure, (g,))
     return gens
 
 
@@ -259,21 +272,6 @@ class Subgroup:
         return frozenset(cay[cay[g][h]][inv[g]] for h in self.members)
 
 
-def close_subset(group, seed):
-    """Smallest subgroup containing ``seed``, as a frozenset of indices."""
-    closure = {0}
-    queue = list(set(seed) | {0})
-    closure.update(queue)
-    while queue:
-        x = queue.pop()
-        for y in tuple(closure):
-            for z in (group.cayley[x][y], group.cayley[y][x], group.inverse[x]):
-                if z not in closure:
-                    closure.add(z)
-                    queue.append(z)
-    return frozenset(closure)
-
-
 def all_subgroups(group):
     """Every subgroup, found by closing one added generator at a time."""
     if group.order > _SUBGROUP_ORDER_LIMIT:
@@ -285,7 +283,7 @@ def all_subgroups(group):
         for g in range(1, group.order):
             if g in current:
                 continue
-            bigger = close_subset(group, current | {g})
+            bigger = _close(group.cayley, current, (g,))
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
@@ -307,7 +305,7 @@ def subgroup_lattice(group):
     leq = [[member_sets[i] <= member_sets[j] for j in range(m)] for i in range(m)]
     meet = [[index[frozenset(member_sets[i] & member_sets[j])] for j in range(m)] for i in range(m)]
     join = [
-        [index[close_subset(group, member_sets[i] | member_sets[j])] for j in range(m)]
+        [index[_close(group.cayley, member_sets[i], member_sets[j])] for j in range(m)]
         for i in range(m)
     ]
     return _lattice.FiniteLattice(

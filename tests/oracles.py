@@ -8,11 +8,11 @@ import itertools
 from fractions import Fraction
 
 from glattice.errors import GlatticeError, NotInvertible, SpaceMismatch
-from glattice.extension import FactorSystem, validate_factor_system
+from glattice.extension import FactorSystem, FsReport, validate_factor_system
 from glattice.groups import FiniteGroup
 from glattice.lattice import _AXIOM_TEXT, ActionReport, check_axiom
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
-from glattice.scalar import list_automorphisms
+from glattice.scalar import QUATERNIONS, list_automorphisms
 from glattice.tgring import AlgebraVerdict
 
 
@@ -127,6 +127,44 @@ def normal_subgroup_indices(group, lat):
     return normal
 
 
+def generating_set(cayley):
+    """The least element outside the closure so far, until it is all,
+    each closure grown from scratch over the whole element list."""
+    n = len(cayley)
+    gens = []
+    closure = {0}
+    while len(closure) < n:
+        gens.append(min(x for x in range(n) if x not in closure))
+        closure = close_subset(cayley, closure | {gens[-1]})
+    return gens
+
+
+def close_subset(cayley, seed):
+    """The closure of ``seed`` and the identity under the product, by
+    iterating to a fixed point over all pairs."""
+    closure = set(seed) | {0}
+    while True:
+        grown = closure | {cayley[x][y] for x in closure for y in closure}
+        if grown == closure:
+            return frozenset(closure)
+        closure = grown
+
+
+def all_subgroups(group):
+    """Every subgroup as a sorted member tuple, each closed from scratch
+    over the inverses too, in the order of ``groups.all_subgroups``."""
+    found = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        current = frontier.pop()
+        for g in range(1, group.order):
+            bigger = close_subset(group.cayley, current | {g, group.inverse[g]})
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return [tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
 def direct_product_of_cyclics(factors):
     """C_d1 x C_d2 x ... on coordinate tuples in lexicographic order."""
     shape = list(factors)
@@ -155,6 +193,94 @@ def enumerate_factor_systems(group, ring, chi):
             found.append(fs)
     found.sort(key=lambda fs: fs.signature())
     return found
+
+
+def carrier_sample(ring):
+    """Every element of a finite carrier; 1, i, j, k and one generic
+    element of the quaternions; 18 rationals of QQ."""
+    if ring.is_finite():
+        return ring.elements()
+    if ring.kind == QUATERNIONS:
+        mk = ring.scalar
+        return [
+            mk(1),
+            mk((0, 1, 0, 0)),
+            mk((0, 0, 1, 0)),
+            mk((0, 0, 0, 1)),
+            mk((Fraction(2, 3), Fraction(-1, 5), Fraction(1, 7), Fraction(4))),
+        ]
+    return [ring.scalar(Fraction(n, d)) for n in (-3, -1, 0, 1, 2, 5) for d in (1, 2, 7)]
+
+
+def first_violation_by_probes(fs):
+    """E3, E1, E2 in that order, with E1 applied pointwise to
+    ``carrier_sample``: the report ``validate_factor_system`` must give.
+    A field's E1 witness is (g, h), a quaternion one (g, h, a) with a the
+    first sample element where chi(g)chi(h) and [g,h] chi(gh) [g,h]^-1
+    differ."""
+    group, ring = fs.group, fs.ring
+    if not fs.bracket[0][0].is_one():
+        return FsReport(False, "E3", (0, 0), "bracket(1,1) != 1")
+    for g in range(group.order):
+        for h in range(group.order):
+            b = fs.bracket[g][h]
+            gh = group.cayley[g][h]
+            for a in carrier_sample(ring):
+                if fs.chi[g](fs.chi[h](a)) != b * fs.chi[gh](a) * b.inverse():
+                    if ring.is_commutative():
+                        return FsReport(False, "E1", (g, h), "chi(g)chi(h) != chi(gh)")
+                    return FsReport(
+                        False, "E1", (g, h, a), "chi(g)chi(h) differs from conjugated chi(gh)"
+                    )
+    for g, h, k in itertools.product(range(group.order), repeat=3):
+        gh, hk = group.cayley[g][h], group.cayley[h][k]
+        if fs.bracket[g][h] * fs.bracket[gh][k] != fs.chi[g](fs.bracket[h][k]) * fs.bracket[g][hk]:
+            return FsReport(
+                False,
+                "E2",
+                (g, h, k),
+                "bracket(g,h)bracket(gh,k) != chi(g)(bracket(h,k))bracket(g,hk)",
+            )
+    return FsReport(True)
+
+
+def equivalent_by_probes(fs_src, fs_dst, mu):
+    """E4 applied pointwise to ``carrier_sample``, then E5 and E6, for a
+    list mu."""
+    group, ring = fs_src.group, fs_src.ring
+    if not mu[0].is_one():
+        return False
+    for g in range(group.order):
+        for a in carrier_sample(ring):
+            if fs_dst.chi[g](a) != mu[g].inverse() * fs_src.chi[g](a) * mu[g]:
+                return False
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.cayley[g][h]
+            left = fs_src.bracket[g][h] * mu[gh]
+            right = mu[g] * fs_dst.chi[g](mu[h]) * fs_dst.bracket[g][h]
+            if left != right:
+                return False
+    return True
+
+
+def isomorphic_by_samples(fs_src, fs_dst, mu):
+    """Whether mu passes ``equivalent_by_probes`` and the pair map
+    (a, g) -> (a mu(g), g) carries (a, g)(b, h) = (a chi(g)(b) [g,h], gh)
+    of fs_src to that of fs_dst, for a, b among the first four nonzero
+    ``carrier_sample`` elements."""
+    if not equivalent_by_probes(fs_src, fs_dst, mu):
+        return False
+    sample = [a for a in carrier_sample(fs_src.ring) if not a.is_zero()][:4]
+    cayley = fs_src.group.cayley
+    for a, b in itertools.product(sample, repeat=2):
+        for g, h in itertools.product(range(fs_src.group.order), repeat=2):
+            gh = cayley[g][h]
+            image = a * fs_src.chi[g](b) * fs_src.bracket[g][h] * mu[gh]
+            product = a * mu[g] * fs_dst.chi[g](b * mu[h]) * fs_dst.bracket[g][h]
+            if image != product:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

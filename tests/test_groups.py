@@ -17,9 +17,12 @@ from glattice import (
     validate_glattice,
 )
 from glattice.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
-from glattice.groups import all_subgroups, trivial_group
+from glattice.extension import FactorSystem, build_extension, classify_up_to_equivalence
+from glattice.groups import _generating_set, all_subgroups, trivial_group
 from glattice.lattice import fixed_points, orbits
+from glattice.scalar import DivisionRing, RingAutomorphism
 
+import oracles
 from oracles import direct_product_of_cyclics, normal_subgroup_indices
 
 
@@ -101,6 +104,41 @@ def test_lights_test_on_large_group():
     ]
     group = FiniteGroup(cayley)
     assert group.order == 75
+
+
+def closure_test_groups():
+    """Presets, direct products and the extension groups the tests build:
+    C4, S3 and one group per class of (V4, GF(3)) systems."""
+    gf3, gf4 = DivisionRing.gf(3), DivisionRing.gf(2, 2)
+    systems = [
+        FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2}),
+        FactorSystem(cyclic_group(2), gf4, {1: RingAutomorphism.frobenius(gf4, 1)}, {}),
+    ]
+    systems += [cls[0] for cls in classify_up_to_equivalence(dihedral_group(2), gf3)]
+    groups = [trivial_group()]
+    groups += [cyclic_group(n) for n in (2, 3, 4, 6, 8, 12)]
+    groups += [dihedral_group(n) for n in (1, 2, 3, 4, 6)]
+    groups += [symmetric_group(n) for n in (2, 3, 4)]
+    groups += [direct_product_of_cyclics(s) for s in ((2, 2), (2, 4), (2, 2, 2), (3, 3), (5, 5, 3))]
+    return groups + [build_extension(fs).group for fs in systems]
+
+
+def test_generating_sets_match_the_from_scratch_closure():
+    for group in closure_test_groups():
+        assert _generating_set(group.cayley) == oracles.generating_set(group.cayley)
+
+
+def test_subgroups_match_the_from_scratch_closure():
+    for group in closure_test_groups():
+        if group.order <= 48:
+            expected = oracles.all_subgroups(group)
+            assert [s.members for s in all_subgroups(group)] == expected
+            lat = subgroup_lattice(group)
+            for i, j in itertools.product(range(lat.size), repeat=2):
+                union = set(lat.payloads[i].members) | set(lat.payloads[j].members)
+                assert lat.payloads[lat.join[i][j]].members == tuple(
+                    sorted(oracles.close_subset(group.cayley, union))
+                )
 
 
 def test_symmetric_preset_cap():
