@@ -290,7 +290,7 @@ def cmd_example_c3(args):
         for g in range(3)
     )
     checks["twisted_ring_is_algebra"] = is_algebra(tgr).ok
-    module_ok, _ = validate_module_axioms(tgr, rho, seed=args.seed)
+    module_ok, _ = validate_module_axioms(tgr, rho)
     checks["module_laws_over_Q3"] = module_ok
 
     gf2 = DivisionRing.gf(2)
@@ -377,7 +377,6 @@ def build_parser():
     p = sub.add_parser(
         "example-c3", help="the cyclic-shift chain over the rationals and GF(2)"
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_example_c3)
 

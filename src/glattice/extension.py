@@ -260,9 +260,11 @@ class SchreierExtension:
     def materialize(self):
         """Cayley-table form of the extension (finite carriers only).
 
-        Verifies, exhaustively, that the pair set is a group, that the
-        (*, identity) layer is a normal subgroup isomorphic to K*, and
-        that collapsing the layer recovers G.
+        Verifies, exhaustively, that the pair set is a group
+        (``FiniteGroup``), that the (*, identity) layer copies K*, and
+        that (a, g) -> g is a homomorphism onto G.  The layer is that
+        homomorphism's kernel, so it is a normal subgroup and collapsing
+        it recovers G.
         """
         if self._materialized is not None:
             return self._materialized
@@ -284,22 +286,12 @@ class SchreierExtension:
         group = FiniteGroup(cayley, labels=labels, name=f"H({fs.group.name})")
 
         # the K* layer: pairs (a, e) sit at indices 0..n_units-1
-        layer = set(range(n_units))
-        for i in layer:
-            for j in layer:
-                if cayley[i][j] not in layer:
-                    raise GlatticeError("K* layer is not closed")
         unit_index = {a: i for i, a in enumerate(units)}
         for a in units:
             for b in units:
                 if cayley[unit_index[a]][unit_index[b]] != unit_index[a * b]:
                     raise GlatticeError("K* layer does not copy K*")
-        for i in range(order):
-            for j in layer:
-                conj = cayley[cayley[i][j]][group.inverse[i]]
-                if conj not in layer:
-                    raise GlatticeError("K* layer is not normal")
-        # collapsing the layer must recover G
+        # (a, g) -> g must be a homomorphism onto G, with the layer as kernel
         for x, (_, g) in enumerate(pairs):
             for y, (_, h) in enumerate(pairs):
                 if pairs[cayley[x][y]][1] != fs.group.cayley[g][h]:
@@ -470,10 +462,10 @@ class ExtensionIsomorphism:
     """The isomorphism (a, g) -> (a mu(g), g) between equivalent extensions.
 
     ``check_equivalence`` decides E4-E6 exactly, on canonical
-    automorphisms, and those laws are exactly what makes the pair map
-    multiplicative.  Over a finite carrier the map is also checked to be
-    a bijection and multiplicative on every pair of pairs; over QQ and
-    the quaternions nothing is sampled.
+    automorphisms, and those laws are exactly what makes the pair map a
+    multiplicative bijection that fixes (1, e): the theorem in
+    ``transform_factor_system``'s docstring.  So nothing is replayed on
+    pairs, over any carrier.
     """
 
     def __init__(self, fs_src, fs_dst, mu):
@@ -482,7 +474,6 @@ class ExtensionIsomorphism:
         self.src = SchreierExtension(fs_src)
         self.dst = SchreierExtension(fs_dst)
         self.mu = _coerce_mu(fs_src, mu)
-        self._verify()
 
     def apply(self, pair):
         a, g = pair
@@ -490,21 +481,6 @@ class ExtensionIsomorphism:
 
     def __call__(self, pair):
         return self.apply(pair)
-
-    def _verify(self):
-        if self.src.is_finite:
-            pairs = self.src.pairs()
-            images = {self.apply(x) for x in pairs}
-            if images != set(self.dst.pairs()):
-                raise NotEquivalent("pair map is not a bijection")
-            for x in pairs:
-                for y in pairs:
-                    if self.apply(self.src.multiply(x, y)) != self.dst.multiply(
-                        self.apply(x), self.apply(y)
-                    ):
-                        raise NotEquivalent(
-                            "pair map is not multiplicative", witness=(x, y)
-                        )
 
 
 # ---------------------------------------------------------------------------

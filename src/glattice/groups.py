@@ -108,37 +108,35 @@ def _default_labels(n):
     return [f"g{i}" for i in range(n)]
 
 
-def _close(cayley, closed, new):
-    """The product closure of ``closed``, already closed, with ``new``.
-
-    Each added element is multiplied on both sides with every member, so
-    no pair inside ``closed`` is formed again.  In a finite group the
-    closure holds the inverses, so it is the subgroup generated.
-    """
-    closure = set(closed)
-    queue = list(set(new) - closure)
-    closure.update(queue)
-    members = list(closure)
+def _close(cayley, gens):
+    """The subgroup generated by ``gens``: every element reached from
+    the identity by right products with a generator.  In a finite group
+    every inverse is a positive power, so nothing else is needed."""
+    gens = set(gens)
+    closure = {0}
+    queue = [0]
     while queue:
-        x = queue.pop()
-        for y in members:
-            for z in (cayley[x][y], cayley[y][x]):
-                if z not in closure:
-                    closure.add(z)
-                    members.append(z)
-                    queue.append(z)
+        row = cayley[queue.pop()]
+        for g in gens:
+            z = row[g]
+            if z not in closure:
+                closure.add(z)
+                queue.append(z)
     return frozenset(closure)
 
 
 def _generating_set(cayley):
-    """The least element outside the closure so far, until it is all."""
+    """The least element outside the closure so far, until it is all.
+
+    Every element ``_close`` reaches is a product of generators, so the
+    set generates the table as a magma with identity, which is what
+    Light's test needs before associativity is known."""
     n = len(cayley)
     gens = []
     closure = frozenset({0})
     while len(closure) < n:
-        g = min(x for x in range(n) if x not in closure)
-        gens.append(g)
-        closure = _close(cayley, closure, (g,))
+        gens.append(min(x for x in range(n) if x not in closure))
+        closure = _close(cayley, gens)
     return gens
 
 
@@ -283,7 +281,7 @@ def all_subgroups(group):
         for g in range(1, group.order):
             if g in current:
                 continue
-            bigger = _close(group.cayley, current, (g,))
+            bigger = _close(group.cayley, (*current, g))
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
@@ -305,7 +303,7 @@ def subgroup_lattice(group):
     leq = [[member_sets[i] <= member_sets[j] for j in range(m)] for i in range(m)]
     meet = [[index[frozenset(member_sets[i] & member_sets[j])] for j in range(m)] for i in range(m)]
     join = [
-        [index[_close(group.cayley, member_sets[i], member_sets[j])] for j in range(m)]
+        [index[_close(group.cayley, member_sets[i] | member_sets[j])] for j in range(m)]
         for i in range(m)
     ]
     return _lattice.FiniteLattice(

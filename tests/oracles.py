@@ -5,15 +5,16 @@ whole search space, so it only runs on the small families of the tests.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from glattice.errors import GlatticeError, NotInvertible, SpaceMismatch
+from glattice.errors import GlatticeError, NotInvertible, SpaceMismatch, TooLarge
 from glattice.extension import FactorSystem, FsReport, validate_factor_system
 from glattice.groups import FiniteGroup
 from glattice.lattice import _AXIOM_TEXT, ActionReport, check_axiom
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
 from glattice.scalar import QUATERNIONS, list_automorphisms
-from glattice.tgring import AlgebraVerdict
+from glattice.tgring import AlgebraVerdict, TwistedModule
 
 
 def leq_matrix(lattice):
@@ -283,6 +284,33 @@ def isomorphic_by_samples(fs_src, fs_dst, mu):
     return True
 
 
+def isomorphic_on_all_pairs(fs_src, fs_dst, mu):
+    """Whether mu passes ``equivalent_by_probes`` and the pair map
+    (a, g) -> (a mu(g), g) is a bijection of K* x G that carries the
+    product (a, g)(b, h) = (a chi(g)(b) [g,h], gh) of fs_src to that of
+    fs_dst on every pair of pairs (finite carriers only)."""
+    if not equivalent_by_probes(fs_src, fs_dst, mu):
+        return False
+    group, units = fs_src.group, fs_src.ring.units()
+    pairs = [(a, g) for g in range(group.order) for a in units]
+
+    def image(pair):
+        a, g = pair
+        return a * mu[g], g
+
+    def product(fs, x, y):
+        (a, g), (b, h) = x, y
+        return a * fs.chi[g](b) * fs.bracket[g][h], group.cayley[g][h]
+
+    if {image(x) for x in pairs} != set(pairs):
+        return False
+    return all(
+        image(product(fs_src, x, y)) == product(fs_dst, image(x), image(y))
+        for x in pairs
+        for y in pairs
+    )
+
+
 # ---------------------------------------------------------------------------
 # the algebra criterion
 
@@ -342,3 +370,65 @@ def is_algebra(tgr):
                 if u * (v.scale(a)) != uv.scale(a):
                     raise GlatticeError("right bimodule law failed unexpectedly")
     return AlgebraVerdict(True)
+
+
+# ---------------------------------------------------------------------------
+# the module laws
+
+_EXHAUSTIVE_MODULE_LIMIT = 32
+
+
+def seeded_rationals(seed, count):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+
+
+def module_law_data(tgr, space, seed, samples):
+    """The ring elements, vectors and scalars the module laws run over:
+    everything over a finite carrier (TooLarge past 32 ring elements or
+    vectors); over the rationals the basis data plus ``samples // 10``
+    seeded combinations of each, and five seeded scalars."""
+    ring = tgr.ring
+    if ring.is_finite():
+        if ring.order ** max(tgr.rank, space.dim) > _EXHAUSTIVE_MODULE_LIMIT:
+            raise TooLarge("exhaustive module check too big")
+        return tgr.all_elements(), space.all_vectors(), ring.elements()
+    it = iter(seeded_rationals(seed, samples * (tgr.rank + space.dim + 1)))
+    elements = tgr.basis() + [
+        tgr.element({g: next(it) for g in range(tgr.rank)}) for _ in range(samples // 10)
+    ]
+    vectors = list(space.basis()) + [
+        space.vector([next(it) for _ in range(space.dim)]) for _ in range(samples // 10)
+    ]
+    scalars = [ring.scalar(next(it)) for _ in range(5)]
+    return elements, vectors, scalars
+
+
+def reference_module_laws(tgr, rep, seed=0, samples=100):
+    """The five module laws replayed through ``TwistedModule.act`` on
+    ``module_law_data``, every product afresh: ``(True, None)`` or the
+    first failing law with its witness."""
+    act = TwistedModule(tgr, rep).act
+    elements, vectors, scalars = module_law_data(tgr, rep.space, seed, samples)
+    for s in elements:
+        for u in vectors:
+            for v in vectors:
+                if act(s, add_vectors(u, v)) != add_vectors(act(s, u), act(s, v)):
+                    return False, ("law1", s, u, v)
+    for s in elements:
+        for t in elements:
+            for v in vectors:
+                if act(s + t, v) != add_vectors(act(s, v), act(t, v)):
+                    return False, ("law2", s, t, v)
+                if act(s, act(t, v)) != act(s * t, v):
+                    return False, ("law3", s, t, v)
+    one_bar = tgr.one()
+    for v in vectors:
+        if act(one_bar, v) != v:
+            return False, ("law4", v)
+    for b in scalars:
+        for s in elements:
+            for v in vectors:
+                if act(s.scale(b), v) != scale_vector(b, act(s, v)):
+                    return False, ("law5", b, s, v)
+    return True, None

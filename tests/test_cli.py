@@ -630,6 +630,17 @@ def test_cli_example_c3(capsys):
     assert report["ok"] and all(report["checks"].values())
 
 
+def test_cli_example_c3_is_byte_identical_and_takes_no_seed(capsys):
+    # digest recorded from the sampled module-law loop, which --seed fed
+    code, out = run_cli(capsys, "example-c3")
+    assert code == 0
+    digest = "95ab342edb5491d494518923116ded31e6d397d6f776893f149c9ab753a75c65"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    with pytest.raises(SystemExit) as refused:
+        main(["example-c3", "--seed", "0"])
+    assert refused.value.code == 2
+
+
 def test_cli_hasse_dot(capsys, tmp_path):
     path = tmp_path / "lat.json"
     path.write_text(json.dumps({"leq": [[1, 1], [0, 1]]}))

@@ -248,6 +248,25 @@ def test_transform_outputs_validate_and_check_like_the_probe_reference():
     assert True in verdicts and False in verdicts
 
 
+def test_extension_isomorphism_matches_the_all_pairs_oracle():
+    # E4-E6 make the pair map an isomorphism, so ExtensionIsomorphism
+    # replays nothing; the oracle replays it on every pair of pairs
+    rng = random.Random(19)
+    accepted = []
+    for src in itertools.chain(classify_family(), frobenius_family()):
+        if not validate_factor_system(src).ok:
+            continue
+        for fs, dst, mu in equivalence_cases(src, rng):
+            try:
+                ExtensionIsomorphism(fs, dst, mu)
+            except NotEquivalent:
+                accepted.append(False)
+            else:
+                accepted.append(True)
+            assert accepted[-1] == oracles.isomorphic_on_all_pairs(fs, dst, mu)
+    assert True in accepted and False in accepted
+
+
 @pytest.mark.parametrize("ring", [QUATERNIONS, RATIONALS], ids=["quat", "qq"])
 def test_seeded_equivalences_match_the_probe_and_sampled_references(ring):
     rng = random.Random(13)

@@ -4,7 +4,6 @@ algebra criterion, and the module laws."""
 import itertools
 import time
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -17,7 +16,6 @@ from glattice import (
     SemilinearProjectiveRep,
     TwistedGroupRing,
     TwistedModule,
-    VectorSpace,
     cyclic_group,
     dihedral_group,
     enumerate_factor_systems,
@@ -32,10 +30,11 @@ from glattice import (
 from glattice import tgring
 from glattice.errors import GlatticeError, NonCommutativeCarrier, NotAssociated, ParentMismatch
 from glattice.lattice import orbits
-from glattice.linalg import add_vectors, scale_vector
+from glattice.linalg import scale_vector
 from glattice.rep import induced_glattice
 from glattice.tgring import ring_element_to_vector, vector_to_ring_element
 
+import oracles
 from oracles import is_algebra as sampled_is_algebra
 from conftest import shift_rep
 from test_acceptance import enumerated_system_family
@@ -361,14 +360,6 @@ def test_module_axioms_exhaustive_gf3_c2(gf3):
     assert ok, witness
 
 
-def test_module_axioms_sampled_over_rationals(rationals, shift_rep_q):
-    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), rationals))
-    ok, witness = validate_module_axioms(tgr, shift_rep_q, seed=0)
-    assert ok, witness
-    ok2, _ = validate_module_axioms(tgr, shift_rep_q, seed=12345)
-    assert ok2
-
-
 def test_module_action_requires_association(gf3, shift_rep_gf3):
     fs = FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2})
     tgr = TwistedGroupRing(fs)
@@ -399,47 +390,16 @@ def test_module_checks_the_association_once(monkeypatch, rationals, shift_rep_q)
     assert v == tuple(rationals.scalar(c) for c in (3, 1, -2))
 
 
-def test_module_check_cap(gf4):
-    # 4^3 = 64 ring elements is past the exhaustive budget
+def test_module_laws_hold_past_the_exhaustive_budget(gf4):
+    # 4^3 = 64 ring elements: the laws follow from the association, so no
+    # element count caps the verdict
     tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), gf4))
     rho = regular_representation(tgr)
-    from glattice.errors import TooLarge
-
-    with pytest.raises(TooLarge):
-        validate_module_axioms(tgr, rho)
+    assert validate_module_axioms(tgr, rho) == (True, None)
 
 
 # ---------------------------------------------------------------------------
-# the module laws against the product-by-product reference
-
-
-def reference_module_laws(tgr, rep, seed=0, samples=100):
-    """The module-law loop with every product a fresh ``TwistedModule.act``:
-    no image table and no shared s*v, the same triples in the same order."""
-    act = TwistedModule(tgr, rep).act
-    elements, vectors, scalars = tgring._module_law_data(tgr, rep.space, seed, samples)
-    for s in elements:
-        for u in vectors:
-            for v in vectors:
-                if act(s, add_vectors(u, v)) != add_vectors(act(s, u), act(s, v)):
-                    return False, ("law1", s, u, v)
-    for s in elements:
-        for t in elements:
-            for v in vectors:
-                if act(s + t, v) != add_vectors(act(s, v), act(t, v)):
-                    return False, ("law2", s, t, v)
-                if act(s, act(t, v)) != act(s * t, v):
-                    return False, ("law3", s, t, v)
-    one_bar = tgr.one()
-    for v in vectors:
-        if act(one_bar, v) != v:
-            return False, ("law4", v)
-    for b in scalars:
-        for s in elements:
-            for v in vectors:
-                if act(s.scale(b), v) != scale_vector(b, act(s, v)):
-                    return False, ("law5", b, s, v)
-    return True, None
+# the module laws against the product-by-product oracle
 
 
 def regular_module(ring, group, bracket):
@@ -466,14 +426,20 @@ def shift_module(ring):
 )
 def test_module_laws_match_reference(build, seed):
     tgr, rep = build()
-    got = validate_module_axioms(tgr, rep, seed=seed)
+    got = validate_module_axioms(tgr, rep)
     assert got == (True, None)
-    assert got == reference_module_laws(tgr, rep, seed=seed)
+    assert got == oracles.reference_module_laws(tgr, rep, seed=seed)
 
 
 class TamperedMap(SemilinearMap):
     """rho(g) with its matrix and twist, so the association check still
-    accepts it, but with ``apply`` passed through ``tamper(v, image)``."""
+    accepts it, but with ``apply`` passed through ``tamper(v, image)``.
+
+    The library decides the laws from the matrices, which the tamper
+    leaves alone; that ``apply`` agrees with them is pinned in
+    test_linalg (``test_composition_agrees_pointwise``,
+    ``test_semilinear_scalar_law_exhaustive``).  The oracle replays
+    ``apply`` and must catch each tamper."""
 
     __slots__ = ("tamper",)
 
@@ -541,46 +507,8 @@ def nudged_first_coordinate(v, image):
 )
 def test_failing_module_laws_match_reference(build, g, tamper, laws):
     tgr, rep = build()
-    bad = tampered(rep, g, tamper)
-    got = validate_module_axioms(tgr, bad)
+    got = oracles.reference_module_laws(tgr, tampered(rep, g, tamper))
     assert got[0] is False and got[1][0] in laws
-    assert got == reference_module_laws(tgr, bad)
-
-
-def test_rational_packing_is_canonical(rationals):
-    space = VectorSpace(rationals, 3)
-    kernel = tgring._RationalVectors(space)
-    pack = kernel.pack
-
-    def vec(*values):
-        return space.vector([Fraction(x) for x in values])
-
-    assert kernel.add(pack(vec("1/6", 0, 0)), pack(vec("1/3", 0, 0))) == pack(vec("1/2", 0, 0))
-    assert pack(vec("1/2", 0, 0)) == ((1, 0, 0), 2)
-    assert pack(space.zero_vector()) == ((0, 0, 0), 1)
-    minus = pack(vec("-1/6", "2/3", -5))
-    assert minus == ((-1, 4, -30), 6)
-    assert kernel.add(minus, pack(vec("1/6", "-2/3", 5))) == ((0, 0, 0), 1)
-    assert kernel.scale(rationals.scalar("-3/4"), minus) == ((1, -4, 30), 8)
-    assert kernel.scale(rationals.zero(), minus) == ((0, 0, 0), 1)
-    # against Fraction arithmetic on a seeded family: the same vectors, and
-    # every result reduced over a positive denominator
-    values = tgring._seeded_rationals(7, 60)
-    vectors = [vec(*values[i : i + 3]) for i in range(0, 60, 3)]
-    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), rationals))
-    for u, v in zip(vectors, vectors[1:]):
-        a = u[0]
-        for got, want in (
-            (kernel.add(pack(u), pack(v)), add_vectors(u, v)),
-            (kernel.scale(a, pack(v)), scale_vector(a, v)),
-            (
-                kernel.combine(kernel.terms(tgr.element({0: 1, 2: a})), [pack(u), pack(v), pack(u)]),
-                add_vectors(u, scale_vector(a, u)),
-            ),
-        ):
-            nums, den = got
-            assert den > 0 and gcd(*nums, den) == 1
-            assert got == pack(want) and kernel.unpack(got) == want
 
 
 def test_vector_ring_element_roundtrip(gf3):
