@@ -360,6 +360,14 @@ def test_module_axioms_exhaustive_gf3_c2(gf3):
     assert ok, witness
 
 
+def test_module_axioms_sampled_over_rationals(rationals, shift_rep_q):
+    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(3), rationals))
+    ok, witness = validate_module_axioms(tgr, shift_rep_q)
+    assert ok, witness
+    for seed in (0, 12345):
+        assert oracles.reference_module_laws(tgr, shift_rep_q, seed=seed) == (True, None)
+
+
 def test_module_action_requires_association(gf3, shift_rep_gf3):
     fs = FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2})
     tgr = TwistedGroupRing(fs)
