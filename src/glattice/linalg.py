@@ -638,7 +638,7 @@ class SubspaceLattice(FiniteLattice):
         swap = [unit[1], unit[0]] + unit[2:]
         shift = unit[1:] + unit[:1]
         scaling = [row[:] for row in unit]
-        scaling[0][0] = _primitive_element(ring)
+        scaling[0][0] = ring.exp(1)  # a unit of order q - 1
         maps = [SemilinearMap(self.space, m) for m in (transvection, swap, shift, scaling)]
         if ring.k:
             maps.append(SemilinearMap(self.space, unit, RingAutomorphism.frobenius(ring, 1)))
@@ -675,18 +675,6 @@ class SubspaceLattice(FiniteLattice):
                 f"|Aut L(V)| = {order} exceeds the automorphism-group cap {_AUT_GROUP_LIMIT}"
             )
         return automorphism_closure(self, self.automorphism_generators(), order)
-
-
-def _primitive_element(ring):
-    """The first unit, in enumeration order, of multiplicative order q - 1."""
-
-    def order(w):
-        x, steps = w, 1
-        while not x.is_one():
-            x, steps = x * w, steps + 1
-        return steps
-
-    return next(w for w in ring.units() if order(w) == ring.order - 1)
 
 
 def _rref_bases(n, q, k):

@@ -31,6 +31,11 @@ once.  After that a product is ``exp[log a + log b]``, an inverse
 ``exp[log x * p^j mod (q - 1)]``; no polynomial arithmetic runs.  The
 payload is still the coefficient tuple, so element order, sort order,
 ``repr`` and the JSON form are unchanged.
+
+A prime field ``GF(p)`` with p <= 5000 builds the same exp/log tables on
+the first call of ``log`` or ``exp``, walking powers with the residue
+product.  ``log`` and ``exp`` are how callers write a unit of GF(q) as
+an integer mod q - 1 (see the factor-system cochains in ``extension``).
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ QUATERNIONS = "quaternions"
 # and an irreducible modulus is searched among p^k candidates
 _PRIME_LIMIT = 2**32
 _EXTENSION_ORDER_LIMIT = 5000
+# exp/log tables hold 3(q - 1) entries; a prime field builds them on first use
+_LOG_TABLE_LIMIT = 5000
 
 _QUAT_ZERO = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
 _QUAT_ONE = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
@@ -201,22 +208,30 @@ class DivisionRing:
             self._build_tables()
 
     def _build_tables(self):
-        """Payloads by index, indices by payload, and exp/log over a generator.
-
-        The generator is the first element, in enumeration order, whose
-        powers (walked with the polynomial product) return to 1 only after
-        q - 1 steps; the powers must hit every nonzero payload exactly once.
-        """
+        """Payloads by index, indices by payload, and exp/log over a generator
+        whose powers are walked with the polynomial product."""
         p, k, m = self.p, self.k, self.modulus
-        n = p**k - 1
-        elems = [_digits(i, p, k) for i in range(n + 1)]
+        elems = [_digits(i, p, k) for i in range(p**k)]
+
+        def times(x, g):
+            prod = _poly_mod(_poly_mul(x, g, p), m, p)
+            return prod + (0,) * (k - len(prod))
+
+        self._build_logs(elems, times)
+        self._elems = elems
+        self._index = {a: i for i, a in enumerate(elems)}
+
+    def _build_logs(self, elems, times):
+        """exp/log tables over the first unit, in enumeration order, whose
+        powers (walked with ``times``) return to 1 only after q - 1 steps;
+        the powers must hit every unit exactly once."""
+        n = len(elems) - 1
         one = elems[1]
-        for g in elems[2:]:
+        for g in elems[1:]:
             exp, x = [one], g
             while x != one and len(exp) < n:
                 exp.append(x)
-                prod = _poly_mod(_poly_mul(x, g, p), m, p)
-                x = prod + (0,) * (k - len(prod))
+                x = times(x, g)
             if x == one and len(exp) == n:
                 break
         else:
@@ -224,8 +239,6 @@ class DivisionRing:
         log = {a: i for i, a in enumerate(exp)}
         if len(log) != n or not all(a in log for a in elems[1:]):
             raise GlatticeError(f"the powers of {g!r} do not hit every unit of {self} once")
-        self._elems = elems
-        self._index = {a: i for i, a in enumerate(elems)}
         self._exp = exp + exp  # exp[la + lb] needs no reduction mod q - 1
         self._log = log
 
@@ -364,6 +377,36 @@ class DivisionRing:
     def units(self):
         """All nonzero elements, in enumeration order (finite rings only)."""
         return [a for a in self.elements() if not a.is_zero()]
+
+    def has_log_tables(self):
+        """Whether ``log`` and ``exp`` work: GF(q) with q <= 5000."""
+        return self.is_finite() and self.order <= _LOG_TABLE_LIMIT
+
+    def _log_tables(self):
+        if self._log is None:
+            if not self.is_finite():
+                raise InfiniteCarrier(f"{self} has no discrete logarithms")
+            if not self.has_log_tables():
+                raise TooLarge(f"{self} has no exp/log tables (q <= {_LOG_TABLE_LIMIT} only)")
+            p = self.p
+            self._build_logs(range(p), lambda x, g: x * g % p)
+        return self._exp, self._log
+
+    def log(self, a):
+        """The discrete logarithm of the unit a to the base ``exp(1)``, an
+        int in [0, q - 1); ``exp(1)`` is the first unit of order q - 1 in
+        enumeration order."""
+        if a.ring is not self:
+            raise RingMismatch(f"scalar of {a.ring} used in {self}")
+        _, log = self._log_tables()
+        if a.is_zero():
+            raise DivisionByZero(f"logarithm of zero in {self}")
+        return log[a.payload]
+
+    def exp(self, i):
+        """exp(1)^i, for any int i."""
+        exp, log = self._log_tables()
+        return Scalar(self, exp[i % len(log)])
 
     def _payloads_by_index(self):
         """The payloads of a finite ring in index order, and the index of

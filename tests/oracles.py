@@ -9,11 +9,11 @@ import random
 from fractions import Fraction
 
 from glattice.errors import GlatticeError, NotInvertible, SpaceMismatch, TooLarge
-from glattice.extension import FactorSystem, FsReport, validate_factor_system
+from glattice.extension import FactorSystem, FsReport
 from glattice.groups import FiniteGroup
 from glattice.lattice import _AXIOM_TEXT, ActionReport, check_axiom
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
-from glattice.scalar import QUATERNIONS, list_automorphisms
+from glattice.scalar import QUATERNIONS, RingAutomorphism, list_automorphisms
 from glattice.tgring import AlgebraVerdict, TwistedModule
 
 
@@ -182,15 +182,27 @@ def direct_product_of_cyclics(factors):
 # factor systems
 
 
+def primitive_element_by_orders(ring):
+    """The first unit, in enumeration order, of multiplicative order q - 1."""
+
+    def order(w):
+        x, steps = w, 1
+        while not x.is_one():
+            x, steps = x * w, steps + 1
+        return steps
+
+    return next(w for w in ring.units() if order(w) == ring.order - 1)
+
+
 def enumerate_factor_systems(group, ring, chi):
     """Every bracket table with the identity row and column pinned to 1
-    that passes ``validate_factor_system``, sorted by signature."""
+    that passes ``first_violation_by_probes``, sorted by signature."""
     order = group.order
     free_pairs = [(g, h) for g in range(1, order) for h in range(1, order)]
     found = []
     for values in itertools.product(ring.units(), repeat=len(free_pairs)):
         fs = FactorSystem(group, ring, chi, dict(zip(free_pairs, values)))
-        if validate_factor_system(fs).ok:
+        if first_violation_by_probes(fs).ok:
             found.append(fs)
     found.sort(key=lambda fs: fs.signature())
     return found
@@ -233,16 +245,26 @@ def first_violation_by_probes(fs):
                     return FsReport(
                         False, "E1", (g, h, a), "chi(g)chi(h) differs from conjugated chi(gh)"
                     )
+    witness = e2_violation_by_scalars(fs)
+    if witness is not None:
+        return FsReport(
+            False,
+            "E2",
+            witness,
+            "bracket(g,h)bracket(gh,k) != chi(g)(bracket(h,k))bracket(g,hk)",
+        )
+    return FsReport(True)
+
+
+def e2_violation_by_scalars(fs):
+    """The first triple (g, h, k), in row-major order, at which the
+    ``Scalar`` products of E2 differ, or None."""
+    group = fs.group
     for g, h, k in itertools.product(range(group.order), repeat=3):
         gh, hk = group.cayley[g][h], group.cayley[h][k]
         if fs.bracket[g][h] * fs.bracket[gh][k] != fs.chi[g](fs.bracket[h][k]) * fs.bracket[g][hk]:
-            return FsReport(
-                False,
-                "E2",
-                (g, h, k),
-                "bracket(g,h)bracket(gh,k) != chi(g)(bracket(h,k))bracket(g,hk)",
-            )
-    return FsReport(True)
+            return (g, h, k)
+    return None
 
 
 def equivalent_by_probes(fs_src, fs_dst, mu):
@@ -263,6 +285,53 @@ def equivalent_by_probes(fs_src, fs_dst, mu):
             if left != right:
                 return False
     return True
+
+
+def mu_candidates(fs):
+    """Every mu with mu(1) = 1, tails in ``itertools.product`` order of
+    the units."""
+    one = fs.ring.one()
+    for tail in itertools.product(fs.ring.units(), repeat=fs.group.order - 1):
+        yield [one, *tail]
+
+
+def find_equivalence_by_probes(fs_src, fs_dst):
+    """The first of ``mu_candidates`` that passes ``equivalent_by_probes``."""
+    return next(
+        (mu for mu in mu_candidates(fs_src) if equivalent_by_probes(fs_src, fs_dst, mu)), None
+    )
+
+
+def coboundary(fs, mu):
+    """The destination of mu from fs: chi'(g) = c(mu(g)^-1) chi(g) by E4,
+    and the bracket solved from E5 with chi'(g) applied pointwise on
+    ``Scalar``s, so written out apart from ``transform_factor_system``."""
+    group, ring = fs.group, fs.ring
+    chi = []
+    for g in range(group.order):
+        u = mu[g].inverse()
+        c = RingAutomorphism.identity(ring) if u.is_central() else RingAutomorphism.inner(u)
+        chi.append(c.compose(fs.chi[g]))
+    bracket = {}
+    for g, h in itertools.product(range(group.order), repeat=2):
+        image = mu[g].inverse() * fs.chi[g](mu[h]) * mu[g]
+        bracket[(g, h)] = image.inverse() * mu[g].inverse() * fs.bracket[g][h] * mu[group.cayley[g][h]]
+    return FactorSystem(group, ring, chi, bracket)
+
+
+def classes_by_orbits(systems):
+    """The mu-orbits of ``systems`` through ``coboundary``, each sorted by
+    signature, in the order of their least signatures."""
+    by_sig = {fs.signature(): fs for fs in systems}
+    classes, seen = [], set()
+    for sig in sorted(by_sig):
+        if sig in seen:
+            continue
+        fs = by_sig[sig]
+        orbit = sorted({coboundary(fs, mu).signature() for mu in mu_candidates(fs)})
+        seen.update(orbit)
+        classes.append([by_sig[s] for s in orbit])
+    return classes
 
 
 def isomorphic_by_samples(fs_src, fs_dst, mu):
@@ -406,19 +475,22 @@ def module_law_data(tgr, space, seed, samples):
 
 def reference_module_laws(tgr, rep, seed=0, samples=100):
     """The five module laws replayed through ``TwistedModule.act`` on
-    ``module_law_data``, every product afresh: ``(True, None)`` or the
-    first failing law with its witness."""
+    ``module_law_data``: ``(True, None)`` or the first failing law with
+    its witness.  Every left-hand side is computed afresh; the products
+    act(s, v) of a data element and a data vector that the right-hand
+    sides read are computed once per call."""
     act = TwistedModule(tgr, rep).act
     elements, vectors, scalars = module_law_data(tgr, rep.space, seed, samples)
-    for s in elements:
-        for u in vectors:
-            for v in vectors:
-                if act(s, add_vectors(u, v)) != add_vectors(act(s, u), act(s, v)):
+    acted = [[act(s, v) for v in vectors] for s in elements]
+    for s, s_acted in zip(elements, acted):
+        for u, su in zip(vectors, s_acted):
+            for v, sv in zip(vectors, s_acted):
+                if act(s, add_vectors(u, v)) != add_vectors(su, sv):
                     return False, ("law1", s, u, v)
-    for s in elements:
-        for t in elements:
-            for v in vectors:
-                if act(s + t, v) != add_vectors(act(s, v), act(t, v)):
+    for s, s_acted in zip(elements, acted):
+        for t, t_acted in zip(elements, acted):
+            for v, sv, tv in zip(vectors, s_acted, t_acted):
+                if act(s + t, v) != add_vectors(sv, tv):
                     return False, ("law2", s, t, v)
                 if act(s, act(t, v)) != act(s * t, v):
                     return False, ("law3", s, t, v)
@@ -427,8 +499,8 @@ def reference_module_laws(tgr, rep, seed=0, samples=100):
         if act(one_bar, v) != v:
             return False, ("law4", v)
     for b in scalars:
-        for s in elements:
-            for v in vectors:
-                if act(s.scale(b), v) != scale_vector(b, act(s, v)):
+        for s, s_acted in zip(elements, acted):
+            for v, sv in zip(vectors, s_acted):
+                if act(s.scale(b), v) != scale_vector(b, sv):
                     return False, ("law5", b, s, v)
     return True, None

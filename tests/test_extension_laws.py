@@ -30,6 +30,7 @@ from glattice.jsonio import parse_group_spec, parse_ring_spec
 from glattice.scalar import DivisionRing, RingAutomorphism
 
 import oracles
+from oracles import coboundary
 from test_cli import run_cli
 
 CLASSIFY_PAIRS = [
@@ -127,23 +128,6 @@ def frobenius_family():
                 yield coboundary(fs, random_mu(rng, fs))
                 bracket = {(g, h): rng.choice(ring.units()) for g in range(1, n) for h in range(1, n)}
                 yield FactorSystem(group, ring, chi, bracket)
-
-
-def coboundary(fs, mu):
-    """The destination of mu from fs: chi'(g) = c(mu(g)^-1) chi(g) by E4,
-    and the bracket solved from E5 with chi'(g) applied pointwise, so
-    written out apart from ``transform_factor_system``."""
-    group, ring = fs.group, fs.ring
-    chi = []
-    for g in range(group.order):
-        u = mu[g].inverse()
-        c = RingAutomorphism.identity(ring) if u.is_central() else RingAutomorphism.inner(u)
-        chi.append(c.compose(fs.chi[g]))
-    bracket = {}
-    for g, h in itertools.product(range(group.order), repeat=2):
-        image = mu[g].inverse() * fs.chi[g](mu[h]) * mu[g]
-        bracket[(g, h)] = image.inverse() * mu[g].inverse() * fs.bracket[g][h] * mu[group.cayley[g][h]]
-    return FactorSystem(group, ring, chi, bracket)
 
 
 def seeded_family(ring, seeds=4):
