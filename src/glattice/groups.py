@@ -74,10 +74,8 @@ class FiniteGroup:
         return k
 
     def is_abelian(self):
-        n = self.order
-        return all(
-            self.cayley[a][b] == self.cayley[b][a] for a in range(n) for b in range(n)
-        )
+        """Whether the table equals its transpose."""
+        return self.cayley == tuple(zip(*self.cayley))
 
     def label_index(self, label):
         """Resolve a display label (or a stringified index) to an element."""
@@ -334,13 +332,14 @@ def conjugation_glattice(group):
 # isomorphism testing (exhaustive search with pruning, small orders only)
 
 _ISO_ORDER_LIMIT = 40
+_ISO_REFUSAL = f"isomorphism search capped at order {_ISO_ORDER_LIMIT}"
 
 
 def are_isomorphic(g1, g2):
     if g1.order != g2.order:
         return False
     if g1.order > _ISO_ORDER_LIMIT:
-        raise TooLarge("isomorphism search capped at order 40")
+        raise TooLarge(_ISO_REFUSAL)
     n = g1.order
     orders1 = [g1.element_order(x) for x in range(n)]
     orders2 = [g2.element_order(x) for x in range(n)]
@@ -397,6 +396,9 @@ def identify_group(group):
             return "S3"
         if n == 24 and are_isomorphic(group, symmetric_group(4)):
             return "S4"
+        if n > _ISO_ORDER_LIMIT:
+            # refused before D_{n/2} is built: are_isomorphic would refuse it
+            raise TooLarge(_ISO_REFUSAL)
         if are_isomorphic(group, dihedral_group(n // 2)):
             return f"D{n // 2}"
         if n == 8 and orders.count(2) == 1:

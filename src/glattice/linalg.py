@@ -181,9 +181,17 @@ class SemilinearMap:
     ratio in ``rep`` work on the supports, so a monomial matrix (the
     regular representation has one nonzero entry per row) costs O(n)
     per product instead of O(n^3); ``apply`` stays dense.
+
+    A monomial map, one nonzero entry per row in pairwise distinct
+    columns, also has a monomial view (``_monomial``), read once from
+    the row supports: per row, the column of its one entry and, over
+    GF(q) with exp/log tables (q <= 5000), the log of that entry.
+    ``is_invertible`` reads the view's existence, and
+    ``rep.extract_cocycle`` decides a family of such maps on these ints
+    without composing any of them.
     """
 
-    __slots__ = ("space", "matrix", "theta", "_rank", "_rows")
+    __slots__ = ("space", "matrix", "theta", "_rank", "_rows", "_mono")
 
     def __init__(self, space, matrix, theta=None):
         if not space.ring.is_commutative():
@@ -199,8 +207,7 @@ class SemilinearMap:
         self.space = space
         self.matrix = matrix
         self.theta = theta
-        self._rank = None
-        self._rows = None
+        self._rank = self._rows = self._mono = None
 
     @classmethod
     def _from_rows(cls, space, rows, theta):
@@ -216,7 +223,7 @@ class SemilinearMap:
             matrix.append(tuple(dense))
         f = object.__new__(cls)
         f.space, f.matrix, f.theta = space, tuple(matrix), theta
-        f._rank, f._rows = None, rows
+        f._rank, f._rows, f._mono = None, rows, None
         return f
 
     def _row_support(self):
@@ -227,6 +234,26 @@ class SemilinearMap:
                 for row in self.matrix
             )
         return self._rows
+
+    def _monomial(self):
+        """The monomial view ``(columns, logs)``, or None unless every row
+        has exactly one nonzero entry and the columns are pairwise
+        distinct.  Per row, ``columns`` holds the column of that entry
+        and ``logs`` its discrete log, or ``logs`` is None when the ring
+        has no exp/log tables.  Built on first use and kept, like the
+        row supports."""
+        if self._mono is None:
+            rows = self._row_support()
+            self._mono = False
+            if all(len(row) == 1 for row in rows):
+                columns = tuple(row[0][0] for row in rows)
+                if len(set(columns)) == len(columns):
+                    logs = None
+                    if self.space.ring.has_log_tables():
+                        _, log = self.space.ring._log_tables()
+                        logs = tuple(log[row[0][1].payload] for row in rows)
+                    self._mono = (columns, logs)
+        return self._mono or None
 
     def apply(self, v):
         if len(v) != self.space.dim:
@@ -283,10 +310,10 @@ class SemilinearMap:
 
     def is_invertible(self):
         """Whether the matrix has full rank.  A monomial matrix, one
-        nonzero entry per row in pairwise distinct columns, is read off
-        the row supports; any other matrix is row reduced."""
-        rows = self._row_support()
-        if all(len(row) == 1 for row in rows) and len({row[0][0] for row in rows}) == len(rows):
+        nonzero entry per row in pairwise distinct columns, has a
+        monomial view and is invertible; any other matrix is row
+        reduced."""
+        if self._monomial() is not None:
             return True
         return self.rank() == self.space.dim
 

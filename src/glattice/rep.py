@@ -10,6 +10,15 @@ supports must coincide, and the scalar at the first nonzero entry is
 checked on every other nonzero entry.  A pair with no such scalar
 raises ScalarInconsistent with the pair as witness.
 
+Over GF(q) with exp/log tables (q <= 5000), a family of monomial maps,
+such as a regular representation, has its cocycle decided on
+integers: each map's monomial view holds per row the column of its one
+entry and that entry's log, so a pair is a column lookup and a log sum
+per row, with no composite map and no ``Scalar`` product.  Every other
+family (QQ, larger prime fields, maps with more than one entry in a
+row) composes on row supports and reads ``_ratio``, which is also the
+reference the integer route is tested against.
+
 The bridge to lattices goes both ways: a representation over a finite
 field induces an action on the subspace lattice (scalars drop out), and
 an action on a subspace lattice can be pulled back to a representation
@@ -144,33 +153,94 @@ def _unequal_support_ratio(a, b):
 def extract_cocycle(rep):
     """The scalar family alpha(g,h) with rho(g)rho(h) = alpha(g,h)rho(gh).
 
-    Both sides of each pair share their twist, so they agree up to a
-    scalar exactly when their matrices are proportional: alpha(g,h) is
-    the matrix ratio, checked on every entry.  Both the product
-    (``compose``) and the ratio run on row supports, so for monomial
-    maps, such as a regular representation, each pair costs O(n)
-    rather than a dense O(n^3) product.  A pair whose matrices are
-    not proportional means the input is not actually projective and
+    Pairs are visited in (g, h) order.  Each pair's twists are checked
+    first: theta(g)theta(h) != theta(gh) raises NotProjective with
+    witness (g, h).  Both sides then share their twist, so they agree up
+    to a scalar exactly when their matrices are proportional: alpha(g,h)
+    is the matrix ratio, checked on every entry.  A pair whose matrices
+    are not proportional means the input is not actually projective and
     raises ScalarInconsistent with witness (g, h).
+
+    Two routes decide the ratio, with the same cocycle and witnesses.
+    When the ring has exp/log tables (GF(q), q <= 5000) and every map
+    has a monomial view (``SemilinearMap._monomial``), no map is
+    composed: with theta(g) = Frob^e, row r of rho(g)rho(h) has its one
+    entry in column cols_h[cols_g[r]], with log
+    L_g[r] + p^e L_h[cols_g[r]].  The pair is projective exactly when
+    those columns are cols_gh and the log differences with L_gh are one
+    value d mod q - 1; then alpha(g,h) = ``ring.exp(d)``.  Every other
+    family (QQ, prime fields past the table cap, maps that are not
+    monomial) composes on row supports (``compose``) and reads
+    ``_ratio``, which is also the reference the log route is tested
+    against.
     """
+    views = _monomial_views(rep)
+    if views is not None:
+        return _log_cocycle(rep, views)
+    return _support_cocycle(rep)
+
+
+def _support_cocycle(rep):
+    """``extract_cocycle`` on row supports: each pair is composed and its
+    ratio read with ``_ratio``."""
     group = rep.group
     cocycle = {}
     for g in range(group.order):
         for h in range(group.order):
+            _check_twists(rep, g, h)
             composite = rep.maps[g].compose(rep.maps[h])
             target = rep.maps[group.cayley[g][h]]
-            if composite.theta != target.theta:
-                raise NotProjective(
-                    f"theta mismatch: theta({g})theta({h}) != theta({g}*{h})",
-                    witness=(g, h),
-                )
             alpha = _ratio(composite._row_support(), target._row_support())
             if alpha is None:
-                raise ScalarInconsistent(
-                    f"rho({g})rho({h}) is not a scalar multiple of rho({g}*{h})",
-                    witness=(g, h),
-                )
+                _raise_inconsistent(g, h)
             cocycle[(g, h)] = alpha
+    return cocycle
+
+
+def _check_twists(rep, g, h):
+    if rep.maps[g].theta.compose(rep.maps[h].theta) != rep.maps[rep.group.cayley[g][h]].theta:
+        raise NotProjective(
+            f"theta mismatch: theta({g})theta({h}) != theta({g}*{h})",
+            witness=(g, h),
+        )
+
+
+def _raise_inconsistent(g, h):
+    raise ScalarInconsistent(
+        f"rho({g})rho({h}) is not a scalar multiple of rho({g}*{h})",
+        witness=(g, h),
+    )
+
+
+def _monomial_views(rep):
+    """Each map's monomial view, by element, or None unless the ring has
+    exp/log tables and every map is monomial."""
+    if not rep.space.ring.has_log_tables():
+        return None
+    views = [rep.maps[g]._monomial() for g in range(rep.group.order)]
+    return None if None in views else views
+
+
+def _log_cocycle(rep, views):
+    """``extract_cocycle`` on monomial views: integer column lookups and
+    log sums, no composite map."""
+    group, ring = rep.group, rep.space.ring
+    m = ring.order - 1
+    cocycle = {}
+    for g, (cols_g, logs_g) in enumerate(views):
+        mult = pow(ring.p, rep.maps[g].theta.power, m)
+        row_g = group.cayley[g]
+        for h, (cols_h, logs_h) in enumerate(views):
+            _check_twists(rep, g, h)
+            cols_gh, logs_gh = views[row_g[h]]
+            if tuple([cols_h[c] for c in cols_g]) != cols_gh:
+                _raise_inconsistent(g, h)
+            diffs = {
+                (a + mult * logs_h[c] - b) % m for a, c, b in zip(logs_g, cols_g, logs_gh)
+            }
+            if len(diffs) != 1:
+                _raise_inconsistent(g, h)
+            cocycle[(g, h)] = ring.exp(diffs.pop())
     return cocycle
 
 

@@ -186,13 +186,13 @@ def regular_representation(tgr):
     group, ring = fs.group, fs.ring
     n = group.order
     space = VectorSpace(ring, n)
-    zero = ring.zero()
     maps = {}
     for g in range(n):
-        matrix = [[zero] * n for _ in range(n)]
-        for h in range(n):
-            matrix[group.cayley[g][h]][h] = fs.bracket[g][h]
-        maps[g] = SemilinearMap(space, matrix, fs.chi[g])
+        # row g*h holds its one entry, the unit bracket(g,h), in column h
+        rows = [None] * n
+        for h, gh in enumerate(group.cayley[g]):
+            rows[gh] = ((h, fs.bracket[g][h]),)
+        maps[g] = SemilinearMap._from_rows(space, tuple(rows), fs.chi[g])
     rho = SemilinearProjectiveRep(group, space, maps)
     cocycle = rep.extract_cocycle(rho)
     if any(cocycle[g, h] != fs.bracket[g][h] for g in range(n) for h in range(n)):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import glattice.groups
 from glattice import (
     FiniteGroup,
     are_isomorphic,
@@ -259,6 +260,48 @@ def test_are_isomorphic_basics():
     assert are_isomorphic(dihedral_group(3), symmetric_group(3))
     assert not are_isomorphic(cyclic_group(4), dihedral_group(2))
     assert are_isomorphic(cyclic_group(6), cyclic_group(6))
+
+
+def _commutes_pairwise(group):
+    n = group.order
+    return all(group.cayley[a][b] == group.cayley[b][a] for a in range(n) for b in range(n))
+
+
+def _groups_to_compare():
+    """Every preset at small sizes, the groups the extension tests name,
+    and the extension groups those tests build."""
+    groups = [trivial_group()]
+    groups += [cyclic_group(n) for n in range(1, 13)] + [cyclic_group(48), cyclic_group(49)]
+    groups += [dihedral_group(n) for n in range(1, 9)]
+    groups += [symmetric_group(n) for n in range(1, 5)]
+    groups += [direct_product_of_cyclics(s) for s in ((2, 2), (2, 4), (3, 3))]
+    gf3, gf4, gf5 = DivisionRing.gf(3), DivisionRing.gf(2, 2), DivisionRing.gf(5)
+    systems = [
+        FactorSystem(cyclic_group(2), gf3, {}, {}),
+        FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2}),
+        FactorSystem(cyclic_group(2), gf4, {1: RingAutomorphism.frobenius(gf4, 1)}, {}),
+    ]
+    systems += [cls[0] for cls in classify_up_to_equivalence(cyclic_group(2), gf5)]
+    groups += [build_extension(fs).group for fs in systems]
+    return groups
+
+
+def test_is_abelian_matches_the_pairwise_check():
+    groups = _groups_to_compare()
+    verdicts = [group.is_abelian() for group in groups]
+    assert verdicts == [_commutes_pairwise(group) for group in groups]
+    assert True in verdicts and False in verdicts
+
+
+def test_identify_group_refuses_a_large_nonabelian_group_before_building_a_dihedral(monkeypatch):
+    group = dihedral_group(21)  # 42 elements, past the isomorphism search's cap
+
+    def no_dihedral(n):
+        raise AssertionError(f"dihedral_group({n}) built for a comparison that is refused")
+
+    monkeypatch.setattr(glattice.groups, "dihedral_group", no_dihedral)
+    with pytest.raises(TooLarge, match="isomorphism search capped at order 40"):
+        identify_group(group)
 
 
 def test_identify_group_names():

@@ -1,6 +1,7 @@
 """Projective-representation validation, cocycles, coordinatization,
 equivalence."""
 
+import random
 import time
 
 import pytest
@@ -27,9 +28,15 @@ from glattice.errors import (
     NotInvertible,
     NotNormalized,
     NotProjective,
+    ScalarInconsistent,
     SpaceMismatch,
 )
-from glattice.extension import factor_system_from_rep
+from glattice.extension import (
+    FactorSystem,
+    enumerate_factor_systems,
+    factor_system_from_rep,
+    transform_factor_system,
+)
 from glattice.lattice import (
     GLatticeAction,
     LatticeAutomorphism,
@@ -43,6 +50,7 @@ from glattice.tgring import TwistedGroupRing, regular_representation
 from conftest import shift_rep
 from oracles import enumerate_sgl, iter_semilinear_automorphisms
 from test_acceptance import enumerated_system_family
+from test_tgring import enumerated_rings
 
 
 def scalar_rep_gf3():
@@ -631,3 +639,179 @@ def test_support_ratio_on_multiples_zeros_and_mismatched_supports():
         assert _ratio(identity, upper) is None  # a missing entry
         assert _ratio(second, first) is None  # one entry each, in other columns
         assert _ratio(upper_two, upper) is None  # one support, not proportional
+
+
+# ---------------------------------------------------------------------------
+# cocycle extraction: the log route against the row-support route
+
+
+def _extraction(route, rep):
+    """The cocycle a route returns, or the kind, witness and message of
+    its refusal."""
+    try:
+        return route(rep)
+    except (NotProjective, ScalarInconsistent) as exc:
+        return type(exc), exc.witness, str(exc)
+
+
+def _c48_over_gf41_systems():
+    """The trivial system of C48 over GF(41) and a coboundary
+    [g,h] = mu(g)mu(h)/mu(gh) from seeded units mu."""
+    gf41, c48 = DivisionRing.gf(41), cyclic_group(48)
+    rng = random.Random(41)
+    mu = [gf41.one()] + [gf41.from_index(rng.randrange(1, 41)) for _ in range(47)]
+    coboundary = {
+        (g, h): mu[g] * mu[h] * mu[c48.cayley[g][h]].inverse() for g in range(48) for h in range(48)
+    }
+    return [FactorSystem(c48, gf41, {}, {}), FactorSystem(c48, gf41, {}, coboundary)]
+
+
+def test_log_route_matches_the_support_route_on_regular_representations():
+    # the benchmark's eleven classify pairs (cyclic 2-4 and dihedral:2 over
+    # GF(2), 3, 4, 5), the Frobenius families, and C48 over GF(41)
+    systems = list(enumerated_system_family())
+    systems += [
+        tgr.fs for tgr in enumerated_rings() if not all(phi.is_identity() for phi in tgr.fs.chi)
+    ]
+    systems += _c48_over_gf41_systems()
+    systems += [fs for fs in _tamper_systems().values() if fs.ring.has_log_tables()]
+    assert any(not phi.is_identity() for fs in systems for phi in fs.chi)
+    for fs in systems:
+        rho = regular_representation(TwistedGroupRing(fs))
+        views = glattice.rep._monomial_views(rho)
+        assert views is not None
+        cocycle = glattice.rep._log_cocycle(rho, views)
+        assert cocycle == glattice.rep._support_cocycle(rho)
+        n = fs.group.order
+        assert cocycle == {(g, h): fs.bracket[g][h] for g in range(n) for h in range(n)}
+
+
+def _non_monomial_reps():
+    gf3 = DivisionRing.gf(3)
+    space = VectorSpace(gf3, 2)
+    # an involution of GF(3)^2 with two entries in its first row
+    flip = SemilinearMap(space, ((1, 1), (0, 2)))
+    reps = [
+        SemilinearProjectiveRep(cyclic_group(2), space, {0: identity_map(space), 1: flip}),
+        shift_rep(DivisionRing.rationals()),
+        shift_rep(DivisionRing.gf(5003)),  # monomial, but past the log tables
+    ]
+    # coordinatize output: the shift rep conjugated by a non-monomial change of basis
+    base = SemilinearMap(VectorSpace(gf3, 3), ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    shift = shift_rep(gf3)
+    conjugated = {g: base.compose(f).compose(base.inverse()) for g, f in shift.maps.items()}
+    action = induced_glattice(SemilinearProjectiveRep(shift.group, shift.space, conjugated))
+    reps.append(rep_from_glattice(action))
+    return reps
+
+
+def test_log_route_is_not_taken_on_non_monomial_families(monkeypatch):
+    reps = _non_monomial_reps()
+    assert any(len(row) > 1 for f in reps[-1].maps.values() for row in f._row_support())
+
+    def no_log_route(rep, views):
+        raise AssertionError("the log route ran on a family without monomial views")
+
+    monkeypatch.setattr(glattice.rep, "_log_cocycle", no_log_route)
+    for rho in reps:
+        assert glattice.rep._monomial_views(rho) is None
+        assert extract_cocycle(rho) == glattice.rep._support_cocycle(rho)
+
+
+def _tamper_systems():
+    """A system per carrier: GF(3), GF(4) and GF(9) with chi(g) = Frob^g
+    on C4, and GF(5003), which has no log tables, so its log route never
+    runs.  The GF(9) bracket is moved off the trivial one by mu(g) =
+    exp(g), so that Frobenius moves its logs."""
+    gf3, gf4, gf9 = DivisionRing.gf(3), DivisionRing.gf(2, 2), DivisionRing.gf(3, 2)
+
+    def frobenius_c4(ring):
+        frob = RingAutomorphism.frobenius(ring, 1)
+        return FactorSystem(cyclic_group(4), ring, {1: frob, 3: frob}, {})
+
+    return {
+        "gf3": enumerate_factor_systems(cyclic_group(3), gf3)[-1],
+        "gf4-frob": frobenius_c4(gf4),
+        "gf9-frob": transform_factor_system(frobenius_c4(gf9), [gf9.exp(i) for i in range(4)]),
+        "gf5003": FactorSystem(
+            cyclic_group(3), DivisionRing.gf(5003), {}, {(1, 2): 7, (2, 1): 7, (2, 2): 7}
+        ),
+    }
+
+
+TAMPER_CASES = ["gf3", "gf4-frob", "gf9-frob", "gf5003"]
+
+
+def _tampered(case, edit=None, theta=None):
+    """The regular representation of the case's system with its last
+    map's dense matrix edited in place by ``edit`` or its twist replaced
+    by ``theta``, rebuilt through the coercing constructor so that no
+    support or view is carried over."""
+    rho = regular_representation(TwistedGroupRing(_tamper_systems()[case]))
+    g = rho.group.order - 1
+    f = rho.maps[g]
+    matrix = [list(row) for row in f.matrix]
+    if edit:
+        edit(matrix, f.space.ring)
+    maps = dict(rho.maps)
+    maps[g] = SemilinearMap(f.space, matrix, theta or f.theta)
+    return SemilinearProjectiveRep(rho.group, rho.space, maps)
+
+
+def _assert_same_refusal(rho, kind):
+    """extract_cocycle refuses rho as the row-support route does; the log
+    route runs exactly when the ring has log tables and every map is
+    monomial."""
+    expected = _extraction(glattice.rep._support_cocycle, rho)
+    assert expected[0] is kind
+    assert _extraction(extract_cocycle, rho) == expected
+    views = glattice.rep._monomial_views(rho)
+    assert (views is not None) == (rho.space.ring.has_log_tables() and all(
+        f._monomial() is not None for f in rho.maps.values()
+    ))
+    if views is not None:
+        assert _extraction(lambda r: glattice.rep._log_cocycle(r, views), rho) == expected
+    return views
+
+
+def _entry(matrix, r):
+    return next(j for j, x in enumerate(matrix[r]) if not x.is_zero())
+
+
+@pytest.mark.parametrize("case", ["gf4-frob", "gf9-frob"])
+def test_log_route_refuses_a_changed_theta_as_the_oracle(case):
+    # a prime field has no automorphism but the identity, so no twist to change
+    rho = _tampered(case, theta=RingAutomorphism.identity(_tamper_systems()[case].ring))
+    assert _assert_same_refusal(rho, NotProjective) is not None
+
+
+@pytest.mark.parametrize("case", TAMPER_CASES)
+def test_log_route_refuses_a_changed_unit_as_the_oracle(case):
+    def change_unit(matrix, ring):
+        j = _entry(matrix, 1)
+        matrix[1][j] = matrix[1][j] * ring.from_index(2)  # a unit other than 1
+
+    views = _assert_same_refusal(_tampered(case, change_unit), ScalarInconsistent)
+    assert (views is None) == (case == "gf5003")
+
+
+@pytest.mark.parametrize("case", TAMPER_CASES)
+def test_log_route_refuses_swapped_columns_as_the_oracle(case):
+    def swap_columns(matrix, ring):
+        a, b = _entry(matrix, 0), _entry(matrix, 1)
+        matrix[0][a], matrix[0][b] = matrix[0][b], matrix[0][a]
+        matrix[1][a], matrix[1][b] = matrix[1][b], matrix[1][a]
+
+    views = _assert_same_refusal(_tampered(case, swap_columns), ScalarInconsistent)
+    assert (views is None) == (case == "gf5003")
+
+
+@pytest.mark.parametrize("case", TAMPER_CASES)
+def test_a_second_entry_falls_back_to_the_oracle(case):
+    def second_entry(matrix, ring):
+        j = _entry(matrix, 0)
+        matrix[0][(j + 1) % len(matrix)] = ring.one()
+
+    rho = _tampered(case, second_entry)
+    assert rho.maps[rho.group.order - 1]._monomial() is None
+    assert _assert_same_refusal(rho, ScalarInconsistent) is None
