@@ -284,11 +284,7 @@ def cmd_example_c3(args):
 
     tgr = TwistedGroupRing(fs)
     reg = regular_representation(tgr)
-    checks["regular_rep_matches_shift"] = all(
-        reg.maps[g].matrix == rho.maps[g].matrix
-        and reg.maps[g].theta == rho.maps[g].theta
-        for g in range(3)
-    )
+    checks["regular_rep_matches_shift"] = reg.maps == rho.maps
     checks["twisted_ring_is_algebra"] = is_algebra(tgr).ok
     module_ok, _ = validate_module_axioms(tgr, rho)
     checks["module_laws_over_Q3"] = module_ok

@@ -22,6 +22,7 @@ joins, so (4) and (5) cannot fail after it; their checkers stay public.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -145,13 +146,13 @@ class FiniteLattice:
 
     @functools.cached_property
     def meet(self):
-        """The meet table, read off the masks when first read."""
-        return tuple(tuple(row) for row, _ in _bounds(self.down_masks, self.up_masks))
+        """The meet table, read off the down-set masks when first read."""
+        return tuple(tuple(row) for row, _ in _bounds(self.down_masks, None))
 
     @functools.cached_property
     def join(self):
-        """The join table, read off the masks when first read."""
-        return tuple(tuple(row) for _, row in _bounds(self.down_masks, self.up_masks))
+        """The join table, read off the up-set masks when first read."""
+        return tuple(tuple(row) for _, row in _bounds(None, self.up_masks))
 
     @property
     def bottom(self):
@@ -238,16 +239,20 @@ def _is_square(table, m):
 
 def _bounds(down, up):
     """The rows (meet[x], join[x]) read off the down-set and up-set
-    bitmasks, for x = 0, 1, ... in turn.
+    bitmasks, for x = 0, 1, ... in turn.  Masks given as None are not
+    read, and their rows are None.
 
     A missing bound raises at the first pair in row-major order, the
     meet before the join of the same pair.
     """
-    by_down = {mask: x for x, mask in enumerate(down)}
-    by_up = {mask: x for x, mask in enumerate(up)}
-    for x, (dx, ux) in enumerate(zip(down, up)):
+    by_down = {mask: x for x, mask in enumerate(down or ())}
+    by_up = {mask: x for x, mask in enumerate(up or ())}
+    for x, (dx, ux) in enumerate(itertools.zip_longest(down or (), up or ())):
         try:
-            rows = [by_down[dx & dy] for dy in down], [by_up[ux & uy] for uy in up]
+            rows = (
+                None if dx is None else [by_down[dx & dy] for dy in down],
+                None if ux is None else [by_up[ux & uy] for uy in up],
+            )
         except KeyError:
             for y, (dy, uy) in enumerate(zip(down, up)):
                 if dx & dy not in by_down:

@@ -5,11 +5,11 @@ Conventions (chosen once, used everywhere):
 
 * K^n is a left module; scalars multiply vectors componentwise on the
   left.
-* A semilinear map is a matrix plus a ring automorphism theta and acts
-  as ``f(v)_i = sum_j M[i][j] * theta(v_j)`` -- theta hits coordinates
-  first, then the matrix.  With this convention composition satisfies
-  ``matrix(f o g) = M_f * theta_f(M_g)`` and ``theta(f o g) =
-  theta_f o theta_g``.
+* A semilinear map is a matrix, held as its row supports, plus a ring
+  automorphism theta, and acts as ``f(v)_i = sum_j M[i][j] *
+  theta(v_j)`` -- theta hits coordinates first, then the matrix.  With
+  this convention composition satisfies ``matrix(f o g) = M_f *
+  theta_f(M_g)`` and ``theta(f o g) = theta_f o theta_g``.
 * Matrix-backed maps require a commutative ring: with entries acting on
   the left, the semilinear law f(a v) = theta(a) f(v) only holds when
   scalars commute.  The quaternions keep full ring-level support but
@@ -175,12 +175,12 @@ def identity_matrix(space):
 class SemilinearMap:
     """A matrix together with a ring automorphism it twists scalars by.
 
-    Besides the dense ``matrix``, a map keeps its row supports: for each
-    row, the ``(column, entry)`` pairs of its nonzero entries in column
-    order, computed once, on first use.  ``compose`` and the scalar
-    ratio in ``rep`` work on the supports, so a monomial matrix (the
-    regular representation has one nonzero entry per row) costs O(n)
-    per product instead of O(n^3); ``apply`` stays dense.
+    A map is held as its row supports: for each row, the ``(column,
+    entry)`` pairs of its nonzero entries in column order.  All but
+    ``rank``, ``inverse`` and ``repr`` read them, so a monomial matrix
+    (the regular representation has one nonzero entry per row) costs
+    O(n) per product instead of O(n^3).  The dense ``matrix`` is the one
+    the constructor coerced, or is built from the rows when first read.
 
     A monomial map, one nonzero entry per row in pairwise distinct
     columns, also has a monomial view (``_monomial``), read once from
@@ -191,7 +191,7 @@ class SemilinearMap:
     without composing any of them.
     """
 
-    __slots__ = ("space", "matrix", "theta", "_rank", "_rows", "_mono")
+    __slots__ = ("space", "theta", "_rows", "_matrix", "_rank", "_mono")
 
     def __init__(self, space, matrix, theta=None):
         if not space.ring.is_commutative():
@@ -205,34 +205,33 @@ class SemilinearMap:
         if theta.ring != space.ring:
             raise SpaceMismatch("automorphism belongs to a different ring")
         self.space = space
-        self.matrix = matrix
         self.theta = theta
-        self._rank = self._rows = self._mono = None
+        self._rows = tuple(
+            tuple((j, x) for j, x in enumerate(row) if not x.is_zero()) for row in matrix
+        )
+        self._matrix = matrix
+        self._rank = self._mono = None
 
     @classmethod
     def _from_rows(cls, space, rows, theta):
         """The map with these row supports, whose entries are already
-        checked scalars of the space's ring: the dense matrix is filled
-        in with the ring's zero and nothing is coerced again."""
-        zero, n = space.ring.zero(), space.dim
-        matrix = []
-        for row in rows:
-            dense = [zero] * n
-            for j, x in row:
-                dense[j] = x
-            matrix.append(tuple(dense))
+        checked nonzero scalars of the space's ring in column order."""
         f = object.__new__(cls)
-        f.space, f.matrix, f.theta = space, tuple(matrix), theta
-        f._rank, f._rows, f._mono = None, rows, None
+        f.space, f.theta, f._rows = space, theta, rows
+        f._matrix = f._rank = f._mono = None
         return f
+
+    @property
+    def matrix(self):
+        """The dense matrix, built from the rows on first read."""
+        if self._matrix is None:
+            zero, n = self.space.ring.zero(), self.space.dim
+            rows = (dict(row) for row in self._rows)
+            self._matrix = tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows)
+        return self._matrix
 
     def _row_support(self):
         """Per row, the (column, entry) pairs of the nonzero entries."""
-        if self._rows is None:
-            self._rows = tuple(
-                tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
-                for row in self.matrix
-            )
         return self._rows
 
     def _monomial(self):
@@ -240,10 +239,9 @@ class SemilinearMap:
         has exactly one nonzero entry and the columns are pairwise
         distinct.  Per row, ``columns`` holds the column of that entry
         and ``logs`` its discrete log, or ``logs`` is None when the ring
-        has no exp/log tables.  Built on first use and kept, like the
-        row supports."""
+        has no exp/log tables.  Built on first use and kept."""
         if self._mono is None:
-            rows = self._row_support()
+            rows = self._rows
             self._mono = False
             if all(len(row) == 1 for row in rows):
                 columns = tuple(row[0][0] for row in rows)
@@ -259,11 +257,12 @@ class SemilinearMap:
         if len(v) != self.space.dim:
             raise DimensionMismatch(f"vector length {len(v)} != {self.space.dim}")
         tv = [self.theta(x) for x in v]
+        zero = self.space.ring.zero()
         out = []
-        for row in self.matrix:
-            acc = row[0] * tv[0]
-            for j in range(1, len(tv)):
-                acc = acc + row[j] * tv[j]
+        for row in self._rows:
+            acc = zero
+            for j, x in row:
+                acc = acc + x * tv[j]
             out.append(acc)
         return tuple(out)
 
@@ -281,11 +280,11 @@ class SemilinearMap:
         if self.space != other.space:
             raise SpaceMismatch("maps live on different spaces")
         theta = self.theta
-        twisted = other._row_support()
+        twisted = other._rows
         if not theta.is_identity():
             twisted = [[(j, theta(x)) for j, x in row] for row in twisted]
         rows = []
-        for row in self._row_support():
+        for row in self._rows:
             acc = {}
             for t, a in row:
                 for j, b in twisted[t]:
@@ -297,11 +296,11 @@ class SemilinearMap:
     def scale(self, a):
         """The map v -> a * self(v)."""
         a = self.space.ring.scalar(a)
-        return SemilinearMap(
-            self.space,
-            tuple(tuple(a * x for x in row) for row in self.matrix),
-            self.theta,
-        )
+        if a.is_zero():
+            rows = ((),) * self.space.dim
+        else:
+            rows = tuple(tuple((j, a * x) for j, x in row) for row in self._rows)
+        return SemilinearMap._from_rows(self.space, rows, self.theta)
 
     def rank(self):
         if self._rank is None:
@@ -326,18 +325,21 @@ class SemilinearMap:
         return SemilinearMap(self.space, back, theta_inv)
 
     def is_identity(self):
-        return self.theta.is_identity() and self.matrix == identity_matrix(self.space)
+        one = self.space.ring.one()
+        return self.theta.is_identity() and all(
+            row == ((r, one),) for r, row in enumerate(self._rows)
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, SemilinearMap)
             and self.space == other.space
-            and self.matrix == other.matrix
+            and self._rows == other._rows
             and self.theta == other.theta
         )
 
     def __hash__(self):
-        return hash((self.space, self.matrix, self.theta))
+        return hash((self.space, self._rows, self.theta))
 
     def __repr__(self):
         return f"SemilinearMap({self.matrix!r}, theta={self.theta!r})"
@@ -584,28 +586,27 @@ class SubspaceLattice(FiniteLattice):
         """Where the semilinear map f sends each point, as a dict from
         point index to point index.
 
-        Points move on element indices: f's matrix and twist are turned
-        into indices once, and each point row v goes to
-        ``out[r] = sum_j M[r][j] * theta(v_j)`` through the ring's
-        add/mul index tables, is scaled by the index inverse of its first
-        nonzero entry, and is looked up in ``point_of``.  NotInvertible at
-        the first point, in ``points`` order, that goes to zero, which
-        happens exactly when f is singular: its kernel is a nonzero
-        subspace and so holds a point.  L(K^1) has the one point <1>,
-        which goes to itself unless the 1x1 matrix is zero; it needs no
-        tables, which would hold q^2 entries.
+        Points move on element indices: each point row v goes to
+        ``out[r] = sum_j M[r][j] * theta(v_j)``, summed over the row
+        support of r through the ring's add/mul index tables, is scaled
+        by the index inverse of its first nonzero entry, and is looked up
+        in ``point_of``.  NotInvertible at the first point, in ``points``
+        order, that goes to zero, which happens exactly when f is
+        singular: its kernel is a nonzero subspace and so holds a point.
+        L(K^1) has the one point <1>, which goes to itself unless row 0
+        is empty; it needs no tables, which would hold q^2 entries.
         """
         if f.space != self.space:
             raise SpaceMismatch("map and lattice live on different spaces")
         ring = self.space.ring
         if self.space.dim == 1:
-            if f.matrix[0][0].is_zero():
+            if not f._row_support()[0]:
                 raise NotInvertible("images of subspaces need an invertible map")
             return {i: i for i in self.points}
         add, mul = ring._index_tables()
         inv = ring._index_inverses()
-        # per matrix row, the mul rows of its entries: mul[M[r][j]][x] is M[r][j] * x
-        matrix = [[mul[x.index()] for x in row] for row in f.matrix]
+        # per row, its support with the mul row of each entry: mul[x][a] is x * a
+        rows = [[(j, mul[x.index()]) for j, x in row] for row in f._row_support()]
         twist = None if f.theta.is_identity() else ring._frobenius_indices(f.theta.power)
         point_of = self.point_of
         image = {}
@@ -613,10 +614,10 @@ class SubspaceLattice(FiniteLattice):
             if twist is not None:
                 v = [twist[a] for a in v]
             out = []
-            for row in matrix:
+            for row in rows:
                 acc = 0
-                for times, a in zip(row, v):
-                    acc = add[acc][times[a]]
+                for j, times in row:
+                    acc = add[acc][times[v[j]]]
                 out.append(acc)
             lead = next((a for a in out if a), 0)
             if not lead:

@@ -140,6 +140,16 @@ def generating_set(cayley):
     return gens
 
 
+def associativity_violation(cayley):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc),
+    or None: every triple of the table is checked."""
+    n = len(cayley)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
+            return a, b, c
+    return None
+
+
 def close_subset(cayley, seed):
     """The closure of ``seed`` and the identity under the product, by
     iterating to a fixed point over all pairs."""

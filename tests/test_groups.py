@@ -94,8 +94,62 @@ def test_not_associative_rejected():
         FiniteGroup(table)
 
 
+def test_not_associative_witness_is_lights():
+    # the generating set is [1, 2]; s = 1 fails first, at a = 1 and b = 2:
+    # (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*0 = 1
+    table = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]
+    with pytest.raises(NotAssociative) as err:
+        FiniteGroup(table)
+    assert err.value.witness == (1, 1, 2)
+    assert str(err.value) == "(1*1)*2 != 1*(1*2)"
+
+
+def test_lights_test_matches_the_triple_loop_on_single_entry_tampers():
+    # every entry off the identity row and column, set to every other
+    # value: the table keeps its two-sided identity, which Light's test
+    # needs.  Relabelings by a transposition fixing 0 stay associative.
+    tables = []
+    for group in (cyclic_group(4), cyclic_group(6), symmetric_group(3), dihedral_group(2)):
+        n = group.order
+        for x, y in itertools.product(range(1, n), repeat=2):
+            for value in range(n):
+                if value != group.cayley[x][y]:
+                    table = [list(row) for row in group.cayley]
+                    table[x][y] = value
+                    tables.append(table)
+        for i, j in itertools.combinations(range(1, n), 2):
+            swap = list(range(n))
+            swap[i], swap[j] = j, i
+            relabeled = [[swap[group.cayley[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
+            tables.append(relabeled)
+    rejected = 0
+    for table in tables:
+        expected = oracles.associativity_violation(table)
+        try:
+            glattice.groups._check_associativity(table)
+        except NotAssociative as err:
+            a, s, b = err.witness
+            assert table[table[a][s]][b] != table[a][table[s][b]]
+            assert expected is not None
+            rejected += 1
+        else:
+            assert expected is None
+    assert rejected == 304 and len(tables) == 304 + 3 + 10 + 10 + 3
+
+
+def test_lights_test_needs_every_generator():
+    # V4 with 2*2 = 3*3 = 1: a(1b) == (a1)b for all a, b, so the first
+    # generator passes; the second does not
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 1], [3, 2, 1, 1]]
+    assert _generating_set(table) == [1, 2]
+    assert oracles.associativity_violation(table) is not None
+    with pytest.raises(NotAssociative) as err:
+        glattice.groups._check_associativity(table)
+    assert err.value.witness[1] == 2
+
+
 def test_lights_test_on_large_group():
-    # order 75 > the exhaustive threshold, exercising the generator-based test
+    # order 75: C5 x C5 x C3 passes Light's test on its generating set
     shape = (5, 5, 3)
     elems = list(itertools.product(*[range(d) for d in shape]))
     index = {e: i for i, e in enumerate(elems)}

@@ -322,6 +322,25 @@ def test_certified_tables_satisfy_the_lattice_laws(name):
     assert reference_table_laws(lat.meet, lat.join) is None
 
 
+@pytest.mark.parametrize("name", FAMILY)
+def test_tables_match_the_bound_rows(name):
+    lat = FAMILY[name]()
+    rows = list(lattice_module._bounds(lat.down_masks, lat.up_masks))
+    assert lat.meet == tuple(tuple(meet) for meet, _ in rows)
+    assert lat.join == tuple(tuple(join) for _, join in rows)
+
+
+@pytest.mark.parametrize("name", ["boolean3", "L(GF(3)^2)", "sub(S4)", "L(GF(3)^4)"])
+def test_each_table_reads_only_its_own_masks(name):
+    # construction has proved every bound, so the meet needs no up-set
+    # mask and the join no down-set mask
+    expected = FAMILY[name]()
+    for table, other in (("meet", "up_masks"), ("join", "down_masks")):
+        lat = FAMILY[name]()
+        setattr(lat, other, None)
+        assert getattr(lat, table) == getattr(expected, table)
+
+
 @pytest.mark.parametrize("which", ["meet", "join"])
 @pytest.mark.parametrize("name", MUTATED)
 def test_corrupted_supplied_table_rejected(name, which):

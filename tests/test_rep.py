@@ -3,6 +3,7 @@ equivalence."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -45,8 +46,10 @@ from glattice.lattice import (
 )
 from glattice.linalg import SemilinearMap, general_linear_order, identity_map, map_subspace, mat_mul
 from glattice.rep import _ratio, same_induced_lattice
+from glattice.scalar import list_automorphisms
 from glattice.tgring import TwistedGroupRing, regular_representation
 
+import oracles
 from conftest import shift_rep
 from oracles import enumerate_sgl, iter_semilinear_automorphisms
 from test_acceptance import enumerated_system_family
@@ -639,6 +642,111 @@ def test_support_ratio_on_multiples_zeros_and_mismatched_supports():
         assert _ratio(identity, upper) is None  # a missing entry
         assert _ratio(second, first) is None  # one entry each, in other columns
         assert _ratio(upper_two, upper) is None  # one support, not proportional
+
+
+def dense_apply(matrix, theta, v):
+    """f(v)_i = sum_j M[i][j] * theta(v_j), over every entry of M."""
+    tv = [theta(x) for x in v]
+    out = []
+    for row in matrix:
+        acc = row[0] * tv[0]
+        for x, y in zip(row[1:], tv[1:]):
+            acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_families():
+    """Families of (map, dense matrix): every map of SGL(GF(3)^2), the
+    regular representations of the acceptance suite's 66 systems and of
+    C48 over GF(41), with the dense matrix read off the bracket, and the
+    shift reps over QQ and GF(5003), whose square is a dense product."""
+    space = VectorSpace(DivisionRing.gf(3), 2)
+    families = [[(SemilinearMap(space, m), m) for m in oracles.invertible_matrices(space)]]
+    for fs in list(enumerated_system_family()) + _c48_over_gf41_systems()[:1]:
+        n, zero = fs.group.order, fs.ring.zero()
+        rho = regular_representation(TwistedGroupRing(fs))
+        family = []
+        for g in range(n):
+            dense = [[zero] * n for _ in range(n)]
+            for h, gh in enumerate(fs.group.cayley[g]):
+                dense[gh][h] = fs.bracket[g][h]
+            family.append((rho.maps[g], dense))
+        families.append(family)
+    for ring in (DivisionRing.rationals(), DivisionRing.gf(5003)):
+        maps = shift_rep(ring).maps
+        shift = maps[1].matrix
+        dense = [identity_map(maps[0].space).matrix, shift, mat_mul(shift, shift)]
+        families.append(list(zip(maps.values(), dense)))
+    return families
+
+
+def test_row_supports_match_the_dense_matrix():
+    rng = random.Random(22)
+    for family in dense_families():
+        space = family[0][0].space
+        ring, n = space.ring, space.dim
+        coerced = [SemilinearMap(space, dense, f.theta) for f, dense in family]
+        vectors = space.basis()[:3] + [
+            space.vector([rng.randrange(-9, 10) for _ in range(n)]) for _ in range(3)
+        ]
+        twists = list_automorphisms(ring) if ring.is_finite() and ring.order < 50 else []
+        for (f, dense), reference in zip(family, coerced):
+            assert f.matrix == reference.matrix
+            assert f == reference and hash(f) == hash(reference)
+            for phi in twists:
+                assert (f == SemilinearMap(space, dense, phi)) == (phi == f.theta)
+            for v in vectors:
+                assert f.apply(v) == dense_apply(reference.matrix, f.theta, v)
+        for f, _ in family:
+            for g in coerced:
+                same = (f.matrix, f.theta) == (g.matrix, g.theta)
+                assert (f == g) == same and (g == f) == same
+                assert not same or hash(f) == hash(g)
+
+
+def test_scale_matches_the_dense_product():
+    for family in dense_families():
+        space = family[0][0].space
+        ring = space.ring
+        if ring.is_finite():
+            scalars = ring.elements()
+        else:
+            scalars = [ring.scalar(c) for c in (0, 1, -2, "3/7")]
+        # every map of a small family; three of C48's
+        maps = [f for f, _ in family][: 3 if space.dim == 48 else None]
+        for f in maps:
+            for a in scalars:
+                scaled = f.scale(a)
+                assert scaled._matrix is None
+                reference = SemilinearMap(space, [[a * x for x in row] for row in f.matrix], f.theta)
+                assert scaled == reference and hash(scaled) == hash(reference)
+                assert scaled._matrix is None
+                assert scaled.matrix == reference.matrix
+
+
+def test_regular_representation_keeps_no_dense_matrix():
+    # 48 dense 48 x 48 matrices are n^3 pointers, n^3 * 8 bytes; the first
+    # pass warms the ring's and the group's caches
+    fs = _c48_over_gf41_systems()[0]
+    tgr = TwistedGroupRing(fs)
+    rng = random.Random(41)
+    mu = [fs.ring.one()] + [fs.ring.from_index(rng.randrange(1, 41)) for _ in range(47)]
+
+    def run():
+        rho = regular_representation(tgr)
+        extract_cocycle(rho)
+        return rho, rho.scaled(mu)
+
+    run()
+    tracemalloc.start()
+    try:
+        reps = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48**3 * 8
+    assert all(f._matrix is None for rho in reps for f in rho.maps.values())
 
 
 # ---------------------------------------------------------------------------
