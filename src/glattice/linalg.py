@@ -584,32 +584,41 @@ class SubspaceLattice(FiniteLattice):
 
     def point_image(self, f):
         """Where the semilinear map f sends each point, as a dict from
-        point index to point index.
-
-        Points move on element indices: each point row v goes to
-        ``out[r] = sum_j M[r][j] * theta(v_j)``, summed over the row
-        support of r through the ring's add/mul index tables, is scaled
-        by the index inverse of its first nonzero entry, and is looked up
-        in ``point_of``.  NotInvertible at the first point, in ``points``
-        order, that goes to zero, which happens exactly when f is
-        singular: its kernel is a nonzero subspace and so holds a point.
-        L(K^1) has the one point <1>, which goes to itself unless row 0
-        is empty; it needs no tables, which would hold q^2 entries.
+        point index to point index, moved on element indices by
+        ``_moved_points``.  NotInvertible at the first point, in
+        ``points`` order, that goes to zero, which happens exactly when f
+        is singular: its kernel is a nonzero subspace and so holds a
+        point.  L(K^1) has the one point <1>, which goes to itself unless
+        row 0 is empty; it needs no tables, which would hold q^2 entries.
         """
         if f.space != self.space:
             raise SpaceMismatch("map and lattice live on different spaces")
-        ring = self.space.ring
         if self.space.dim == 1:
             if not f._row_support()[0]:
                 raise NotInvertible("images of subspaces need an invertible map")
             return {i: i for i in self.points}
+        rows = [[(j, x.index()) for j, x in row] for row in f._row_support()]
+        return dict(self._moved_points(rows, f.theta))
+
+    def _moved_points(self, rows, theta):
+        """Yield ``(point, image point)`` for each point in ``points``
+        order, as the semilinear map with row supports ``rows`` (per
+        row, its ``(column, entry index)`` pairs) and twist theta moves
+        it; n >= 2 only.
+
+        Each point row v goes to ``out[r] = sum_j M[r][j] * theta(v_j)``,
+        summed over the row support of r through the ring's add/mul index
+        tables, is scaled by the index inverse of its first nonzero entry,
+        and is looked up in ``point_of``.  NotInvertible when a point goes
+        to zero.  A caller that stops early moves no further point.
+        """
+        ring = self.space.ring
         add, mul = ring._index_tables()
         inv = ring._index_inverses()
         # per row, its support with the mul row of each entry: mul[x][a] is x * a
-        rows = [[(j, mul[x.index()]) for j, x in row] for row in f._row_support()]
-        twist = None if f.theta.is_identity() else ring._frobenius_indices(f.theta.power)
+        rows = [[(j, mul[x]) for j, x in row] for row in rows]
+        twist = None if theta.is_identity() else ring._frobenius_indices(theta.power)
         point_of = self.point_of
-        image = {}
         for i, v in zip(self.points, self.point_rows):
             if twist is not None:
                 v = [twist[a] for a in v]
@@ -625,8 +634,7 @@ class SubspaceLattice(FiniteLattice):
             if lead != 1:
                 scale = mul[inv[lead]]
                 out = [scale[a] for a in out]
-            image[i] = point_of[tuple(out)]
-        return image
+            yield i, point_of[tuple(out)]
 
     def automorphism_order(self):
         """|Aut L(GF(q)^n)| in closed form: 1 for n = 1, (q + 1)! for

@@ -28,8 +28,9 @@ theorem of projective geometry the images of the frame <e_1>, ...,
 coordinatization is one linear solve followed by a check of each ring
 automorphism on the points; it returns the same map as the first
 match of a scan of SGL(V) in enumeration order.  Both directions move
-points, on element indices (``SubspaceLattice.point_image``), never
-whole subspaces.
+points, on element indices (``SubspaceLattice._moved_points``, behind
+``point_image``), never whole subspaces, and coordinatization solves
+on element indices too.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .linalg import (
     SubspaceLattice,
     enumerate_subspaces,
     identity_map,
-    rref,
 )
 from .scalar import list_automorphisms
 
@@ -302,6 +302,9 @@ def induced_glattice(rep, lattice=None):
     return action
 
 
+_NO_TWIST = "no semilinear automorphism induces this lattice automorphism"
+
+
 def coordinatize(phi):
     """A semilinear automorphism inducing a given lattice automorphism.
 
@@ -319,6 +322,18 @@ def coordinatize(phi):
     points it contains), so two automorphisms that agree on the points
     agree everywhere.
 
+    For n >= 2 all of it runs on element indices: the frame rows are
+    the canonical ``point_rows``, the solve is a Gauss-Jordan
+    elimination on the ring's add/mul index tables, and each twist
+    moves the points through ``SubspaceLattice._moved_points``, the
+    loop ``point_image`` runs, stopping at the first point that misses.
+    ``Scalar``s are built only for the returned map and for the witness
+    of a frame that is not in general position.  L(K^1) = {0, K} needs
+    no tables (they would hold q^2 entries): every map fixes its one
+    point, and the identity map comes first in the scan.  The
+    ``Scalar`` route, with ``rref`` and one ``SemilinearMap`` per twist,
+    is the reference in ``tests/oracles.py``.
+
     The result is the first match of a scan of SGL(V) with twists outer
     and matrices inner in lexicographic order: within one twist every
     match is a scalar multiple of M, and among those multiples the one
@@ -330,45 +345,71 @@ def coordinatize(phi):
         raise NotCoordinatizable("lattice elements carry no coordinates")
     space = lattice.space
     ring, n = space.ring, space.dim
+    if n == 1:
+        point = lattice.points[0]
+        if phi(point) != point:
+            raise NotCoordinatizable(_NO_TWIST)
+        return identity_map(space)
+    row_of = dict(zip(lattice.points, lattice.point_rows))
 
     def image_row(v):
-        # e_i and the basis sum are already reduced rows
-        return lattice.payloads[phi(lattice._index[(v,)])].basis[0]
+        # index 0 is zero and index 1 is one: e_i and the basis sum are point rows
+        return row_of[phi(lattice.point_of[v])]
 
-    columns = [image_row(e) for e in space.basis()]
-    u = image_row((ring.one(),) * n)
-    # the augmented system [v_1 ... v_n | u], one row per coordinate
-    reduced, pivots = rref(
-        [[v[r] for v in columns] + [u[r]] for r in range(n)], ring
-    )
-    coeffs = [row[n] for row in reduced]
-    if pivots != tuple(range(n)) or any(c.is_zero() for c in coeffs):
+    columns = [image_row(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    u = image_row((1,) * n)
+    add, mul = ring._index_tables()
+    inv = ring._index_inverses()
+    coeffs = _frame_coefficients(columns, u, add, mul, inv)
+    scalar = ring.from_index
+    if coeffs is None:
         raise NotCoordinatizable(
-            "frame images are not in general position", witness=(columns, u)
+            "frame images are not in general position",
+            witness=([tuple(map(scalar, v)) for v in columns], tuple(map(scalar, u))),
         )
-    matrix = [[coeffs[j] * columns[j][r] for j in range(n)] for r in range(n)]
-    lead = next(x for row in matrix for x in row if not x.is_zero()).inverse()
-    matrix = [[lead * x for x in row] for row in matrix]
-    targets = {i: phi(i) for i in lattice.points}
+    matrix = [[mul[c][v[r]] for c, v in zip(coeffs, columns)] for r in range(n)]
+    scale = mul[inv[next(x for row in matrix for x in row if x)]]
+    rows = [[(j, scale[x]) for j, x in enumerate(row) if x] for row in matrix]
+    perm = phi.perm
     for theta in list_automorphisms(ring):
-        f = SemilinearMap(space, matrix, theta)
-        if lattice.point_image(f) == targets:
-            return f
-    raise NotCoordinatizable(
-        "no semilinear automorphism induces this lattice automorphism"
-    )
+        if all(perm[i] == j for i, j in lattice._moved_points(rows, theta)):
+            support = tuple(tuple((j, scalar(x)) for j, x in row) for row in rows)
+            return SemilinearMap._from_rows(space, support, theta)
+    raise NotCoordinatizable(_NO_TWIST)
+
+
+def _frame_coefficients(columns, u, add, mul, inv):
+    """The c with sum_j c_j v_j = u, on element indices, by Gauss-Jordan
+    elimination of [v_1 ... v_n | u] through the add/mul index tables;
+    None unless the v_j are independent and every c_j is nonzero."""
+    n = len(u)
+    rows = [[v[r] for v in columns] + [u[r]] for r in range(n)]
+    minus_one = add[1].index(0)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = mul[inv[rows[col][col]]]
+        top = rows[col] = [scale[x] for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                minus = mul[mul[minus_one][row[col]]]
+                rows[r] = [add[x][minus[y]] for x, y in zip(row, top)]
+    coeffs = [row[n] for row in rows]
+    return None if 0 in coeffs else coeffs
 
 
 def rep_from_glattice(action):
     """Pull a lattice action on L(V) back to a representation on V.
 
-    Each group element's lattice automorphism is coordinatized
-    independently; the resulting family is then checked to (a) induce
-    the original table exactly and (b) satisfy the projective law via
-    cocycle extraction.  The automorphisms are built unchecked: axiom
-    (3) has compared the order on every pair for every row, and a row
-    that keeps x <= y iff gx <= gy is injective by antisymmetry, so it
-    is a permutation.
+    The action is validated once; each group element's lattice
+    automorphism is then coordinatized independently, and the resulting
+    family is checked to (a) induce the original table exactly, row by
+    row, and (b) satisfy the projective law via cocycle extraction.  The
+    automorphisms are built unchecked: axiom (3) has compared the order
+    on every pair for every row, and a row that keeps x <= y iff
+    gx <= gy is injective by antisymmetry, so it is a permutation.
     """
     lattice = action.lattice
     if not isinstance(lattice, SubspaceLattice):
@@ -381,9 +422,9 @@ def rep_from_glattice(action):
         phi = LatticeAutomorphism._unchecked(lattice, action.table[g])
         maps[g] = coordinatize(phi)
     rep = SemilinearProjectiveRep(action.group, lattice.space, maps)
-    back = induced_glattice(rep, lattice)
-    if back.table != action.table:
-        raise NotCoordinatizable("coordinatized family induces a different action")
+    for g, row in enumerate(action.table):
+        if tuple(lattice._induced_row(lattice.point_image(maps[g]))) != row:
+            raise NotCoordinatizable("coordinatized family induces a different action")
     extract_cocycle(rep)  # raises if the family is not projective
     return rep
 

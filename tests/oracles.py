@@ -8,7 +8,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from glattice.errors import GlatticeError, NotInvertible, SpaceMismatch, TooLarge
+from glattice.errors import (
+    GlatticeError,
+    NotCoordinatizable,
+    NotInvertible,
+    SpaceMismatch,
+    TooLarge,
+)
 from glattice.extension import FactorSystem, FsReport
 from glattice.groups import FiniteGroup
 from glattice.lattice import _AXIOM_TEXT, ActionReport, check_axiom
@@ -74,6 +80,38 @@ def point_image(lattice, f):
         lead = lead.inverse()
         image[i] = lattice._index[(tuple([lead * x for x in v]),)]
     return image
+
+
+def coordinatize(phi):
+    """``rep.coordinatize`` with ``Scalar`` arithmetic: the frame rows read
+    off the payloads' bases, the frame system solved with ``rref``, and
+    one ``SemilinearMap`` per twist, in ``list_automorphisms`` order,
+    checked with the ``Scalar`` ``point_image`` above.  Raises
+    NotCoordinatizable with the library's messages and frame witness."""
+    lattice = phi.lattice
+    space = lattice.space
+    ring, n = space.ring, space.dim
+
+    def image_row(v):
+        return lattice.payloads[phi(lattice._index[(v,)])].basis[0]
+
+    columns = [image_row(e) for e in space.basis()]
+    u = image_row((ring.one(),) * n)
+    reduced, pivots = rref([[v[r] for v in columns] + [u[r]] for r in range(n)], ring)
+    coeffs = [row[n] for row in reduced]
+    if pivots != tuple(range(n)) or any(c.is_zero() for c in coeffs):
+        raise NotCoordinatizable(
+            "frame images are not in general position", witness=(columns, u)
+        )
+    matrix = [[coeffs[j] * columns[j][r] for j in range(n)] for r in range(n)]
+    lead = next(x for row in matrix for x in row if not x.is_zero()).inverse()
+    matrix = [[lead * x for x in row] for row in matrix]
+    targets = {i: phi(i) for i in lattice.points}
+    for theta in list_automorphisms(ring):
+        f = SemilinearMap(space, matrix, theta)
+        if point_image(lattice, f) == targets:
+            return f
+    raise NotCoordinatizable("no semilinear automorphism induces this lattice automorphism")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from glattice.lattice import (
 )
 from glattice.linalg import SemilinearMap, general_linear_order, identity_map, map_subspace, mat_mul
 from glattice.rep import _ratio, same_induced_lattice
-from glattice.scalar import list_automorphisms
+from glattice.scalar import Scalar, list_automorphisms
 from glattice.tgring import TwistedGroupRing, regular_representation
 
 import oracles
@@ -336,11 +336,19 @@ def test_coordinatize_shift(shift_rep_gf2):
     assert f.theta.is_identity()
 
 
-def test_coordinatize_one_dimensional(gf4):
-    lattice = enumerate_subspaces(VectorSpace(gf4, 1))
+@pytest.mark.parametrize("p,k", [(2, 2), (4999, 1)], ids=["gf4", "gf4999"])
+def test_coordinatize_one_dimensional(p, k):
+    # L(K^1) needs no index tables: q^2 = 25 million entries for GF(4999)
+    ring = DivisionRing.gf(p, k)
+    lattice = enumerate_subspaces(VectorSpace(ring, 1))
     phi = LatticeAutomorphism(lattice, range(lattice.size))
     f = coordinatize(phi)
     assert f.matrix[0][0].is_one() and f.theta.is_identity()
+    # the chain {0, K} has no other automorphism; an unchecked swap is refused
+    with pytest.raises(NotCoordinatizable):
+        coordinatize(LatticeAutomorphism._unchecked(lattice, (1, 0)))
+    if p == 4999:
+        assert ring._tables is None
 
 
 def test_not_coordinatizable_witness():
@@ -360,24 +368,34 @@ def test_not_coordinatizable_witness():
 
 
 def test_coordinatize_solves_one_system(monkeypatch):
-    # the frame rows are looked up, not reduced; only the frame solve eliminates
+    # the frame solve and the twist checks run on element indices: no rref
+    # call and no Scalar product, yet the map still induces phi
     calls = []
-    original = glattice.linalg.rref
+    rref, mul = glattice.linalg.rref, Scalar.__mul__
 
-    def counted(rows, ring):
-        calls.append(rows)
-        return original(rows, ring)
+    def counted_rref(rows, ring):
+        calls.append("rref")
+        return rref(rows, ring)
 
-    monkeypatch.setattr(glattice.linalg, "rref", counted)
-    monkeypatch.setattr(glattice.rep, "rref", counted)
-    space = VectorSpace(DivisionRing.gf(5), 2)
-    f = SemilinearMap(space, [[1, 2], [3, 4]])
-    lattice = enumerate_subspaces(space)
-    phi = LatticeAutomorphism(lattice, _induced_perm(lattice, f))
-    calls.clear()
-    g = coordinatize(phi)
-    assert len(calls) == 1
-    assert _induced_perm(lattice, g) == phi.perm
+    def counted_mul(self, other):
+        calls.append("mul")
+        return mul(self, other)
+
+    for p, k, matrix, frobenius in [(5, 1, [[1, 2], [3, 4]], 0), (2, 2, [[1, [0, 1]], [1, 0]], 1)]:
+        ring = DivisionRing.gf(p, k)
+        space = VectorSpace(ring, 2)
+        theta = RingAutomorphism.frobenius(ring, frobenius) if k > 1 else None
+        f = SemilinearMap(space, matrix, theta)
+        lattice = enumerate_subspaces(space)
+        phi = LatticeAutomorphism(lattice, _induced_perm(lattice, f))
+        list_automorphisms(ring)  # checks the twists once per ring, with Scalar products
+        monkeypatch.setattr(glattice.linalg, "rref", counted_rref)
+        monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+        g = coordinatize(phi)
+        monkeypatch.undo()
+        assert calls == []
+        assert _induced_perm(lattice, g) == phi.perm
+        assert g.theta == f.theta
 
 
 def _induced_perm(lattice, f):
@@ -431,6 +449,84 @@ def test_coordinatize_beyond_sgl_cap(p, k, matrix, frobenius):
     assert elapsed < 1.0
     if p == 5:
         assert general_linear_order(3, 5) == 1_488_000
+
+
+def _same_coordinatization(phi):
+    """Compare coordinatize with the Scalar route of tests/oracles.py on
+    phi: the same (matrix, theta), or the same exception type, message
+    and witness.  Returns which outcome it was."""
+    try:
+        expected = oracles.coordinatize(phi)
+    except NotCoordinatizable as exc:
+        with pytest.raises(NotCoordinatizable) as raised:
+            coordinatize(phi)
+        assert type(raised.value) is type(exc)
+        assert (str(raised.value), raised.value.witness) == (str(exc), exc.witness)
+        return "frame" if exc.witness is not None else "no twist"
+    f = coordinatize(phi)
+    assert (f.matrix, f.theta) == (expected.matrix, expected.theta)
+    return "twisted" if not f.theta.is_identity() else "linear"
+
+
+@pytest.mark.parametrize(
+    "p,k,n,outcomes",
+    [
+        (2, 1, 3, {"linear"}),
+        (3, 1, 2, {"linear"}),  # PGL(2, 3) is all of S4
+        (2, 2, 2, {"linear", "twisted"}),  # PGammaL(2, 4) is all of S5
+        (5, 1, 2, {"linear", "no twist"}),
+    ],
+    ids=["gf2-dim3", "gf3-dim2", "gf4-dim2", "gf5-dim2"],
+)
+def test_coordinatize_matches_scalar_route_on_every_automorphism(p, k, n, outcomes):
+    lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+    auts = lattice_automorphism_group(lattice)
+    assert len(auts) == lattice.automorphism_order()
+    assert {_same_coordinatization(phi) for phi in auts} == outcomes
+
+
+def _random_semilinear_map(space, rng):
+    thetas = list_automorphisms(space.ring)
+    elements = space.ring.elements()
+    while True:
+        matrix = [[rng.choice(elements) for _ in range(space.dim)] for _ in range(space.dim)]
+        f = SemilinearMap(space, matrix, rng.choice(thetas))
+        if f.is_invertible():
+            return f
+
+
+@pytest.mark.parametrize(
+    "p,k,n",
+    [(2, 3, 2), (3, 2, 2), (3, 1, 3), (2, 2, 3)],
+    ids=["gf8-dim2", "gf9-dim2", "gf3-dim3", "gf4-dim3"],
+)
+def test_coordinatize_matches_scalar_route_on_a_sample(p, k, n):
+    ring = DivisionRing.gf(p, k)
+    lattice = enumerate_subspaces(VectorSpace(ring, n))
+    rng = random.Random(p * 100 + k * 10 + n)
+    # induced by random semilinear maps, Frobenius twists included
+    induced = set()
+    for _ in range(60):
+        f = _random_semilinear_map(lattice.space, rng)
+        induced.add(_same_coordinatization(LatticeAutomorphism(lattice, _induced_perm(lattice, f))))
+    assert induced == ({"linear", "twisted"} if k > 1 else {"linear"})
+    # random permutations of the points; for n = 3 most are no lattice
+    # automorphism, but both routes read phi on the points only, so a
+    # frame out of general position is reached and compared too
+    permuted = set()
+    points = list(lattice.points)
+    for _ in range(60):
+        perm = list(range(lattice.size))
+        for i, j in zip(points, rng.sample(points, len(points))):
+            perm[i] = j
+        if n == 2:
+            phi = LatticeAutomorphism(lattice, perm)
+        else:
+            phi = LatticeAutomorphism._unchecked(lattice, tuple(perm))
+        permuted.add(_same_coordinatization(phi))
+    assert "no twist" in permuted
+    if n == 3:
+        assert "frame" in permuted
 
 
 def test_rep_from_glattice_roundtrip(shift_rep_gf2, shift_rep_gf3):
