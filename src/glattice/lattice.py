@@ -2,9 +2,12 @@
 
 A lattice stores its order once, as the down-set and up-set bitmask of
 every element, and reads its meet/join tables off those masks when they
-are first read.  Construction checks every bound one row at a time, and
-any supplied table must agree with them entry by entry.  Every step is
-quadratic in the number of elements and runs at every size.
+are first read.  Construction checks the partial order, forms the meet
+rows and checks that a top exists: a finite poset with a top in which
+every pair has a meet is a lattice.  The join rows are formed only to
+compare a supplied join table, or to name the first missing bound.  Any
+supplied table must agree with the true bounds entry by entry.  Every
+step is quadratic in the number of elements and runs at every size.
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -57,21 +60,28 @@ class FiniteLattice:
     down[x] and up[x] are the bitmasks of the elements below and above x
     (bit y for element y).  Construction checks that it is a partial
     order, then reads meet[x][y] as the z with down[z] == down[x] &
-    down[y] and join[x][y] as the z with up[z] == up[x] & up[y] (NoMeet
-    / NoJoin where there is none), one row at a time: the elements below
-    z are exactly the common lower bounds of x and y, so z is their
-    greatest lower bound, and dually.  The masks are injective, since
-    down[x] == down[y] gives x <= y <= x, which antisymmetry has
-    excluded for x != y; so a supplied entry is right exactly when it
-    equals the computed one, and the first that differs in row-major
-    order raises TableMismatch with witness (x, y).  Supplied tables are
-    compared row by row and not kept; ``meet`` and ``join`` are built
-    again from the masks when first read.  All of it is O(m^2) mask
-    operations.  The glb and lub operations of a partial order satisfy
+    down[y], one row at a time: the elements below z are exactly the
+    common lower bounds of x and y, so z is their greatest lower bound.
+    It then checks that some element lies above every element.  A
+    finite poset with a top in which every pair has a meet is a
+    lattice: the join of x and y is the meet of their common upper
+    bounds, which the top makes nonempty (Davey & Priestley,
+    *Introduction to Lattices and Order*, 2nd ed., ch. 2).  So the join
+    rows, join[x][y] the z with up[z] == up[x] & up[y], are formed at
+    construction only to compare a supplied join table, or when a meet
+    or the top is missing.  Where a bound is missing, construction
+    raises NoMeet / NoJoin at the first pair in row-major order that
+    lacks one, the meet before the join of the same pair.  The masks
+    are injective, since down[x] == down[y] gives x <= y <= x, which
+    antisymmetry has excluded for x != y; so a supplied entry is right
+    exactly when it equals the computed one, and the first that differs
+    in row-major order raises TableMismatch with witness (x, y).
+    Supplied tables are compared row by row and not kept; ``meet`` and
+    ``join`` are built again from the masks when first read.  All of it
+    is O(m^2) mask operations.  The glb and lub operations of a partial order satisfy
     the lattice laws (idempotence, commutativity, associativity,
-    absorption): Davey & Priestley, *Introduction to Lattices and
-    Order*, 2nd ed., ch. 2 ("lattices as algebraic structures"), so no
-    cubic law check runs.
+    absorption; ibid., "lattices as algebraic structures"), so no cubic
+    law check runs.
     """
 
     def __init__(self, leq, meet=None, join=None, payloads=None, labels=None):
@@ -91,11 +101,12 @@ class FiniteLattice:
         every bound exists and keep the masks.  Every lattice is built
         through here: ``__init__`` hands over the masks of its ``leq``
         matrix, a subclass that knows its order otherwise hands over its
-        own.  ``meet`` and ``join`` are supplied tables, or functions
-        from x to row x; each is compared with the true bounds one row
-        at a time, as ``_bounds`` yields them.  The errors come in a
-        fixed order: NotPartialOrder, NoMeet / NoJoin, then the meet
-        table's shape or first wrong entry, then the join table's."""
+        own.  ``meet`` and ``join`` are supplied tables; each is
+        compared with the true bounds one row at a time, as ``_bounds``
+        yields them.  The join rows are formed only when a join table is
+        supplied or a bound is missing.  The errors come in a fixed
+        order: NotPartialOrder, NoMeet / NoJoin, then the meet table's
+        shape or first wrong entry, then the join table's."""
         m = len(up)
         for x in range(m):
             if not up[x] >> x & 1:
@@ -111,27 +122,31 @@ class FiniteLattice:
                         witness=(z, x, y),
                     )
 
-        # per supplied table, a function from x to row x and its first error:
-        # the shape, else the first wrong entry in row-major order; raised
-        # once every bound has been found, the meet's before the join's
-        rows_of, errors = {}, {}
+        # per supplied table, its first error: the shape, else the first
+        # wrong entry in row-major order; raised once every bound has been
+        # found, the meet's before the join's
+        tables, errors = {}, {}
         for name, given in (("meet", meet), ("join", join)):
-            if callable(given):
-                rows_of[name] = given
-            elif given is not None and _is_square(given, m):
-                rows_of[name] = given.__getitem__
+            if given is not None and _is_square(given, m):
+                tables[name] = given
             elif given is not None:
                 errors[name] = ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
-        for x, true_rows in enumerate(_bounds(down, up)):
-            for name, true_row in zip(("meet", "join"), true_rows):
-                if name in rows_of and name not in errors:
-                    row = list(rows_of[name](x))
-                    if row != true_row:
-                        y = next(y for y in range(m) if row[y] != true_row[y])
-                        errors[name] = TableMismatch(
-                            f"{name}[{x}][{y}] = {row[y]}, but the true bound is {true_row[y]}",
-                            witness=(x, y),
-                        )
+        # with a top and every meet, every join exists; a missing bound is
+        # named by the full scan, at the first pair that lacks one
+        meet_only = join is None
+        try:
+            for x, true_rows in enumerate(_bounds(down, None if meet_only else up)):
+                for name, true_row in zip(("meet", "join"), true_rows):
+                    if name in tables and name not in errors:
+                        error = _row_mismatch(name, x, list(tables[name][x]), true_row)
+                        if error is not None:
+                            errors[name] = error
+        except NoMeet:
+            if meet_only:
+                _raise_first_missing_bound(down, up)
+            raise
+        if meet_only and (1 << m) - 1 not in down:
+            _raise_first_missing_bound(down, up)
         if errors:
             raise errors.get("meet", errors.get("join"))
 
@@ -247,19 +262,38 @@ def _bounds(down, up):
     """
     by_down = {mask: x for x, mask in enumerate(down or ())}
     by_up = {mask: x for x, mask in enumerate(up or ())}
-    for x, (dx, ux) in enumerate(itertools.zip_longest(down or (), up or ())):
+    pairs = list(itertools.zip_longest(down or (), up or ()))
+    for x, (dx, ux) in enumerate(pairs):
         try:
             rows = (
                 None if dx is None else [by_down[dx & dy] for dy in down],
                 None if ux is None else [by_up[ux & uy] for uy in up],
             )
         except KeyError:
-            for y, (dy, uy) in enumerate(zip(down, up)):
-                if dx & dy not in by_down:
+            for y, (dy, uy) in enumerate(pairs):
+                if dx is not None and dx & dy not in by_down:
                     raise NoMeet(f"elements {x},{y} have no meet", witness=(x, y)) from None
-                if ux & uy not in by_up:
+                if ux is not None and ux & uy not in by_up:
                     raise NoJoin(f"elements {x},{y} have no join", witness=(x, y)) from None
         yield rows
+
+
+def _raise_first_missing_bound(down, up):
+    """Scan every meet and join row, so that the first pair in row-major
+    order that lacks a bound raises NoMeet / NoJoin."""
+    for _ in _bounds(down, up):
+        pass
+
+
+def _row_mismatch(name, x, row, true_row):
+    """TableMismatch at the first y with row[y] != true_row[y], or None
+    when row x of the table ``name`` is right."""
+    if row == true_row:
+        return None
+    y = next(y for y in range(len(true_row)) if row[y] != true_row[y])
+    return TableMismatch(
+        f"{name}[{x}][{y}] = {row[y]}, but the true bound is {true_row[y]}", witness=(x, y)
+    )
 
 
 def chain_lattice(m):
@@ -437,7 +471,9 @@ def search_automorphisms(lattice):
     as x relates to them: up[y] and down[y] restricted to the used
     images equal the images of up[x] and down[x] restricted to the
     placed elements.  So a leaf is an automorphism and is built
-    unchecked.  TooLarge as soon as more than 50,000 are found.  The
+    unchecked.  The elements are placed in one fixed order, so the
+    placed elements above and below each one are listed once, before
+    the search.  TooLarge as soon as more than 50,000 are found.  The
     search stays the reference the closed forms are tested against.
     """
     m = lattice.size
@@ -449,11 +485,19 @@ def search_automorphisms(lattice):
     same = [classes[s] for s in sig]
     order = sorted(range(m), key=lambda x: (bin(same[x]).count("1"), x))
     down, up = lattice.down_masks, lattice.up_masks
+    # step i places order[i] after order[:i]: per step, the element, the
+    # bitmask of its candidates, and the placed elements above and below it
+    steps, placed = [], 0
+    for x in order:
+        steps.append((x, same[x], list(_bits(up[x] & placed)), list(_bits(down[x] & placed))))
+        placed |= 1 << x
     found = []
     image = [None] * m
     image_bit = [0] * m
 
-    def backtrack(i, placed, used):
+    # the loops stay inline: a generator or a comprehension would cost one
+    # more frame per node
+    def backtrack(i, used):
         if i == m:
             found.append(tuple(image))
             if len(found) > _AUT_GROUP_LIMIT:
@@ -461,16 +505,23 @@ def search_automorphisms(lattice):
                     f"automorphism search found more than {_AUT_GROUP_LIMIT} automorphisms"
                 )
             return
-        x = order[i]
-        up_image = _union(up[x] & placed, image_bit)
-        down_image = _union(down[x] & placed, image_bit)
-        for y in _bits(same[x] & ~used):
+        x, candidates, above, below = steps[i]
+        up_image = down_image = 0
+        for z in above:
+            up_image |= image_bit[z]
+        for z in below:
+            down_image |= image_bit[z]
+        free = candidates & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            y = bit.bit_length() - 1
             if up[y] & used != up_image or down[y] & used != down_image:
                 continue
-            image[x], image_bit[x] = y, 1 << y
-            backtrack(i + 1, placed | 1 << x, used | 1 << y)
+            image[x], image_bit[x] = y, bit
+            backtrack(i + 1, used | bit)
 
-    backtrack(0, 0, 0)
+    backtrack(0, 0)
     return [LatticeAutomorphism._unchecked(lattice, perm) for perm in sorted(found)]
 
 

@@ -20,6 +20,7 @@ Conventions (chosen once, used everywhere):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -38,6 +39,9 @@ from .lattice import (
     FiniteLattice,
     LatticeAutomorphism,
     _bits,
+    _bounds,
+    _row_mismatch,
+    _union,
     automorphism_closure,
 )
 from .scalar import RingAutomorphism
@@ -513,25 +517,38 @@ class SubspaceLattice(FiniteLattice):
     that hold all of its points, and the down-sets are the transpose of
     the up-sets.  The base class reads the meet off it (a down-set
     restricted to the points is the point mask, so the meet is the
-    intersection of point sets).  The join is the sum, computed independently through
-    orthogonality as ``W1 + W2 = (W1^perp meet W2^perp)^perp``: every
-    basis row is a point, so the point mask of W^perp is the
-    intersection of ``orth[r]`` over the rows r of W, where ``orth[r]``
-    is the mask of the points whose dot product with r is zero.  That
-    join is handed over as a function from x to row x, and the base
-    class compares each row with the join row it reads off the order;
-    no m x m table is built.
+    intersection of point sets) and checks the top.  The join, the sum,
+    is checked independently through orthogonality: every basis row is
+    a point, so the point mask of W^perp is the intersection of
+    ``orth[r]`` over the rows r of W, where ``orth[r]`` is the mask of
+    the points whose dot product with r is zero.  Let phi[x] be the
+    element with the annihilator mask of x.  W -> W^perp must be an
+    order-reversing involution: every phi[x] exists, phi[phi[x]] == x,
+    and phi maps the elements above x onto those below phi[x], a check
+    of O(comparable pairs) bit operations.  An order-reversing bijection
+    turns meets into joins, so it gives ``W1 + W2 = (W1^perp meet
+    W2^perp)^perp`` for every pair, which is the sum.  If the check
+    fails, the sums read off the annihilator masks are compared with the
+    join rows read off the order, one row at a time: TableMismatch at
+    the first pair in row-major order where they differ, else
+    GlatticeError at the first element where phi fails, since then the
+    masks are not annihilators.  No m x m table is built.
+
+    ``labels`` are the ``repr`` of the payloads, written from a table of
+    element reprs over the index rows; ``index_of`` reads a dictionary
+    from reduced basis to index that is built when first needed.
     """
 
     def __init__(self, space, bases):
         ring, n = space.ring, space.dim
         self.space = space
         elements = ring.elements()
+        # the repr of each element index; the bases of L(K^1) hold only index 1
+        names = [repr(e) for e in (elements if n > 1 else elements[:2])]
         subspaces = [
             Subspace._reduced(space, tuple(tuple(elements[i] for i in row) for row in rows), pivots)
             for rows, pivots in bases
         ]
-        self._index = {sub.basis: i for i, sub in enumerate(subspaces)}
         point_of = {rows[0]: i for i, (rows, _) in enumerate(bases) if len(rows) == 1}
         # L(K^1) = {0, K} needs no arithmetic; for n >= 2, q^2 <= q^n <= 5000
         add, mul = ring._index_tables() if n > 1 else (None, None)
@@ -562,22 +579,33 @@ class SubspaceLattice(FiniteLattice):
             for y in _bits(above):
                 down[y] |= 1 << x
 
-        perp_masks = _annihilator_masks(bases, point_of, _orthogonality(point_of, n, add, mul))
-        # W1 + W2 is the W whose annihilator is W1^perp meet W2^perp; a mask
-        # that is no annihilator leaves None, which the join check reports
-        sum_of = {mask: x for x, mask in enumerate(perp_masks)}
         self._set_order(
             down,
             up,
-            join=lambda x: [sum_of.get(perp_masks[x] & pj) for pj in perp_masks],
             payloads=subspaces,
-            labels=[repr(s) for s in subspaces],
+            # Subspace.__repr__, read off the element indices
+            labels=[
+                "span{" + ";".join(["(" + ",".join([names[i] for i in row]) + ")" for row in rows])
+                + "}"
+                for rows, _ in bases
+            ],
         )
+        # W -> W^perp, through the annihilator masks: an order-reversing
+        # involution exactly when the join read off the order is the sum
+        perp_masks = _annihilator_masks(bases, point_of, _orthogonality(point_of, n, add, mul))
+        bad = _first_non_duality([by_mask.get(mask) for mask in perp_masks], down, up)
+        if bad is not None:
+            _raise_join_mismatch(perp_masks, up, bad)
         self.masks = tuple(masks)
         self.by_mask = by_mask
         self.points = tuple(point_of.values())
         self.point_rows = tuple(point_of)
         self.point_of = point_of
+
+    @functools.cached_property
+    def _index(self):
+        """The index of each subspace, by its reduced basis."""
+        return {sub.basis: i for i, sub in enumerate(self.payloads)}
 
     def index_of(self, subspace):
         return self._index[subspace.basis]
@@ -795,6 +823,37 @@ def _annihilator_masks(bases, point_of, orth):
             mask &= orth[point_of[row]]
         out.append(mask)
     return out
+
+
+def _first_non_duality(phi, down, up):
+    """The first x at which x -> phi[x] fails to be an order-reversing
+    involution, or None: phi[x] is None, phi[phi[x]] != x, or phi sends
+    the elements above x somewhere other than onto the elements below
+    phi[x].  O(comparable pairs) bit operations."""
+    phi_bit = [0 if y is None else 1 << y for y in phi]
+    for x, y in enumerate(phi):
+        if y is None or phi[y] != x or _union(up[x], phi_bit) != down[y]:
+            return x
+    return None
+
+
+def _raise_join_mismatch(perp_masks, up, bad):
+    """Raise where the sums ``(W1^perp meet W2^perp)^perp``, read off the
+    annihilator masks, first differ from the join read off the order:
+    TableMismatch at the first (x, y) in row-major order.  When every sum
+    agrees, the masks are not the annihilators: GlatticeError at ``bad``,
+    the first element at which W -> W^perp is no order-reversing
+    involution."""
+    sum_of = {mask: x for x, mask in enumerate(perp_masks)}
+    for x, (_, true_row) in enumerate(_bounds(None, up)):
+        row = [sum_of.get(perp_masks[x] & pj) for pj in perp_masks]
+        error = _row_mismatch("join", x, row, true_row)
+        if error is not None:
+            raise error
+    raise GlatticeError(
+        f"the annihilator masks are no order-reversing involution at element {bad}",
+        witness=(bad,),
+    )
 
 
 def enumerate_subspaces(space):

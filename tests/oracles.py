@@ -10,9 +10,13 @@ from fractions import Fraction
 
 from glattice.errors import (
     GlatticeError,
+    NoJoin,
+    NoMeet,
     NotCoordinatizable,
     NotInvertible,
+    ShapeMismatch,
     SpaceMismatch,
+    TableMismatch,
     TooLarge,
 )
 from glattice.extension import FactorSystem, FsReport
@@ -28,6 +32,47 @@ def leq_matrix(lattice):
     up-set masks: entry (x, y) is x <= y."""
     m = lattice.size
     return [[bool(lattice.up_masks[x] >> y & 1) for y in range(m)] for x in range(m)]
+
+
+def meet_and_join_scan(down, up, meet=None, join=None):
+    """The bound checks of lattice construction before it formed only the
+    meet rows: the meet and the join of every pair, read off the down-set
+    and up-set masks row by row, and supplied tables compared with them.
+    Raises NoMeet / NoJoin at the first pair in row-major order that
+    lacks a bound (the meet first), else the meet table's ShapeMismatch
+    or first TableMismatch, else the join table's; returns None for a
+    lattice whose supplied tables are right."""
+    m = len(down)
+    by_mask = {"meet": {mask: x for x, mask in enumerate(down)},
+               "join": {mask: x for x, mask in enumerate(up)}}
+    masks = {"meet": down, "join": up}
+    errors = {}
+    for name, table in (("meet", meet), ("join", join)):
+        square = isinstance(table, (list, tuple)) and len(table) == m and all(
+            isinstance(row, (list, tuple)) and len(row) == m for row in table
+        )
+        if table is not None and not square:
+            errors[name] = ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
+    for x in range(m):
+        for y in range(m):
+            if down[x] & down[y] not in by_mask["meet"]:
+                raise NoMeet(f"elements {x},{y} have no meet", witness=(x, y))
+            if up[x] & up[y] not in by_mask["join"]:
+                raise NoJoin(f"elements {x},{y} have no join", witness=(x, y))
+        for name, table in (("meet", meet), ("join", join)):
+            if table is None or name in errors:
+                continue
+            for y in range(m):
+                true = by_mask[name][masks[name][x] & masks[name][y]]
+                if table[x][y] != true:
+                    errors[name] = TableMismatch(
+                        f"{name}[{x}][{y}] = {table[x][y]}, but the true bound is {true}",
+                        witness=(x, y),
+                    )
+                    break
+    if errors:
+        raise errors.get("meet", errors.get("join"))
+    return None
 
 
 def validate_all_five_axioms(action):

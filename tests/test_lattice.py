@@ -1,5 +1,6 @@
 """Lattice validation, automorphisms, and action-axiom machinery."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -32,6 +33,7 @@ from glattice import (
     validate_glattice,
 )
 from glattice.errors import (
+    GlatticeError,
     NoJoin,
     NoMeet,
     NotGSet,
@@ -53,7 +55,7 @@ from glattice.lattice import (
 )
 
 from conftest import shift_rep
-from oracles import leq_matrix, validate_all_five_axioms
+from oracles import leq_matrix, meet_and_join_scan, validate_all_five_axioms
 
 
 def leq_from_pairs(m, pairs):
@@ -464,6 +466,114 @@ def test_bounds_match_reference_on_every_small_order():
             ref_meet, ref_join = reference_bounds(lat.down_masks, lat.up_masks)
             assert [list(r) for r in lat.meet] == ref_meet
             assert [list(r) for r in lat.join] == ref_join
+
+
+@functools.cache
+def small_posets():
+    """Every partial order among the relations on 1..4 labeled elements
+    that test_bounds_match_reference_on_every_small_order builds."""
+    posets = []
+    for m in range(1, 5):
+        cells = list(itertools.product(range(m), repeat=2))
+        for bits in range(1 << len(cells)):
+            leq = [[False] * m for _ in range(m)]
+            for b, (i, j) in enumerate(cells):
+                leq[i][j] = bool(bits >> b & 1)
+            if reference_partial_order_failure(leq) is None:
+                posets.append(leq)
+    return posets
+
+
+def construction_outcome(build):
+    """(exception type, message, witness) of what build() raises, or None."""
+    try:
+        build()
+    except GlatticeError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def supplied_tables(m, tables):
+    """Keyword arguments of FiniteLattice to build with: no table, wrong
+    tables of zeros, a table of the wrong shape, and, where ``tables``
+    gives the true (meet, join), the true tables alone, together, and
+    next to a wrong one."""
+    zeros = [[0] * m for _ in range(m)]
+    variants = [{}, {"meet": zeros}, {"join": zeros}, {"meet": zeros, "join": zeros},
+                {"meet": [[0] * m] * (m + 1)}, {"join": [[0] * m] * (m + 1)}]
+    if tables is not None:
+        meet, join = tables
+        variants += [{"meet": meet}, {"join": join}, {"meet": meet, "join": join},
+                     {"meet": meet, "join": zeros}, {"meet": zeros, "join": join}]
+    return variants
+
+
+def leq_matrix_masks(leq):
+    """(down, up): the down-set and up-set masks of an leq matrix."""
+    m = len(leq)
+    return (
+        [sum(1 << y for y in range(m) if leq[y][x]) for x in range(m)],
+        [sum(1 << y for y in range(m) if leq[x][y]) for x in range(m)],
+    )
+
+
+def assert_construction_matches_scan(leq, tables):
+    down, up = leq_matrix_masks(leq)
+    for supplied in supplied_tables(len(leq), tables):
+        assert construction_outcome(lambda: FiniteLattice(leq, **supplied)) == (
+            construction_outcome(lambda: meet_and_join_scan(down, up, **supplied))
+        ), supplied
+
+
+def test_meet_only_construction_matches_the_full_scan_on_every_small_poset():
+    # the same exception type, message and witness as the scan of every
+    # meet and join row, or success on both, with and without tables
+    posets = small_posets()
+    assert len(posets) == 1 + 3 + 19 + 219
+    outcomes = set()
+    for leq in posets:
+        tables = None
+        with contextlib.suppress(NoMeet, NoJoin):
+            lat = FiniteLattice(leq)
+            tables = ([list(row) for row in lat.meet], [list(row) for row in lat.join])
+        outcomes.add(tables is not None)
+        assert_construction_matches_scan(leq, tables)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", FAMILY)
+def test_meet_only_construction_matches_the_full_scan_on_the_family(name):
+    lat = FAMILY[name]()
+    assert_construction_matches_scan(
+        leq_matrix(lat), ([list(row) for row in lat.meet], [list(row) for row in lat.join])
+    )
+
+
+def test_meet_only_construction_names_the_first_missing_join():
+    # NO_TOP has every meet: the missing top sends construction to the full scan
+    with pytest.raises(NoJoin, match="1,2 have no join") as err:
+        FiniteLattice(NO_TOP)
+    assert err.value.witness == (1, 2)
+    # 3, 4 < 2 < 0, 1: 0 and 1 have no join, 3 and 4 no meet; the meet rows
+    # alone stop at (3, 4), but (0, 1) comes first in row-major order
+    leq = leq_from_pairs(5, [(2, 0), (2, 1), (3, 2), (4, 2), (3, 0), (3, 1), (4, 0), (4, 1)])
+    with pytest.raises(NoJoin, match="0,1 have no join") as err:
+        FiniteLattice(leq)
+    assert err.value.witness == (0, 1)
+    with pytest.raises(NoMeet, match="3,4 have no meet"):
+        list(lattice_module._bounds(leq_matrix_masks(leq)[0], None))
+
+
+def test_bounds_reads_one_family_on_a_missing_bound():
+    # the rescan after a missing bound reads only the masks it was given
+    down, up = leq_matrix_masks(NO_BOUNDS)
+    with pytest.raises(NoMeet) as err:
+        list(lattice_module._bounds(down, None))
+    assert err.value.witness == (0, 3)
+    # 0 and 3 lack a join as well: their upper bounds 1 and 2 are incomparable
+    with pytest.raises(NoJoin) as err:
+        list(lattice_module._bounds(None, up))
+    assert err.value.witness == (0, 3)
 
 
 def reference_covers(leq):

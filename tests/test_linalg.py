@@ -17,6 +17,7 @@ from glattice import (
     gaussian_binomial,
     map_subspace,
 )
+from glattice import lattice as lattice_module
 from glattice import linalg
 from glattice.errors import (
     GlatticeError,
@@ -257,6 +258,29 @@ def test_index_construction_matches_scalar_route(p, k, n, monkeypatch):
     assert list(lattice.payloads) == sorted(lattice.payloads, key=Subspace.sort_key)
 
 
+# every subspace lattice the suite builds, as (p, k, modulus, n): the family
+# above, the larger and the one-dimensional ones, and GF(8)^2 and GF(9)^2
+# under their second modulus as well
+_BUILT = [(p, k, None, n) for p, k, n in _LATTICE_FAMILY] + [
+    (3, 1, None, 4), (5, 1, None, 4), (2, 1, None, 5), (2, 3, None, 3), (37, 1, None, 2),
+    (67, 1, None, 2), (7, 1, None, 1), (2, 2, None, 1), (4999, 1, None, 1), (2, 12, None, 1),
+    (2, 3, (1, 0, 1, 1), 2), (3, 2, (2, 1, 1), 2),
+]
+
+
+@pytest.mark.parametrize("p,k,modulus,n", _BUILT)
+def test_labels_and_index_follow_the_payloads(p, k, modulus, n):
+    # labels written from element reprs over index rows, and the lazy index
+    space = VectorSpace(DivisionRing.gf(p, k, modulus), n)
+    lattice = enumerate_subspaces(space)
+    assert lattice.labels == tuple(repr(w) for w in lattice.payloads)
+    assert "_index" not in vars(lattice)
+    every = list(range(lattice.size))
+    assert [lattice.index_of(w) for w in lattice.payloads] == every
+    # the same subspaces, reduced again by elimination
+    assert [lattice.index_of(Subspace(space, list(w.basis))) for w in lattice.payloads] == every
+
+
 def _replace_basis(monkeypatch, old, new):
     """Make the enumeration yield ``new`` (rows, pivots) in place of ``old``."""
     rref_bases = linalg._rref_bases
@@ -318,6 +342,69 @@ def test_corrupted_annihilator_is_caught_by_the_join(monkeypatch, gf3, corruptio
     with pytest.raises(TableMismatch, match="join") as caught:
         enumerate_subspaces(VectorSpace(gf3, 3))
     assert len(caught.value.witness) == 2
+
+
+def _annihilators_replaced(monkeypatch, corrupt):
+    """Make the enumeration hand ``corrupt(perp_masks)`` to the duality check."""
+    annihilator_masks = linalg._annihilator_masks
+    monkeypatch.setattr(
+        linalg, "_annihilator_masks", lambda *args: corrupt(annihilator_masks(*args))
+    )
+
+
+def test_non_involutive_duality_is_caught(monkeypatch, gf3):
+    # masks of W -> alpha(W^perp) for an automorphism alpha: an order-reversing
+    # permutation whose sums (W1^perp meet W2^perp)^perp all match the join,
+    # since alpha keeps meets; only the involution check sees it
+    space = VectorSpace(gf3, 3)
+    lattice = enumerate_subspaces(space)
+    perp = [lattice.index_of(w.annihilator()) for w in lattice.payloads]
+    alpha = lattice.automorphism_generators()[0].perm
+    twisted = [alpha[y] for y in perp]
+    bad = next(x for x, y in enumerate(twisted) if twisted[y] != x)
+    _annihilators_replaced(monkeypatch, lambda masks: [lattice.masks[y] for y in twisted])
+    with pytest.raises(GlatticeError, match="no order-reversing involution") as caught:
+        enumerate_subspaces(space)
+    assert type(caught.value) is GlatticeError
+    assert caught.value.witness == (bad,)
+
+
+def test_identity_duality_is_caught_by_the_join(monkeypatch, gf3):
+    # each element's own point mask: phi is the identity, and every sum read
+    # off the masks is the meet, first wrong at the bottom and the first point
+    space = VectorSpace(gf3, 3)
+    lattice = enumerate_subspaces(space)
+    _annihilators_replaced(monkeypatch, lambda masks: list(lattice.masks))
+    with pytest.raises(TableMismatch, match=r"join\[0\]\[1\] = 0, but the true bound is 1") as err:
+        enumerate_subspaces(space)
+    assert err.value.witness == (0, 1)
+
+
+def test_duality_onto_no_element_is_caught(monkeypatch, gf3):
+    # bit 0 is the zero subspace, never a point, so no mask holds it: phi
+    # hits no element, while the sums match the join bit for bit
+    _annihilators_replaced(monkeypatch, lambda masks: [mask | 1 for mask in masks])
+    with pytest.raises(GlatticeError, match="no order-reversing involution") as caught:
+        enumerate_subspaces(VectorSpace(gf3, 3))
+    assert type(caught.value) is GlatticeError
+    assert caught.value.witness == (0,)
+
+
+def test_subspace_lattices_form_no_join_rows(monkeypatch):
+    # the meet rows and the duality check build the lattice; no join row
+    # is formed unless something is wrong
+    up_given = []
+    bounds = lattice_module._bounds
+
+    def spy(down, up):
+        up_given.append(up is not None)
+        return bounds(down, up)
+
+    monkeypatch.setattr(lattice_module, "_bounds", spy)
+    monkeypatch.setattr(linalg, "_bounds", spy)
+    for p, k, n in _LATTICE_FAMILY + [(3, 1, 4), (4999, 1, 1)]:
+        enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+    assert up_given and not any(up_given)
 
 
 @pytest.mark.parametrize("p,k,n", [(4999, 1, 1), (2, 12, 1), (67, 1, 2)])
