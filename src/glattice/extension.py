@@ -44,9 +44,9 @@ mod q - 1:
 
 with mu(g) = w^m[g].  ``Cochain`` holds (q - 1, p^e_g mod (q - 1),
 beta); it is built once per system, on first use, and E2, E5, the
-transformed bracket, the classification signatures and the Schreier
-table run on it.  The rationals, the quaternions and prime fields above
-5000 keep the products of ``Scalar``s.
+transformed bracket, the classification's mu-orbits and signatures and
+the Schreier table run on it.  The rationals, the quaternions and prime
+fields above 5000 keep the products of ``Scalar``s.
 """
 
 from __future__ import annotations
@@ -427,20 +427,40 @@ def factor_system_from_rep(rep):
     """The factor system (theta family, cocycle) of a representation.
 
     Requires the normalized form rho(e) = identity; otherwise the
-    extracted bracket would violate E3.  The result is re-validated on
-    every call, so this function doubles as a mechanical proof that
-    representations yield factor systems.
+    extracted bracket would violate E3.  The system is built from the
+    kept cocycle and validated on the first call, and the same object is
+    returned on later calls, so a returned system is a mechanical proof
+    that the representation yields a factor system.
     """
-    if not rep.maps[0].is_identity():
-        raise NotNormalized(
-            "rho(identity) must be the identity map; use rep.normalized() first"
-        )
-    chi = {g: rep.maps[g].theta for g in range(rep.group.order)}
-    fs = FactorSystem(rep.group, rep.space.ring, chi, extract_cocycle(rep))
-    report = validate_factor_system(fs)
-    if not report.ok:
-        raise GlatticeError(f"extracted data is not a factor system: {report}")
-    return fs
+    if rep._fs is None:
+        if not rep.maps[0].is_identity():
+            raise NotNormalized(
+                "rho(identity) must be the identity map; use rep.normalized() first"
+            )
+        chi = {g: rep.maps[g].theta for g in range(rep.group.order)}
+        fs = FactorSystem(rep.group, rep.space.ring, chi, extract_cocycle(rep))
+        report = validate_factor_system(fs)
+        if not report.ok:
+            raise GlatticeError(f"extracted data is not a factor system: {report}")
+        rep._fs = fs
+    return rep._fs
+
+
+def _system_of(rep, fs):
+    """``factor_system_from_rep(rep)``, kept as fs itself when rep is
+    normalized over fs's (K, G), its twists and cocycle are fs's chi and
+    bracket, and fs is valid: the system that call would build equals fs,
+    so it passes the same checks, and no law runs again."""
+    if rep._fs is None and rep.maps[0].is_identity():
+        cocycle = extract_cocycle(rep)
+        if (
+            (rep.group, rep.space.ring) == (fs.group, fs.ring)
+            and tuple(f.theta for f in rep.maps.values()) == fs.chi
+            and all(x == fs.bracket[g][h] for (g, h), x in cocycle.items())
+            and validate_factor_system(fs).ok
+        ):
+            rep._fs = fs
+    return factor_system_from_rep(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -690,29 +710,34 @@ def classify_up_to_equivalence(group, ring, chi=None):
     Returns a list of classes, each a list of factor systems; classes
     are sorted by their least member so output order is deterministic.
     Raises unless the classes cover every enumerated system exactly once,
-    so the class sizes sum to the number of systems.  Signatures are
-    ``FactorSystem.signature()`` read off the cochains: the sort key of
-    an element of GF(q) is its index, here that of w^beta.
+    so the class sizes sum to the number of systems.
+
+    The orbits run on the cochains (Brown, *Cohomology of Groups*,
+    IV.3): ``_enumeration_feasible`` admits only GF(2) to GF(5), which
+    all have exp/log tables, and over a field chi' = chi, so the image
+    of a system under mu = w^m is read off ``_coboundary_orbit`` with no
+    ``FactorSystem`` built.  Signatures are ``FactorSystem.signature()``
+    read off the cochains: the sort key of an element of GF(q) is its
+    index, here that of w^beta.  ``transform_factor_system`` gives the
+    same images and is the reference the orbits are tested against.
     """
     systems = enumerate_factor_systems(group, ring, chi)
     index_of_log = [ring.exp(i).index() for i in range(ring.order - 1)]
 
-    def signature(fs):
-        return (
-            tuple(repr(phi) for phi in fs.chi),
-            tuple(tuple(index_of_log[b] for b in row) for row in cochain(fs).beta),
-        )
+    def signature(chi_key, beta):
+        return chi_key, tuple(tuple(index_of_log[b] for b in row) for row in beta)
 
-    by_sig = {signature(fs): fs for fs in systems}
+    by_sig = {
+        signature(tuple(repr(phi) for phi in fs.chi), cochain(fs).beta): fs for fs in systems
+    }
     unseen = dict(by_sig)
     classes = []
     for sig in sorted(by_sig):
         if sig not in unseen:
             continue
-        fs = by_sig[sig]
         orbit_sigs = set()
-        for mu in _all_mu_candidates(fs):
-            moved_sig = signature(transform_factor_system(fs, mu))
+        for beta in _coboundary_orbit(cochain(by_sig[sig]), group.cayley):
+            moved_sig = signature(sig[0], beta)
             if moved_sig not in by_sig:
                 raise GlatticeError(
                     "equivalence moved a system outside the enumerated family"
@@ -727,22 +752,34 @@ def classify_up_to_equivalence(group, ring, chi=None):
     return [[by_sig[s] for s in cls] for cls in classes]
 
 
+def _coboundary_orbit(view, cayley):
+    """The bracket logs of every system equivalent to the cochain ``view``
+    over a field: beta'(g,h) = beta(g,h) + m(gh) - m(g) - p^e_g m(h)
+    mod q - 1 (E5 with chi' = chi), one table per m with m(e) = 0."""
+    n, twist, beta = view
+    for tail in itertools.product(range(n), repeat=len(cayley) - 1):
+        m = (0, *tail)
+        yield [
+            [(b + m[gh] - m_g - t_g * m[h]) % n for h, (b, gh) in enumerate(zip(beta_g, cayley_g))]
+            for beta_g, cayley_g, m_g, t_g in zip(beta, cayley, m, twist)
+        ]
+
+
 def transport_rep(rep, fs, fs_target, mu):
     """Equivalence transport: scale an fs-associated representation by mu
     to get one associated with fs_target.
 
-    ``mu`` must witness fs_target -> fs; the output is re-extracted and
-    compared against fs_target, so a successful return is a mechanical
-    proof of the transport.
+    ``mu`` must witness fs_target -> fs.  The input's system and the
+    output's are each decided by comparing the extracted twists and
+    cocycle with the validated fs and fs_target, with no law run again,
+    so a successful return is a mechanical proof of the transport.
     """
-    actual = factor_system_from_rep(rep)
-    if actual != fs:
+    if _system_of(rep, fs) != fs:
         raise NotAssociated("representation is not associated with the given system")
     if not check_equivalence(fs_target, fs, mu):
         raise NotEquivalent("mu does not witness fs_target -> fs")
     mu = _coerce_mu(fs, mu)
     moved = rep.scaled({g: mu[g] for g in range(rep.group.order)})
-    moved_fs = factor_system_from_rep(moved)
-    if moved_fs != fs_target:
+    if _system_of(moved, fs_target) != fs_target:
         raise GlatticeError("transported representation has the wrong factor system")
     return moved

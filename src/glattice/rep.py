@@ -36,6 +36,7 @@ on element indices too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     NotCoordinatizable,
@@ -54,7 +55,14 @@ from .scalar import list_automorphisms
 
 
 class SemilinearProjectiveRep:
-    """A family g -> SemilinearMap, indexed by group element."""
+    """A family g -> SemilinearMap, indexed by group element.
+
+    The family is immutable (``maps`` is a read-only view of immutable
+    maps), so, as ``FactorSystem`` keeps its report, a representation
+    keeps what has been checked on it: the cocycle ``extract_cocycle``
+    decides and the system ``factor_system_from_rep`` validates.  Only
+    successes are kept; a failing check runs, and raises, on every call.
+    """
 
     def __init__(self, group, space, maps):
         for g in range(group.order):
@@ -67,7 +75,8 @@ class SemilinearProjectiveRep:
                 raise NotProjective(f"map for element {g} is singular")
         self.group = group
         self.space = space
-        self.maps = {g: maps[g] for g in range(group.order)}
+        self.maps = MappingProxyType({g: maps[g] for g in range(group.order)})
+        self._cocycle = self._fs = None
 
     def scaled(self, eta):
         """The representation g -> eta(g) * rho(g)."""
@@ -173,11 +182,14 @@ def extract_cocycle(rep):
     monomial) composes on row supports (``compose``) and reads
     ``_ratio``, which is also the reference the log route is tested
     against.
+
+    The cocycle is decided once per representation and kept on it; every
+    call returns a fresh dict, so a caller may change what it gets.
     """
-    views = _monomial_views(rep)
-    if views is not None:
-        return _log_cocycle(rep, views)
-    return _support_cocycle(rep)
+    if rep._cocycle is None:
+        views = _monomial_views(rep)
+        rep._cocycle = _support_cocycle(rep) if views is None else _log_cocycle(rep, views)
+    return dict(rep._cocycle)
 
 
 def _support_cocycle(rep):

@@ -111,7 +111,7 @@ class TwistedRingElement:
         return [g for g, _ in self.coeffs]
 
     def _check_parent(self, other):
-        if self.parent != other.parent:
+        if self.parent is not other.parent and self.parent != other.parent:
             raise ParentMismatch("elements of different twisted group rings")
 
     def __add__(self, other):
@@ -175,7 +175,10 @@ def regular_representation(tgr):
     rho(gh) an exact matrix identity.  The extracted cocycle is
     compared with the input bracket on every call; the twists are chi
     by construction, and the ring validated its system once, so E2 is
-    not checked again.
+    not checked again.  Once the comparison passes, ``tgr.fs`` is kept
+    as rho's factor system: rho(e) is the identity (chi(e) = id and
+    [e, h] = 1 in a valid system), so the system
+    ``factor_system_from_rep`` would build equals ``tgr.fs``.
     """
     fs = tgr.fs
     if not fs.ring.is_commutative():
@@ -197,6 +200,7 @@ def regular_representation(tgr):
     cocycle = rep.extract_cocycle(rho)
     if any(cocycle[g, h] != fs.bracket[g][h] for g in range(n) for h in range(n)):
         raise GlatticeError("regular representation does not reproduce its system")
+    rho._fs = fs
     return rho
 
 

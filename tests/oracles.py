@@ -412,16 +412,18 @@ def coboundary(fs, mu):
     return FactorSystem(group, ring, chi, bracket)
 
 
-def classes_by_orbits(systems):
-    """The mu-orbits of ``systems`` through ``coboundary``, each sorted by
-    signature, in the order of their least signatures."""
+def classes_by_orbits(systems, move=coboundary):
+    """The mu-orbits of ``systems`` through ``move(fs, mu)``, each sorted
+    by signature, in the order of their least signatures.  ``move`` is
+    ``coboundary`` or, to classify on ``FactorSystem``s through the
+    library's own map, ``transform_factor_system``."""
     by_sig = {fs.signature(): fs for fs in systems}
     classes, seen = [], set()
     for sig in sorted(by_sig):
         if sig in seen:
             continue
         fs = by_sig[sig]
-        orbit = sorted({coboundary(fs, mu).signature() for mu in mu_candidates(fs)})
+        orbit = sorted({move(fs, mu).signature() for mu in mu_candidates(fs)})
         seen.update(orbit)
         classes.append([by_sig[s] for s in orbit])
     return classes

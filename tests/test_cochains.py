@@ -239,6 +239,34 @@ def test_enumeration_classes_and_witnesses_match_scalars(group, ring, chi):
         assert (mu is not None) == any(src in cls and dst in cls for cls in classes)
 
 
+@pytest.mark.parametrize(
+    "group,ring,chi",
+    list(enumeration_cases()),
+    ids=lambda value: repr(value) if not isinstance(value, list) else "frob",
+)
+def test_cochain_orbits_match_orbits_through_transform_factor_system(group, ring, chi):
+    # classify moves cochains; the reference moves whole FactorSystems
+    systems = enumerate_factor_systems(group, ring, chi)
+    classes = classify_up_to_equivalence(group, ring, chi)
+    expected = oracles.classes_by_orbits(systems, transform_factor_system)
+    assert [len(cls) for cls in classes] == [len(cls) for cls in expected]
+    assert classes == expected
+
+
+def test_classify_refuses_an_orbit_that_leaves_the_family(monkeypatch, gf3):
+    original = extension._coboundary_orbit
+
+    def foreign(view, cayley):
+        yield from original(view, cayley)
+        beta = [list(row) for row in view.beta]
+        beta[0][0] = 1  # [e, e] = w, so E3 fails
+        yield beta
+
+    monkeypatch.setattr(extension, "_coboundary_orbit", foreign)
+    with pytest.raises(GlatticeError, match="^equivalence moved a system outside the enumerated family$"):
+        classify_up_to_equivalence(cyclic_group(2), gf3)
+
+
 def test_systems_with_different_chi_are_not_equivalent():
     # E4 fails for every mu, though E5 holds for mu = 1 on the all-ones brackets
     gf4 = DivisionRing.gf(2, 2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from glattice import extension
 from glattice import (
     DivisionRing,
     ExtensionIsomorphism,
@@ -36,7 +37,8 @@ from glattice.errors import (
     ZeroBracket,
 )
 from glattice.jsonio import parse_group_spec, parse_ring_spec
-from glattice.rep import rep_equivalence
+from glattice.linalg import VectorSpace, identity_map
+from glattice.rep import SemilinearProjectiveRep, rep_equivalence
 from glattice.tgring import TwistedGroupRing, regular_representation
 
 import oracles
@@ -445,7 +447,8 @@ def test_classes_must_cover_every_system_once(monkeypatch, gf3):
         classify_up_to_equivalence(c2, gf3)
     monkeypatch.undo()
     # a mu-action that sends everything to one system makes two orbits meet
-    monkeypatch.setattr(extension, "transform_factor_system", lambda fs, mu: systems[0])
+    first = extension.cochain(systems[0]).beta
+    monkeypatch.setattr(extension, "_coboundary_orbit", lambda view, cayley: [first])
     with pytest.raises(GlatticeError, match="share"):
         classify_up_to_equivalence(c2, gf3)
 
@@ -500,6 +503,59 @@ def test_transport_and_roundtrip(gf4):
     assert check_equivalence(fs, fs_target, mu_inv)
     back = transport_rep(moved, fs_target, fs, mu_inv)
     assert back == rho
+
+
+def test_transport_runs_no_law_between_validated_systems(monkeypatch, gf4):
+    fs = trivial_factor_system(cyclic_group(3), gf4)
+    omega = gf4.scalar(2)
+    fs_target = transform_factor_system(fs, {0: gf4.one(), 1: omega, 2: omega})
+    assert validate_factor_system(fs_target).ok
+    rho = regular_representation(TwistedGroupRing(fs))
+    mu = find_equivalence(fs_target, fs)
+    calls = []
+    original = extension._first_violation
+
+    def counted(system):
+        calls.append(system)
+        return original(system)
+
+    monkeypatch.setattr(extension, "_first_violation", counted)
+    moved = transport_rep(rho, fs, fs_target, mu)
+    back = transport_rep(moved, fs_target, fs, [m.inverse() for m in mu])
+    assert calls == []
+    assert factor_system_from_rep(moved) is fs_target
+    assert back == rho
+
+
+def test_transport_refuses_a_wrong_witness_that_passes_the_equivalence_check(monkeypatch, gf3):
+    # [a, a] = 1 and [a, a] = 2 are not equivalent on C2 over GF(3)
+    c2 = cyclic_group(2)
+    fs, fs_target = trivial_factor_system(c2, gf3), FactorSystem(c2, gf3, {}, {(1, 1): 2})
+    rho = regular_representation(TwistedGroupRing(fs))
+    monkeypatch.setattr(extension, "check_equivalence", lambda *args: True)
+    with pytest.raises(
+        GlatticeError, match="^transported representation has the wrong factor system$"
+    ):
+        transport_rep(rho, fs, fs_target, {0: 1, 1: 1})
+
+
+def test_transport_refuses_a_system_on_another_group_of_the_same_order(gf3):
+    # the same all-ones bracket and identity twists, on C4 and on V4
+    reg = regular_representation(TwistedGroupRing(trivial_factor_system(cyclic_group(4), gf3)))
+    rho = SemilinearProjectiveRep(reg.group, reg.space, reg.maps)  # keeps no system yet
+    klein = trivial_factor_system(dihedral_group(2), gf3)
+    with pytest.raises(NotAssociated):
+        transport_rep(rho, klein, klein, {})
+
+
+def test_transport_refuses_a_group_past_the_factor_system_cap(gf3):
+    # the trivial representation of C49 on GF(3)^1 matches the trivial system
+    c49 = cyclic_group(49)
+    space = VectorSpace(gf3, 1)
+    rho = SemilinearProjectiveRep(c49, space, {g: identity_map(space) for g in range(49)})
+    fs = trivial_factor_system(c49, gf3)
+    with pytest.raises(TooLarge, match="^factor-system check capped at"):
+        transport_rep(rho, fs, fs, {})
 
 
 def test_transport_not_associated(gf3):

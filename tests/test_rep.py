@@ -38,6 +38,7 @@ from glattice.extension import (
     factor_system_from_rep,
     transform_factor_system,
 )
+from glattice.jsonio import parse_ring_spec
 from glattice.lattice import (
     GLatticeAction,
     LatticeAutomorphism,
@@ -1019,3 +1020,56 @@ def test_a_second_entry_falls_back_to_the_oracle(case):
     rho = _tampered(case, second_entry)
     assert rho.maps[rho.group.order - 1]._monomial() is None
     assert _assert_same_refusal(rho, ScalarInconsistent) is None
+
+
+# ---------------------------------------------------------------------------
+# what a representation keeps
+
+
+@pytest.mark.parametrize("ring", ["gf:3", "q"])
+def test_extract_cocycle_returns_a_fresh_dict_on_every_call(ring):
+    # GF(3) takes the log route and QQ the row-support route
+    rho = shift_rep(parse_ring_spec(ring))
+    first, second = extract_cocycle(rho), extract_cocycle(rho)
+    assert first == second
+    assert first is not second
+    first[(1, 1)] = first[(1, 1)] + first[(1, 1)]
+    assert extract_cocycle(rho) == second != first
+
+
+def test_factor_system_from_rep_returns_the_same_system(gf3):
+    rho = shift_rep(gf3)
+    fs = factor_system_from_rep(rho)
+    assert factor_system_from_rep(rho) is fs
+    tgr = TwistedGroupRing(_tamper_systems()["gf3"])
+    assert factor_system_from_rep(regular_representation(tgr)) is tgr.fs
+
+
+@pytest.mark.parametrize("case", TAMPER_CASES)
+def test_a_refusal_is_never_kept(case):
+    def change_unit(matrix, ring):
+        j = _entry(matrix, 1)
+        matrix[1][j] = matrix[1][j] * ring.from_index(2)
+
+    rho = _tampered(case, change_unit)
+    routes = (extract_cocycle, validate_rep, factor_system_from_rep)
+    first = [_extraction(route, rho) for route in routes]
+    assert [refusal[0] for refusal in first] == [ScalarInconsistent, NotProjective, ScalarInconsistent]
+    assert [_extraction(route, rho) for route in routes] == first
+    assert (rho._cocycle, rho._fs) == (None, None)
+
+
+def test_regular_rep_cocycle_is_extracted_once(monkeypatch):
+    calls = []
+    original = glattice.rep._log_cocycle
+
+    def counted(rep, views):
+        calls.append(rep)
+        return original(rep, views)
+
+    monkeypatch.setattr(glattice.rep, "_log_cocycle", counted)
+    tgr = TwistedGroupRing(_tamper_systems()["gf4-frob"])
+    rho = regular_representation(tgr)
+    assert validate_rep(rho).kind == "semilinear"
+    assert factor_system_from_rep(rho) is tgr.fs
+    assert calls == [rho]

@@ -86,6 +86,25 @@ def test_parent_mismatch(gf3, gf5):
         t1.one() + t2.one()
 
 
+def test_products_within_one_ring_compare_no_factor_systems(monkeypatch, gf3):
+    # at the parent, each of the |G|^2 basis products compared the two systems
+    tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(4), gf3))
+    calls = []
+    original = FactorSystem.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(FactorSystem, "__eq__", counted)
+    assert is_algebra(tgr).ok
+    assert calls == []
+    twin = TwistedGroupRing(trivial_factor_system(cyclic_group(4), gf3))
+    product = tgr.one() * twin.one()  # equal rings are still compared field by field
+    assert len(calls) == 1
+    assert product.coeffs == tgr.one().coeffs
+
+
 def enumerated_rings():
     """Twisted rings for every enumerable (group, field, chi) family used
     in the associativity and algebra sweeps."""
