@@ -17,8 +17,6 @@ Literal forms:
            {"group": "dihedral", "n": 4} | {"group": "table", "cayley": [[...]]}
 * lattice: {"leq": [[...]]} | {"space": {"ring": ..., "dim": n}}
 * action file:  {"group": ..., "lattice": ..., "action": [[...]]}
-* rep file:     {"group": ..., "space": {"ring":..., "dim":...},
-                 "rep": [{"g": "a", "matrix": [[...]], "theta": {"frob": 1}}, ...]}
 * factor system file:  {"group": ..., "ring": ...,
                         "chi": {"a": {"frob": 1}}, "bracket": {"a,a": "2"}}
   with omitted chi/bracket entries defaulting to the identity / 1.
@@ -38,7 +36,6 @@ from .errors import GlatticeError, ParseError, TooLarge
 from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from .lattice import FiniteLattice, GLatticeAction
 from .linalg import VectorSpace, enumerate_subspaces
-from .rep import rep_from_matrices
 from .scalar import DivisionRing, RingAutomorphism
 from .extension import FactorSystem
 
@@ -211,17 +208,6 @@ def parse_theta(ring, lit):
     raise ParseError(f"theta literal {lit!r} not understood")
 
 
-def parse_matrix(space, rows):
-    n = space.dim
-    if not isinstance(rows, list) or len(rows) != n or not all(
-        isinstance(row, list) and len(row) == n for row in rows
-    ):
-        raise ParseError(f"matrix must be a {n}x{n} array")
-    return tuple(
-        tuple(parse_scalar(space.ring, x) for x in row) for row in rows
-    )
-
-
 def parse_space(obj):
     if not isinstance(obj, dict):
         raise ParseError("space literal must be an object")
@@ -258,27 +244,6 @@ def parse_action_file(obj):
         return GLatticeAction(group, lattice, table)
     except GlatticeError as exc:
         raise ParseError(f"action file: {exc}") from exc
-
-
-def parse_rep_file(obj):
-    group = parse_group(_need(obj, "group", "rep file"))
-    space = parse_space(_need(obj, "space", "rep file"))
-    entries = _need(obj, "rep", "rep file")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ParseError(f"rep file: field 'rep' must be an array of objects, got {entries!r}")
-    assignment = {}
-    for entry in entries:
-        g = group.label_index(str(_need(entry, "g", "rep entry")))
-        matrix = parse_matrix(space, _need(entry, "matrix", "rep entry"))
-        theta = parse_theta(space.ring, entry.get("theta"))
-        assignment[g] = (matrix, theta)
-    missing = [g for g in range(group.order) if g not in assignment]
-    if missing:
-        raise ParseError(f"rep file: no matrix for elements {missing}")
-    try:
-        return rep_from_matrices(group, space, assignment)
-    except GlatticeError as exc:
-        raise ParseError(f"rep file: {exc}") from exc
 
 
 def parse_factor_system_file(obj):

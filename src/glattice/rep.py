@@ -465,10 +465,3 @@ def rep_equivalence(rep1, rep2):
         if eta[g] is None:
             return None
     return RepEquivalence(eta)
-
-
-def same_induced_lattice(rep1, rep2, lattice=None):
-    """Whether two representations induce identical subspace actions."""
-    if lattice is None:
-        lattice = enumerate_subspaces(rep1.space)
-    return induced_glattice(rep1, lattice).table == induced_glattice(rep2, lattice).table

@@ -493,6 +493,21 @@ def _bimodule_scalars(ring):
     ]
 
 
+def basis_product_violation(tgr):
+    """The basis-product formula replayed through the ring product: the
+    first pair (g, h), in row-major order, with gbar * hbar != [g,h] (gh)bar,
+    or None.  ``glattice.tgring.is_algebra`` takes the formula from the
+    definition of the product and forms no basis product."""
+    fs, group = tgr.fs, tgr.group
+    for g in range(group.order):
+        gbar = tgr.basis_element(g)
+        for h in range(group.order):
+            product = gbar * tgr.basis_element(h)
+            if product.coeffs != ((group.cayley[g][h], fs.bracket[g][h]),):
+                return (g, h)
+    return None
+
+
 def is_algebra(tgr):
     """The algebra verdict by sampling: the witness search of
     ``glattice.tgring.is_algebra``, and on a positive verdict both

@@ -15,7 +15,6 @@ from glattice.jsonio import (
     parse_factor_system_file,
     parse_group,
     parse_group_spec,
-    parse_rep_file,
     parse_ring,
     parse_ring_spec,
     parse_scalar,
@@ -94,38 +93,6 @@ def test_parse_theta():
     assert not parse_theta(gf4, {"frob": 1}).is_identity()
     with pytest.raises(ParseError):
         parse_theta(gf4, {"rot": 3})
-
-
-def test_parse_rep_file():
-    rep = parse_rep_file(
-        {
-            "group": {"group": "cyclic", "n": 2},
-            "space": {"ring": {"ring": "gf", "p": 3}, "dim": 1},
-            "rep": [
-                {"g": "1", "matrix": [[1]]},
-                {"g": "a", "matrix": [[2]]},
-            ],
-        }
-    )
-    assert rep.maps[1].matrix[0][0].payload == 2
-    with pytest.raises(ParseError):
-        parse_rep_file(
-            {
-                "group": {"group": "cyclic", "n": 2},
-                "space": {"ring": {"ring": "gf", "p": 3}, "dim": 1},
-                "rep": [{"g": "1", "matrix": [[1]]}],
-            }
-        )
-    # wrong shapes are ParseErrors, not crashes
-    for rep in (7, [7], {"g": "1"}, [{"g": "1", "matrix": [7]}], [{"g": "1", "matrix": [[1, 2]]}]):
-        with pytest.raises(ParseError):
-            parse_rep_file(
-                {
-                    "group": {"group": "cyclic", "n": 2},
-                    "space": {"ring": {"ring": "gf", "p": 3}, "dim": 1},
-                    "rep": rep,
-                }
-            )
 
 
 def test_parse_factor_system_file():

@@ -1,7 +1,9 @@
-"""The runtime is pure standard library."""
+"""The runtime is pure standard library, and every public function has a caller."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -29,3 +31,41 @@ def test_runtime_imports_only_stdlib_and_glattice():
         and name.split(".")[0] != "glattice"
     ]
     assert foreign == []
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+# public constructors that only tests and library users call
+_CALLED_ONLY_FROM_TESTS = {"chain_lattice", "trivial_group", "identity_automorphism", "trivial_action"}
+
+
+def _names(node):
+    """Every identifier a syntax tree names: variables, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+    return out
+
+
+def test_every_public_function_is_named_outside_its_definition():
+    # a module-level function without a leading underscore must be named
+    # somewhere in src/glattice (its own module included, __init__ too)
+    # or in glatbench/, other than in its own definition
+    src = sorted((_ROOT / "src" / "glattice").glob("*.py"))
+    paths = src + sorted((_ROOT / "glatbench").glob("*.py"))
+    statements = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in paths}
+    names = {path: [_names(stmt) for stmt in body] for path, body in statements.items()}
+    uncalled = []
+    for path in src:
+        elsewhere = set().union(*(n for other in paths if other != path for n in names[other]))
+        for i, stmt in enumerate(statements[path]):
+            if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_"):
+                continue
+            own = set().union(*(n for j, n in enumerate(names[path]) if j != i))
+            if stmt.name not in elsewhere | own and stmt.name not in _CALLED_ONLY_FROM_TESTS:
+                uncalled.append(f"{path.name}: {stmt.name}")
+    assert uncalled == []

@@ -963,6 +963,15 @@ def test_powerset_too_large():
         powerset_glattice(c2, [list(range(17)), list(range(17))])
 
 
+def test_powerset_one_point_past_the_cap_is_refused_at_once():
+    # 12 points would take seconds and 150 MB to build; the cap is 11
+    reversal = [list(range(12)), list(range(11, -1, -1))]
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        powerset_glattice(cyclic_group(2), reversal)
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # orbits and DOT output
 

@@ -46,7 +46,7 @@ from glattice.lattice import (
     orbits,
 )
 from glattice.linalg import SemilinearMap, general_linear_order, identity_map, map_subspace, mat_mul
-from glattice.rep import _ratio, same_induced_lattice
+from glattice.rep import _ratio
 from glattice.scalar import Scalar, list_automorphisms
 from glattice.tgring import TwistedGroupRing, regular_representation
 
@@ -308,6 +308,12 @@ def test_singular_map_moves_no_points(gf3):
         lattice.point_image(singular)
     with pytest.raises(NotInvertible):
         _induced_perm(lattice, singular)
+
+
+def same_induced_lattice(rep1, rep2):
+    """Whether two representations induce identical subspace actions."""
+    lattice = enumerate_subspaces(rep1.space)
+    return induced_glattice(rep1, lattice).table == induced_glattice(rep2, lattice).table
 
 
 def test_scalars_invisible_on_lattice(shift_rep_gf3):

@@ -32,7 +32,6 @@ from glattice.errors import GlatticeError, NonCommutativeCarrier, NotAssociated,
 from glattice.lattice import orbits
 from glattice.linalg import scale_vector
 from glattice.rep import induced_glattice
-from glattice.tgring import ring_element_to_vector, vector_to_ring_element
 
 import oracles
 from oracles import is_algebra as sampled_is_algebra
@@ -87,7 +86,6 @@ def test_parent_mismatch(gf3, gf5):
 
 
 def test_products_within_one_ring_compare_no_factor_systems(monkeypatch, gf3):
-    # at the parent, each of the |G|^2 basis products compared the two systems
     tgr = TwistedGroupRing(trivial_factor_system(cyclic_group(4), gf3))
     calls = []
     original = FactorSystem.__eq__
@@ -97,7 +95,7 @@ def test_products_within_one_ring_compare_no_factor_systems(monkeypatch, gf3):
         return original(self, other)
 
     monkeypatch.setattr(FactorSystem, "__eq__", counted)
-    assert is_algebra(tgr).ok
+    assert oracles.basis_product_violation(tgr) is None
     assert calls == []
     twin = TwistedGroupRing(trivial_factor_system(cyclic_group(4), gf3))
     product = tgr.one() * twin.one()  # equal rings are still compared field by field
@@ -187,6 +185,18 @@ def test_regular_rep_frobenius_case(gf4):
     assert reg.maps[1].theta == frob
     swap = [[0, 1], [1, 0]]
     assert [[x.sort_key() for x in row] for row in reg.maps[1].matrix] == swap
+
+
+def vector_to_ring_element(tgr, v):
+    """Identify K^{|G|} with the ring: coordinate h becomes the hbar term."""
+    return tgr.element(dict(enumerate(v)))
+
+
+def ring_element_to_vector(tgr, u):
+    coords = [tgr.ring.zero()] * tgr.rank
+    for g, value in u.coeffs:
+        coords[g] = value
+    return tuple(coords)
 
 
 def test_regular_rep_agrees_with_ring_product(gf3):
@@ -321,6 +331,11 @@ def test_algebra_verdict_matches_sampled_reference():
     assert True in verdicts and False in verdicts
 
 
+def test_basis_products_follow_the_formula_on_every_reference_ring():
+    for tgr in _algebra_reference_rings():
+        assert oracles.basis_product_violation(tgr) is None, tgr
+
+
 def test_algebra_check_catches_a_product_without_bracket(monkeypatch, gf3):
     tgr = TwistedGroupRing(FactorSystem(cyclic_group(2), gf3, {}, {(1, 1): 2}))
 
@@ -335,9 +350,21 @@ def test_algebra_check_catches_a_product_without_bracket(monkeypatch, gf3):
     monkeypatch.setattr(tgring.TwistedRingElement, "__mul__", unbracketed)
     # the sampled bimodule laws hold for this product too
     assert sampled_is_algebra(tgr).ok
-    with pytest.raises(GlatticeError) as caught:
-        is_algebra(tgr)
-    assert caught.value.witness == (1, 1)
+    assert oracles.basis_product_violation(tgr) == (1, 1)
+    # the verdict is the theorem's, read off the validated system and chi
+    assert is_algebra(tgr).ok
+
+
+def test_positive_algebra_verdicts_form_no_ring_product(monkeypatch):
+    rings = _algebra_reference_rings()
+    expected = [sampled_is_algebra(tgr).ok for tgr in rings]
+
+    def refuse(self, other):
+        raise AssertionError("a positive verdict formed a ring product")
+
+    monkeypatch.setattr(tgring.TwistedRingElement, "__mul__", refuse)
+    positive = [tgr for tgr, ok in zip(rings, expected) if ok]
+    assert positive and all(is_algebra(tgr).ok for tgr in positive)
 
 
 def test_algebra_verdict_on_c48_over_rationals_is_fast(rationals):
