@@ -44,9 +44,10 @@ mod q - 1:
 
 with mu(g) = w^m[g].  ``Cochain`` holds (q - 1, p^e_g mod (q - 1),
 beta); it is built once per system, on first use, and E2, E5, the
-transformed bracket, the classification's mu-orbits and signatures and
-the Schreier table run on it.  The rationals, the quaternions and prime
-fields above 5000 keep the products of ``Scalar``s.
+classification's mu-orbits and signatures and the Schreier table run on
+it.  ``transform_factor_system`` moves a system on ``Scalar``s.  The
+rationals, the quaternions and prime fields above 5000 keep the
+products of ``Scalar``s.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ _MATERIALIZE_LIMIT = 2000
 # 0.023 s on the cochain of C48 over GF(41) or GF(32), 0.28 s on Scalars
 # over GF(2^31 - 1) and 0.95 s over QQ (Python 3.11.7, 2 shared vCPUs)
 _FACTOR_SYSTEM_ORDER_LIMIT = 48
+# candidates mu that find_equivalence scans, (q - 1)^(|G| - 1), within
+# 1 s: a full scan of 16,380 took 0.28-0.41 s on Scalars (C2 over
+# GF(16381)) and of 2^13 0.04-0.05 s on cochains (C14 over GF(3)); 32,748
+# took 0.84 s on Scalars (C2 over GF(32749); Python 3.11.7, 2 shared vCPUs)
+_MU_SEARCH_LIMIT = 2**14
 
 
 def _conjugation(b):
@@ -153,9 +159,8 @@ class Cochain(NamedTuple):
 
 
 def cochain(fs):
-    """The system's ``Cochain``, built on first use and kept on it (a
-    system made by ``transform_factor_system`` gets the one it was
-    computed from); None unless the ring has exp/log tables (GF(q),
+    """The system's ``Cochain``, built from its bracket on first use and
+    kept on it; None unless the ring has exp/log tables (GF(q),
     q <= 5000)."""
     ring = fs.ring
     if not ring.has_log_tables():
@@ -545,21 +550,6 @@ def transform_factor_system(fs, mu):
     group = fs.group
     mu_inv = [m.inverse() for m in mu]
     new_chi = [_conjugation(mu_inv[g]).compose(fs.chi[g]) for g in range(group.order)]
-    view = cochain(fs)
-    if view is not None:
-        # over a field chi' = chi, so beta' = beta + m[gh] - m[g] - p^e_g m[h]
-        ring, (n, twist, beta) = fs.ring, view
-        m = [ring.log(x) for x in mu]
-        new_beta = tuple(
-            tuple(
-                (beta[g][h] + m[gh] - m[g] - twist[g] * m[h]) % n
-                for h, gh in enumerate(group.cayley[g])
-            )
-            for g in range(group.order)
-        )
-        moved = FactorSystem(group, ring, new_chi, [[ring.exp(b) for b in row] for row in new_beta])
-        moved._cochain = Cochain(n, twist, new_beta)
-        return moved
     new_bracket = [
         [
             new_chi[g](mu[h]).inverse() * mu_inv[g] * fs.bracket[g][h] * mu[group.cayley[g][h]]
@@ -570,13 +560,23 @@ def transform_factor_system(fs, mu):
     return FactorSystem(group, fs.ring, new_chi, new_bracket)
 
 
-def _all_mu_candidates(fs):
-    if not fs.ring.is_finite():
+def _mu_units(fs):
+    """K*, the values of mu, once the (q - 1)^(|G| - 1) candidates are
+    known to fit the search cap; TooLarge before any unit is listed."""
+    ring, order = fs.ring, fs.group.order
+    if not ring.is_finite():
         raise InfiniteCarrier("cannot search equivalences over an infinite unit group")
-    units = fs.ring.units()
+    if (ring.order - 1) ** (order - 1) > _MU_SEARCH_LIMIT:
+        raise TooLarge(
+            f"equivalence search capped at {_MU_SEARCH_LIMIT} candidates mu, "
+            f"got {ring.order - 1}^{order - 1}"
+        )
+    return ring.units()
+
+
+def _all_mu_candidates(fs):
     one = fs.ring.one()
-    order = fs.group.order
-    for tail in itertools.product(units, repeat=order - 1):
+    for tail in itertools.product(_mu_units(fs), repeat=fs.group.order - 1):
         yield [one] + list(tail)
 
 
@@ -586,7 +586,8 @@ def find_equivalence(fs_src, fs_dst):
 
     Over GF(q), q <= 5000, E4 does not depend on mu (conjugation is the
     identity on a field), so it is checked once, and E5 is checked on
-    the cochains for each mu.
+    the cochains for each mu.  TooLarge before the first candidate when
+    there are more than 2^14 of them.
     """
     if fs_src.group != fs_dst.group or fs_src.ring != fs_dst.ring:
         raise CarrierMismatch("factor systems for different (K, G)")
@@ -595,7 +596,7 @@ def find_equivalence(fs_src, fs_dst):
         if fs_src.chi != fs_dst.chi:
             return None
         dst, cayley = cochain(fs_dst), fs_src.group.cayley
-        units = fs_src.ring.units()
+        units = _mu_units(fs_src)
         logs = [fs_src.ring.log(a) for a in units]
         for tail in itertools.product(range(len(units)), repeat=fs_src.group.order - 1):
             if _e5_log_holds(cayley, src, dst, [0] + [logs[j] for j in tail]):

@@ -277,27 +277,32 @@ def all_subgroups(group):
 def subgroup_lattice(group):
     """The lattice of all subgroups ordered by inclusion.
 
-    Meet is intersection and join is the subgroup generated by the
-    union; both are recomputed from the order relation during lattice
-    validation, so the tables passed in are cross-checked.
+    The lattice is built from the inclusion order alone.  The algebraic
+    route then checks the meet and join read off that order, one row at
+    a time: meet is intersection, join the subgroup the union generates.
+    Every meet row is compared before any join row, and the first entry
+    that differs raises TableMismatch with witness (x, y); a bound that
+    is no subgroup has no index and differs as None.
     """
     subs = all_subgroups(group)
-    m = len(subs)
-    member_sets = [set(s.members) for s in subs]
-    index = {frozenset(s.members): i for i, s in enumerate(subs)}
-    leq = [[member_sets[i] <= member_sets[j] for j in range(m)] for i in range(m)]
-    meet = [[index[frozenset(member_sets[i] & member_sets[j])] for j in range(m)] for i in range(m)]
-    join = [
-        [index[_close(group.cayley, member_sets[i] | member_sets[j])] for j in range(m)]
-        for i in range(m)
-    ]
-    return _lattice.FiniteLattice(
-        leq,
-        meet=meet,
-        join=join,
+    member_sets = [frozenset(s.members) for s in subs]
+    index = {members: i for i, members in enumerate(member_sets)}
+    lattice = _lattice.FiniteLattice(
+        [[a <= b for b in member_sets] for a in member_sets],
         payloads=subs,
         labels=[repr(s) for s in subs],
     )
+    bounds = (
+        ("meet", frozenset.intersection),
+        ("join", lambda a, b: _close(group.cayley, a | b)),
+    )
+    for name, bound in bounds:
+        for x, (a, true_row) in enumerate(zip(member_sets, getattr(lattice, name))):
+            row = [index.get(bound(a, b)) for b in member_sets]
+            error = _lattice._row_mismatch(name, x, row, list(true_row))
+            if error is not None:
+                raise error
+    return lattice
 
 
 def conjugation_glattice(group):

@@ -1,13 +1,13 @@
 """Finite lattices, their automorphisms, and lattices acted on by a group.
 
-A lattice stores its order once, as the down-set and up-set bitmask of
-every element, and reads its meet/join tables off those masks when they
-are first read.  Construction checks the partial order, forms the meet
-rows and checks that a top exists: a finite poset with a top in which
-every pair has a meet is a lattice.  The join rows are formed only to
-compare a supplied join table, or to name the first missing bound.  Any
-supplied table must agree with the true bounds entry by entry.  Every
-step is quadratic in the number of elements and runs at every size.
+A lattice is given by its order alone.  It stores the order once, as
+the down-set and up-set bitmask of every element, and reads its
+meet/join tables off those masks when they are first read.
+Construction checks the partial order, forms the meet rows and checks
+that a top exists: a finite poset with a top in which every pair has a
+meet is a lattice.  The join rows are formed only to name the first
+missing bound.  Every step is quadratic in the number of elements and
+runs at every size.
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -50,6 +50,7 @@ _AUT_GROUP_LIMIT = 50_000
 # each extra point costs about 4x time and memory (11 points build in
 # about 1.3 s and 53 MB, 12 in about 6.6 s and 151 MB)
 _POWERSET_LIMIT = 11
+_POWERSET_REFUSAL = f"power-set lattice capped at {_POWERSET_LIMIT} points"
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -57,60 +58,55 @@ class FiniteLattice:
     """A finite lattice: its order as bitmasks, and meet and join tables
     read off them.
 
-    The order is given as an ``leq`` matrix, whose first step is to fold
-    it into ``down_masks`` and ``up_masks`` (a subclass may hand those
-    over itself, through ``_set_order``); only the masks are kept.
-    down[x] and up[x] are the bitmasks of the elements below and above x
-    (bit y for element y).  Construction checks that it is a partial
-    order, then reads meet[x][y] as the z with down[z] == down[x] &
-    down[y], one row at a time: the elements below z are exactly the
-    common lower bounds of x and y, so z is their greatest lower bound.
-    It then checks that some element lies above every element.  A
-    finite poset with a top in which every pair has a meet is a
-    lattice: the join of x and y is the meet of their common upper
+    The order is given as an ``leq`` matrix, whose rows are folded into
+    ``up_masks`` (a subclass may hand those over itself, through
+    ``_set_order``); ``down_masks`` is their transpose, and only the
+    masks are kept.  down[x] and up[x] are the bitmasks of the elements
+    below and above x (bit y for element y).  Construction checks that
+    it is a partial order, then reads meet[x][y] as the z with down[z]
+    == down[x] & down[y], one row at a time: the elements below z are
+    exactly the common lower bounds of x and y, so z is their greatest
+    lower bound.  It then checks that some element lies above every
+    element.  A finite poset with a top in which every pair has a meet
+    is a lattice: the join of x and y is the meet of their common upper
     bounds, which the top makes nonempty (Davey & Priestley,
     *Introduction to Lattices and Order*, 2nd ed., ch. 2).  So the join
     rows, join[x][y] the z with up[z] == up[x] & up[y], are formed at
-    construction only to compare a supplied join table, or when a meet
-    or the top is missing.  Where a bound is missing, construction
-    raises NoMeet / NoJoin at the first pair in row-major order that
-    lacks one, the meet before the join of the same pair.  The masks
-    are injective, since down[x] == down[y] gives x <= y <= x, which
-    antisymmetry has excluded for x != y; so a supplied entry is right
-    exactly when it equals the computed one, and the first that differs
-    in row-major order raises TableMismatch with witness (x, y).
-    Supplied tables are compared row by row and not kept; ``meet`` and
-    ``join`` are built again from the masks when first read.  All of it
-    is O(m^2) mask operations.  The glb and lub operations of a partial order satisfy
-    the lattice laws (idempotence, commutativity, associativity,
-    absorption; ibid., "lattices as algebraic structures"), so no cubic
-    law check runs.
+    construction only when a meet or the top is missing, to raise NoMeet
+    / NoJoin at the first pair in row-major order that lacks one, the
+    meet before the join of the same pair.  No table is kept: ``meet``
+    and ``join`` are built from the masks when first read.  All of it is
+    O(m^2) mask operations.  The glb and lub operations of a partial
+    order satisfy the lattice laws (idempotence, commutativity,
+    associativity, absorption; ibid., "lattices as algebraic
+    structures"), so no cubic law check runs.  A lattice that also
+    knows its bounds algebraically compares them with these tables
+    itself, through ``_row_mismatch``: ``subgroup_lattice`` does so.
     """
 
-    def __init__(self, leq, meet=None, join=None, payloads=None, labels=None):
+    def __init__(self, leq, payloads=None, labels=None):
         m = len(leq)
         if m == 0:
             raise NotPartialOrder("empty carrier")
         for row in leq:
             if len(row) != m:
                 raise ShapeMismatch("leq matrix is not square")
-        # up[x] is row x of leq, down[x] its column x
-        up = [_mask(row) for row in leq]
-        down = [_mask(column) for column in zip(*leq)]
-        self._set_order(down, up, meet, join, payloads, labels)
+        # up[x] is row x of leq
+        self._set_order([_mask(row) for row in leq], payloads, labels)
 
-    def _set_order(self, down, up, meet=None, join=None, payloads=None, labels=None):
-        """Check the order given as down-set and up-set masks, check that
-        every bound exists and keep the masks.  Every lattice is built
-        through here: ``__init__`` hands over the masks of its ``leq``
-        matrix, a subclass that knows its order otherwise hands over its
-        own.  ``meet`` and ``join`` are supplied tables; each is
-        compared with the true bounds one row at a time, as ``_bounds``
-        yields them.  The join rows are formed only when a join table is
-        supplied or a bound is missing.  The errors come in a fixed
-        order: NotPartialOrder, NoMeet / NoJoin, then the meet table's
-        shape or first wrong entry, then the join table's."""
+    def _set_order(self, up, payloads=None, labels=None):
+        """Check the order given as up-set masks, check that every bound
+        exists and keep the masks.  Every lattice is built through here:
+        ``__init__`` hands over the rows of its ``leq`` matrix, a
+        subclass that knows its order otherwise hands over its own.  The
+        down-set masks are the transpose of the up-set masks.  The
+        errors come in a fixed order: NotPartialOrder, then NoMeet /
+        NoJoin, then ShapeMismatch for the payloads or labels."""
         m = len(up)
+        down = [0] * m
+        for x, above in enumerate(up):
+            for y in _bits(above):
+                down[y] |= 1 << x
         for x in range(m):
             if not up[x] >> x & 1:
                 raise NotPartialOrder(f"not reflexive at {x}", witness=(x,))
@@ -125,33 +121,14 @@ class FiniteLattice:
                         witness=(z, x, y),
                     )
 
-        # per supplied table, its first error: the shape, else the first
-        # wrong entry in row-major order; raised once every bound has been
-        # found, the meet's before the join's
-        tables, errors = {}, {}
-        for name, given in (("meet", meet), ("join", join)):
-            if given is not None and _is_square(given, m):
-                tables[name] = given
-            elif given is not None:
-                errors[name] = ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
         # with a top and every meet, every join exists; a missing bound is
         # named by the full scan, at the first pair that lacks one
-        meet_only = join is None
         try:
-            for x, true_rows in enumerate(_bounds(down, None if meet_only else up)):
-                for name, true_row in zip(("meet", "join"), true_rows):
-                    if name in tables and name not in errors:
-                        error = _row_mismatch(name, x, list(tables[name][x]), true_row)
-                        if error is not None:
-                            errors[name] = error
+            _raise_first_missing_bound(down, None)
         except NoMeet:
-            if meet_only:
-                _raise_first_missing_bound(down, up)
-            raise
-        if meet_only and (1 << m) - 1 not in down:
             _raise_first_missing_bound(down, up)
-        if errors:
-            raise errors.get("meet", errors.get("join"))
+        if (1 << m) - 1 not in down:
+            _raise_first_missing_bound(down, up)
 
         for name, values in (("payloads", payloads), ("labels", labels)):
             if values is not None and len(values) != m:
@@ -246,15 +223,6 @@ def _order_violation(lattice, row):
     return None
 
 
-def _is_square(table, m):
-    """Whether table is m rows (lists or tuples) of m entries each."""
-    return (
-        isinstance(table, (list, tuple))
-        and len(table) == m
-        and all(isinstance(row, (list, tuple)) and len(row) == m for row in table)
-    )
-
-
 def _bounds(down, up):
     """The rows (meet[x], join[x]) read off the down-set and up-set
     bitmasks, for x = 0, 1, ... in turn.  Masks given as None are not
@@ -282,8 +250,9 @@ def _bounds(down, up):
 
 
 def _raise_first_missing_bound(down, up):
-    """Scan every meet and join row, so that the first pair in row-major
-    order that lacks a bound raises NoMeet / NoJoin."""
+    """Scan every row ``_bounds`` reads off the masks given, so that the
+    first pair in row-major order that lacks a bound raises NoMeet /
+    NoJoin."""
     for _ in _bounds(down, up):
         pass
 
@@ -304,7 +273,10 @@ def chain_lattice(m):
 
 
 def boolean_lattice(num_atoms):
-    """The lattice of subsets of {0..num_atoms-1}; element i is bitmask i."""
+    """The lattice of subsets of {0..num_atoms-1}; element i is bitmask i.
+    TooLarge above 11 atoms, before any table is built."""
+    if num_atoms > _POWERSET_LIMIT:
+        raise TooLarge(_POWERSET_REFUSAL)
     m = 1 << num_atoms
     leq = [[(i & j) == i for j in range(m)] for i in range(m)]
     payloads = [tuple(b for b in range(num_atoms) if i >> b & 1) for i in range(m)]
@@ -714,7 +686,7 @@ def powerset_glattice(group, gset_table):
         raise ShapeMismatch("G-set table needs one row per group element")
     npoints = len(gset_table[0])
     if npoints > _POWERSET_LIMIT:
-        raise TooLarge(f"power-set lattice capped at {_POWERSET_LIMIT} points")
+        raise TooLarge(_POWERSET_REFUSAL)
     for row in gset_table:
         if len(row) != npoints:
             raise ShapeMismatch("ragged G-set table")
@@ -789,13 +761,13 @@ _DOT_PALETTE = (
 )
 
 
-def hasse_dot(lattice, action=None, name="hasse"):
+def hasse_dot(lattice, action=None):
     """DOT source for the Hasse diagram (cover relation only).
 
     When an action is given, nodes are filled with one color per orbit.
     Output is deterministic: nodes in index order, edges sorted.
     """
-    lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box, style=filled, fillcolor=white];']
+    lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box, style=filled, fillcolor=white];']
     color = {}
     if action is not None:
         for i, orbit in enumerate(orbits(action)):

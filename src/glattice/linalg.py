@@ -179,9 +179,9 @@ def identity_matrix(space):
 class SemilinearMap:
     """A matrix together with a ring automorphism it twists scalars by.
 
-    A map is held as its row supports: for each row, the ``(column,
-    entry)`` pairs of its nonzero entries in column order.  All but
-    ``rank``, ``inverse`` and ``repr`` read them, so a monomial matrix
+    A map is held as its row supports, ``_rows``: for each row, the
+    ``(column, entry)`` pairs of its nonzero entries in column order.
+    All but ``rank``, ``inverse`` and ``repr`` read them, so a monomial matrix
     (the regular representation has one nonzero entry per row) costs
     O(n) per product instead of O(n^3).  The dense ``matrix`` is the one
     the constructor coerced, or is built from the rows when first read.
@@ -233,10 +233,6 @@ class SemilinearMap:
             rows = (dict(row) for row in self._rows)
             self._matrix = tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows)
         return self._matrix
-
-    def _row_support(self):
-        """Per row, the (column, entry) pairs of the nonzero entries."""
-        return self._rows
 
     def _monomial(self):
         """The monomial view ``(columns, logs)``, or None unless every row
@@ -513,9 +509,9 @@ class SubspaceLattice(FiniteLattice):
     ring's add/mul index tables, which only n >= 2 needs (and there
     q <= 70); the masks must be pairwise distinct, so two bases that
     span one subspace raise.  The order is inclusion of point sets,
-    handed to the base class as masks: the elements above W are those
-    that hold all of its points, and the down-sets are the transpose of
-    the up-sets.  The base class reads the meet off it (a down-set
+    handed to the base class as up-set masks: the elements above W are
+    those that hold all of its points.  The base class forms the
+    down-sets as their transpose and reads the meet off it (a down-set
     restricted to the points is the point mask, so the meet is the
     intersection of point sets) and checks the top.  The join, the sum,
     is checked independently through orthogonality: every basis row is
@@ -574,13 +570,8 @@ class SubspaceLattice(FiniteLattice):
             for p in _bits(mask):
                 above &= contain[p]
             up.append(above)
-        down = [0] * len(masks)
-        for x, above in enumerate(up):
-            for y in _bits(above):
-                down[y] |= 1 << x
 
         self._set_order(
-            down,
             up,
             payloads=subspaces,
             # Subspace.__repr__, read off the element indices
@@ -593,7 +584,7 @@ class SubspaceLattice(FiniteLattice):
         # W -> W^perp, through the annihilator masks: an order-reversing
         # involution exactly when the join read off the order is the sum
         perp_masks = _annihilator_masks(bases, point_of, _orthogonality(point_of, n, add, mul))
-        bad = _first_non_duality([by_mask.get(mask) for mask in perp_masks], down, up)
+        bad = _first_non_duality([by_mask.get(mask) for mask in perp_masks], self.down_masks, up)
         if bad is not None:
             _raise_join_mismatch(perp_masks, up, bad)
         self.masks = tuple(masks)
@@ -622,10 +613,10 @@ class SubspaceLattice(FiniteLattice):
         if f.space != self.space:
             raise SpaceMismatch("map and lattice live on different spaces")
         if self.space.dim == 1:
-            if not f._row_support()[0]:
+            if not f._rows[0]:
                 raise NotInvertible("images of subspaces need an invertible map")
             return {i: i for i in self.points}
-        rows = [[(j, x.index()) for j, x in row] for row in f._row_support()]
+        rows = [[(j, x.index()) for j, x in row] for row in f._rows]
         return dict(self._moved_points(rows, f.theta))
 
     def _moved_points(self, rows, theta):

@@ -94,7 +94,7 @@ class SemilinearProjectiveRep:
         """
         if self.maps[0].is_identity():
             return self
-        c = _ratio(identity_map(self.space)._row_support(), self.maps[0]._row_support())
+        c = _ratio(identity_map(self.space)._rows, self.maps[0]._rows)
         if c is None or not self.maps[0].theta.is_identity():
             raise NotProjective("rho(e) is not a scalar multiple of the identity")
         one = self.space.ring.one()
@@ -129,7 +129,7 @@ def rep_from_matrices(group, space, assignment):
 def _ratio(a, b):
     """The scalar c with a == c*b entry by entry, or None.
 
-    a and b are row supports (``SemilinearMap._row_support()``).  Unless a is zero,
+    a and b are row supports (``SemilinearMap._rows``).  Unless a is zero,
     such a c is a unit, so the two supports must coincide: c is read at
     the first entry of b in row-major order and then checked on every
     other support entry, so a returned scalar is exact.  A zero a
@@ -202,7 +202,7 @@ def _support_cocycle(rep):
             _check_twists(rep, g, h)
             composite = rep.maps[g].compose(rep.maps[h])
             target = rep.maps[group.cayley[g][h]]
-            alpha = _ratio(composite._row_support(), target._row_support())
+            alpha = _ratio(composite._rows, target._rows)
             if alpha is None:
                 _raise_inconsistent(g, h)
             cocycle[(g, h)] = alpha
@@ -461,7 +461,7 @@ def rep_equivalence(rep1, rep2):
         f1, f2 = rep1.maps[g], rep2.maps[g]
         if f1.theta != f2.theta:
             return None
-        eta[g] = _ratio(f2._row_support(), f1._row_support())
+        eta[g] = _ratio(f2._rows, f1._rows)
         if eta[g] is None:
             return None
     return RepEquivalence(eta)

@@ -1,5 +1,6 @@
 import pytest
 
+import glattice.lattice
 from glattice import (
     DivisionRing,
     SemilinearMap,
@@ -38,6 +39,20 @@ def rationals():
 @pytest.fixture(scope="session")
 def quaternions():
     return DivisionRing.quaternions()
+
+
+@pytest.fixture
+def bounds_returning(monkeypatch):
+    """Make the lattice's bound computation yield the rows of the given
+    tables."""
+
+    def install(meet, join):
+        def bounds(down, up):
+            return ((list(meet_row), list(join_row)) for meet_row, join_row in zip(meet, join))
+
+        monkeypatch.setattr(glattice.lattice, "_bounds", bounds)
+
+    return install
 
 
 def shift_rep(ring):

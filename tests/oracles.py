@@ -14,9 +14,7 @@ from glattice.errors import (
     NoMeet,
     NotCoordinatizable,
     NotInvertible,
-    ShapeMismatch,
     SpaceMismatch,
-    TableMismatch,
     TooLarge,
 )
 from glattice.extension import FactorSystem, FsReport
@@ -34,44 +32,20 @@ def leq_matrix(lattice):
     return [[bool(lattice.up_masks[x] >> y & 1) for y in range(m)] for x in range(m)]
 
 
-def meet_and_join_scan(down, up, meet=None, join=None):
-    """The bound checks of lattice construction before it formed only the
+def meet_and_join_scan(down, up):
+    """The bound check of lattice construction before it formed only the
     meet rows: the meet and the join of every pair, read off the down-set
-    and up-set masks row by row, and supplied tables compared with them.
-    Raises NoMeet / NoJoin at the first pair in row-major order that
-    lacks a bound (the meet first), else the meet table's ShapeMismatch
-    or first TableMismatch, else the join table's; returns None for a
-    lattice whose supplied tables are right."""
-    m = len(down)
-    by_mask = {"meet": {mask: x for x, mask in enumerate(down)},
-               "join": {mask: x for x, mask in enumerate(up)}}
-    masks = {"meet": down, "join": up}
-    errors = {}
-    for name, table in (("meet", meet), ("join", join)):
-        square = isinstance(table, (list, tuple)) and len(table) == m and all(
-            isinstance(row, (list, tuple)) and len(row) == m for row in table
-        )
-        if table is not None and not square:
-            errors[name] = ShapeMismatch(f"{name} table must be {m} rows of {m} entries")
-    for x in range(m):
-        for y in range(m):
-            if down[x] & down[y] not in by_mask["meet"]:
+    and up-set masks row by row.  Raises NoMeet / NoJoin at the first
+    pair in row-major order that lacks a bound (the meet first); returns
+    None for a lattice."""
+    by_down = {mask: x for x, mask in enumerate(down)}
+    by_up = {mask: x for x, mask in enumerate(up)}
+    for x in range(len(down)):
+        for y in range(len(down)):
+            if down[x] & down[y] not in by_down:
                 raise NoMeet(f"elements {x},{y} have no meet", witness=(x, y))
-            if up[x] & up[y] not in by_mask["join"]:
+            if up[x] & up[y] not in by_up:
                 raise NoJoin(f"elements {x},{y} have no join", witness=(x, y))
-        for name, table in (("meet", meet), ("join", join)):
-            if table is None or name in errors:
-                continue
-            for y in range(m):
-                true = by_mask[name][masks[name][x] & masks[name][y]]
-                if table[x][y] != true:
-                    errors[name] = TableMismatch(
-                        f"{name}[{x}][{y}] = {table[x][y]}, but the true bound is {true}",
-                        witness=(x, y),
-                    )
-                    break
-    if errors:
-        raise errors.get("meet", errors.get("join"))
     return None
 
 

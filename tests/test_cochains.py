@@ -284,7 +284,7 @@ def test_equivalence_and_transform_match_scalars_on_seeded_mu():
             mu = [fs.ring.one()] + [rng.choice(fs.ring.units()) for _ in range(fs.group.order - 1)]
             moved = transform_factor_system(fs, mu)
             assert moved == coboundary(fs, mu)
-            # the cochain handed to the output is the one its bracket gives
+            # the output's cochain is the one its bracket gives
             assert cochain(moved) == cochain(fresh(moved))
             for dst in (moved, fs):
                 assert check_equivalence(fs, dst, mu) == oracles.equivalent_by_probes(fs, dst, mu)

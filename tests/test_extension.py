@@ -216,6 +216,36 @@ def test_factor_system_check_order_cap(gf3):
     assert time.perf_counter() - start < 1.0
 
 
+def wrapping_system(n, ring, w):
+    """C_n's system with [a, b] = w where a + b wraps past n; it is
+    equivalent to the trivial one exactly when w is an n-th power."""
+    brackets = {(a, b): w for a in range(1, n) for b in range(1, n) if a + b >= n}
+    return FactorSystem(cyclic_group(n), ring, {}, brackets)
+
+
+def test_equivalence_search_cap(gf3):
+    # (q - 1)^(|G| - 1) candidates mu over GF(3): the 2^13 of C14 are all
+    # scanned, since -1 is no 14th power; C15 has 2^14, the cap, and -1 is
+    # a 15th power; C16 (2^15) and C48 (2^47) are refused before the first
+    trivial, wrapped = trivial_factor_system(cyclic_group(14), gf3), wrapping_system(14, gf3, 2)
+    assert validate_factor_system(wrapped).ok
+    start = time.perf_counter()
+    assert find_equivalence(trivial, wrapped) is None
+    assert find_equivalence(trivial_factor_system(cyclic_group(15), gf3), wrapping_system(15, gf3, 2))
+    for n in (16, 48):
+        refusal = rf"^equivalence search capped at 16384 candidates mu, got 2\^{n - 1}"
+        with pytest.raises(TooLarge, match=refusal):
+            find_equivalence(trivial_factor_system(cyclic_group(n), gf3), wrapping_system(n, gf3, 2))
+    # the Scalar route, over a prime field without log tables: 65536 units
+    gf65537 = DivisionRing.gf(65537)
+    with pytest.raises(TooLarge, match=r"got 65536\^1"):
+        find_equivalence(
+            trivial_factor_system(cyclic_group(2), gf65537),
+            FactorSystem(cyclic_group(2), gf65537, {}, {(1, 1): 3}),
+        )
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # classification flags
 

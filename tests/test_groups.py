@@ -17,7 +17,7 @@ from glattice import (
     symmetric_group,
     validate_glattice,
 )
-from glattice.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
+from glattice.errors import NoIdentity, NoInverse, NotAssociative, TableMismatch, TooLarge
 from glattice.extension import FactorSystem, build_extension, classify_up_to_equivalence
 from glattice.groups import _generating_set, all_subgroups, trivial_group
 from glattice.lattice import fixed_points, orbits
@@ -246,6 +246,78 @@ def test_subgroup_lattice_meet_join():
     i, j = order2[0], order2[1]
     assert len(lat.payloads[lat.meet[i][j]]) == 1
     assert len(lat.payloads[lat.join[i][j]]) == 6
+
+
+SUBGROUP_MUTANTS = {"S4": lambda: symmetric_group(4), "D6": lambda: dihedral_group(6)}
+
+
+def incomparable_pairs(lat):
+    """The pairs x < y of incomparable elements, in row-major order."""
+    return [
+        (x, y)
+        for x in range(lat.size)
+        for y in range(x + 1, lat.size)
+        if not lat.up_masks[x] >> y & 1 and not lat.up_masks[y] >> x & 1
+    ]
+
+
+@pytest.mark.parametrize("name", SUBGROUP_MUTANTS)
+def test_subgroup_lattice_rejects_a_corrupted_meet(name, bounds_returning):
+    # the meet read off the order is wrong at the last incomparable pair,
+    # the join at the first: every meet row is compared before any join row
+    group = SUBGROUP_MUTANTS[name]()
+    lat = subgroup_lattice(group)
+    (jx, jy), *_, (x, y) = incomparable_pairs(lat)
+    meet = [list(row) for row in lat.meet]
+    join = [list(row) for row in lat.join]
+    meet[x][y], join[jx][jy] = lat.join[x][y], lat.meet[jx][jy]
+    bounds_returning(meet, join)
+    with pytest.raises(TableMismatch) as err:
+        subgroup_lattice(group)
+    assert err.value.witness == (x, y)
+    assert str(err.value).startswith(
+        f"meet[{x}][{y}] = {lat.meet[x][y]}, but the true bound is {lat.join[x][y]}"
+    )
+
+
+@pytest.mark.parametrize("name", SUBGROUP_MUTANTS)
+def test_subgroup_lattice_rejects_a_corrupted_join(name, bounds_returning):
+    group = SUBGROUP_MUTANTS[name]()
+    lat = subgroup_lattice(group)
+    x, y = incomparable_pairs(lat)[-1]
+    join = [list(row) for row in lat.join]
+    join[x][y] = lat.meet[x][y]
+    bounds_returning(lat.meet, join)
+    with pytest.raises(TableMismatch) as err:
+        subgroup_lattice(group)
+    assert err.value.witness == (x, y)
+    assert str(err.value).startswith(
+        f"join[{x}][{y}] = {lat.join[x][y]}, but the true bound is {lat.meet[x][y]}"
+    )
+
+
+@pytest.mark.parametrize("name", SUBGROUP_MUTANTS)
+def test_subgroup_lattice_rejects_a_join_that_is_no_subgroup(name, monkeypatch):
+    # the union itself as the join: at the first pair whose union is no
+    # subgroup, the algebraic join has no index
+    group = SUBGROUP_MUTANTS[name]()
+    lat = subgroup_lattice(group)
+    subs = all_subgroups(group)
+    member_sets = [frozenset(s.members) for s in subs]
+    x, y = next(
+        (x, y)
+        for x, a in enumerate(member_sets)
+        for y, b in enumerate(member_sets)
+        if a | b not in member_sets
+    )
+    monkeypatch.setattr(glattice.groups, "all_subgroups", lambda _: subs)
+    monkeypatch.setattr(glattice.groups, "_close", lambda cayley, gens: frozenset(gens))
+    with pytest.raises(TableMismatch) as err:
+        subgroup_lattice(group)
+    assert err.value.witness == (x, y)
+    assert str(err.value).startswith(
+        f"join[{x}][{y}] = None, but the true bound is {lat.join[x][y]}"
+    )
 
 
 def test_subgroup_enumeration_too_large():

@@ -1,6 +1,5 @@
 """Lattice validation, automorphisms, and action-axiom machinery."""
 
-import contextlib
 import functools
 import itertools
 import math
@@ -108,14 +107,14 @@ def test_not_partial_order_rejected():
 
 
 def test_table_mismatch_reported():
-    with pytest.raises(TableMismatch):
-        FiniteLattice([[1, 1], [0, 1]], meet=[[0, 1], [1, 1]])
-    # a supplied table of the wrong shape is refused before any entry is
-    # compared: an extra row, a long row, a short row, a row that is no row
-    for bad in ([[0, 0], [0, 1], [5, 5]], [[0, 1], [1, 1, 7]], [[0, 0], [0]], [0, 1], 7):
-        for name in ("meet", "join"):
-            with pytest.raises(ShapeMismatch, match=f"{name} table must be 2 rows of 2 entries"):
-                FiniteLattice([[1, 1], [0, 1]], **{name: bad})
+    # a row of bounds found another way, against the row read off the
+    # order: None where they agree, else the first entry that differs
+    row_mismatch = lattice_module._row_mismatch
+    assert row_mismatch("meet", 1, [0, 1, 1, 1], [0, 1, 1, 1]) is None
+    error = row_mismatch("join", 2, [3, 7, 2, 5], [3, 3, 2, 3])
+    assert isinstance(error, TableMismatch)
+    assert error.witness == (2, 1)
+    assert str(error).startswith("join[2][1] = 7, but the true bound is 3")
 
 
 # 0 and 3 have no meet, 1 and 2 no join
@@ -135,33 +134,41 @@ def b2_tables(*changes):
 
 
 @pytest.mark.parametrize(
-    "leq,supplied,error,witness,message",
+    "leq,changes,error,witness,message",
     [
-        # the order first, then the bounds, then the meet table (its shape,
-        # then its entries), then the join table; the first pair in
-        # row-major order within each kind
-        ([[1, 1], [1, 1]], {"meet": [[0]], "join": [[0]]}, NotPartialOrder, (0, 1), "antisymmetric"),
-        (NO_BOUNDS, {"meet": [[0]]}, NoMeet, (0, 3), "0,3 have no meet"),
-        (NO_TOP, {"meet": [[5] * 4] * 4, "join": [[0]]}, NoJoin, (1, 2), "1,2 have no join"),
-        (leq_matrix(boolean_lattice(2)), {**b2_tables(("join", 0, 1, 0)), "meet": [[0]]},
-         ShapeMismatch, None, "meet table must be 4 rows"),
-        (leq_matrix(boolean_lattice(2)), {**b2_tables(("meet", 3, 3, 0)), "join": [[0]]},
-         TableMismatch, (3, 3), r"meet\[3\]\[3\] = 0, but the true bound is 3"),
-        (leq_matrix(boolean_lattice(2)), b2_tables(("meet", 2, 1, 3), ("join", 0, 1, 0)),
-         TableMismatch, (2, 1), r"meet\[2\]\[1\] = 3, but the true bound is 0"),
-        (leq_matrix(boolean_lattice(2)), b2_tables(("meet", 2, 0, 2), ("meet", 1, 3, 3)),
-         TableMismatch, (1, 3), r"meet\[1\]\[3\] = 3, but the true bound is 1"),
-        (leq_matrix(boolean_lattice(2)), {"meet": b2_tables()["meet"], "join": [[0] * 4] * 3},
-         ShapeMismatch, None, "join table must be 4 rows"),
-        (leq_matrix(boolean_lattice(2)), b2_tables(("join", 3, 0, 0), ("join", 1, 2, 1)),
-         TableMismatch, (1, 2), r"join\[1\]\[2\] = 1, but the true bound is 3"),
+        # the order first, then the bounds; then, for a lattice that knows
+        # its bounds algebraically (the subgroup lattice of C6, which is
+        # B2), every meet row before any join row.  The changes corrupt
+        # the rows read off the order, so the algebraic entry is reported
+        # against the corrupted one, at the first pair in row-major order
+        # within each table
+        ([[1, 1], [1, 1]], None, NotPartialOrder, (0, 1), "antisymmetric"),
+        (NO_BOUNDS, None, NoMeet, (0, 3), "0,3 have no meet"),
+        (NO_TOP, None, NoJoin, (1, 2), "1,2 have no join"),
+        (None, [("meet", 3, 3, 0)],
+         TableMismatch, (3, 3), r"meet\[3\]\[3\] = 3, but the true bound is 0"),
+        (None, [("meet", 2, 1, 3), ("join", 0, 1, 0)],
+         TableMismatch, (2, 1), r"meet\[2\]\[1\] = 0, but the true bound is 3"),
+        (None, [("meet", 2, 0, 2), ("meet", 1, 3, 3)],
+         TableMismatch, (1, 3), r"meet\[1\]\[3\] = 1, but the true bound is 3"),
+        (None, [("join", 3, 0, 0), ("join", 1, 2, 1)],
+         TableMismatch, (1, 2), r"join\[1\]\[2\] = 3, but the true bound is 1"),
     ],
-    ids=["order", "no-meet", "no-join", "meet-shape", "meet-entry", "meet-before-join",
-         "first-meet-entry", "join-shape", "first-join-entry"],
+    ids=["order", "no-meet", "no-join", "meet-entry", "meet-before-join",
+         "first-meet-entry", "first-join-entry"],
 )
-def test_construction_errors_come_in_a_fixed_order(leq, supplied, error, witness, message):
+def test_construction_errors_come_in_a_fixed_order(
+    leq, changes, error, witness, message, bounds_returning
+):
+    build = functools.partial(FiniteLattice, leq)
+    if leq is None:
+        c6 = cyclic_group(6)
+        assert subgroup_lattice(c6).meet == boolean_lattice(2).meet
+        assert subgroup_lattice(c6).join == boolean_lattice(2).join
+        bounds_returning(**b2_tables(*changes))
+        build = functools.partial(subgroup_lattice, c6)
     with pytest.raises(error, match=message) as err:
-        FiniteLattice(leq, **supplied)
+        build()
     assert err.value.witness == witness
 
 
@@ -301,20 +308,6 @@ def mask_certificate_failure(table, masks):
     return None
 
 
-@pytest.fixture
-def bounds_returning(monkeypatch):
-    """Make FiniteLattice's bound computation yield the rows of the given
-    tables."""
-
-    def install(meet, join):
-        def bounds(down, up):
-            return ((list(meet_row), list(join_row)) for meet_row, join_row in zip(meet, join))
-
-        monkeypatch.setattr(lattice_module, "_bounds", bounds)
-
-    return install
-
-
 @pytest.mark.parametrize("name", FAMILY)
 def test_certified_tables_satisfy_the_lattice_laws(name):
     lat = FAMILY[name]()
@@ -343,15 +336,30 @@ def test_each_table_reads_only_its_own_masks(name):
         assert getattr(lat, table) == getattr(expected, table)
 
 
+def first_row_mismatch(lat, meet, join):
+    """The comparison ``subgroup_lattice`` runs on its algebraic tables:
+    every meet row against ``lat.meet``, then every join row against
+    ``lat.join``, through ``_row_mismatch``; its first TableMismatch, or
+    None."""
+    for name, table in (("meet", meet), ("join", join)):
+        for x, true_row in enumerate(getattr(lat, name)):
+            error = lattice_module._row_mismatch(name, x, list(table[x]), list(true_row))
+            if error is not None:
+                return error
+    return None
+
+
 @pytest.mark.parametrize("which", ["meet", "join"])
 @pytest.mark.parametrize("name", MUTATED)
 def test_corrupted_supplied_table_rejected(name, which):
     lat = FAMILY[name]()
     assert (lat.size > 128) == (name in LARGE_FAMILY)
+    assert first_row_mismatch(lat, lat.meet, lat.join) is None
     meet, join, pair = corrupted(lat, which)
-    with pytest.raises(TableMismatch, match="but the true bound is") as err:
-        FiniteLattice(leq_matrix(lat), meet=meet, join=join)
-    assert err.value.witness == pair
+    error = first_row_mismatch(lat, meet, join)
+    assert isinstance(error, TableMismatch)
+    assert error.witness == pair
+    assert str(error).startswith(f"{which}[{pair[0]}][{pair[1]}] = ")
 
 
 @pytest.mark.parametrize("which", ["meet", "join"])
@@ -363,15 +371,13 @@ def test_corrupted_bound_computation_rejected(name, which, bounds_returning):
     lat = FAMILY[name]()
     meet, join, pair = corrupted(lat, which)
     bounds_returning(meet, join)
-    # the order alone, then with supplied tables that agree on the wrong entry
-    for supplied in ({}, {"meet": meet, "join": join}):
-        built = FiniteLattice(leq_matrix(lat), **supplied)
-        assert mask_certificate_failure(built.meet, built.down_masks) == (
-            pair if which == "meet" else None
-        )
-        assert mask_certificate_failure(built.join, built.up_masks) == (
-            pair if which == "join" else None
-        )
+    built = FiniteLattice(leq_matrix(lat))
+    assert mask_certificate_failure(built.meet, built.down_masks) == (
+        pair if which == "meet" else None
+    )
+    assert mask_certificate_failure(built.join, built.up_masks) == (
+        pair if which == "join" else None
+    )
 
 
 @pytest.mark.parametrize("name", ["chain3", "boolean2", "boolean3", "L(GF(2)^2)", "L(GF(3)^2)"])
@@ -380,18 +386,14 @@ def test_certificate_rejects_every_single_entry_corruption(name):
     # aliases of the true value included
     lat = FAMILY[name]()
     m = lat.size
-    leq = leq_matrix(lat)
+    masks = {"meet": lat.down_masks, "join": lat.up_masks}
     for which, x, y in itertools.product(("meet", "join"), range(m), range(m)):
         for value in range(-m, m + 1):
-            meet = [list(row) for row in lat.meet]
-            join = [list(row) for row in lat.join]
-            table = meet if which == "meet" else join
+            table = [list(row) for row in getattr(lat, which)]
             if value == table[x][y]:
                 continue
             table[x][y] = value
-            with pytest.raises(TableMismatch, match="but the true bound is") as err:
-                FiniteLattice(leq, meet=meet, join=join)
-            assert err.value.witness == (x, y)
+            assert mask_certificate_failure(table, masks[which]) == (x, y)
 
 
 def test_law_check_passes_a_wrong_chain_table():
@@ -400,17 +402,14 @@ def test_law_check_passes_a_wrong_chain_table():
     meet = [list(row) for row in lat.meet]
     meet[1][0] = 1
     assert reference_table_laws(meet, lat.join) is None
-    with pytest.raises(TableMismatch, match="but the true bound is") as err:
-        FiniteLattice(leq_matrix(lat), meet=meet, join=lat.join)
-    assert err.value.witness == (1, 0)
+    assert mask_certificate_failure(meet, lat.down_masks) == (1, 0)
 
 
 def test_dual_tables_satisfy_the_laws_but_fail_the_certificate():
     lat = boolean_lattice(3)
     assert reference_table_laws(lat.join, lat.meet) is None
-    with pytest.raises(TableMismatch, match="but the true bound is") as err:
-        FiniteLattice(leq_matrix(lat), meet=lat.join, join=lat.meet)
-    assert err.value.witness == (0, 1)
+    assert mask_certificate_failure(lat.join, lat.down_masks) == (0, 1)
+    assert mask_certificate_failure(lat.meet, lat.up_masks) == (0, 1)
 
 
 def test_certificate_needs_injective_masks():
@@ -493,21 +492,6 @@ def construction_outcome(build):
     return None
 
 
-def supplied_tables(m, tables):
-    """Keyword arguments of FiniteLattice to build with: no table, wrong
-    tables of zeros, a table of the wrong shape, and, where ``tables``
-    gives the true (meet, join), the true tables alone, together, and
-    next to a wrong one."""
-    zeros = [[0] * m for _ in range(m)]
-    variants = [{}, {"meet": zeros}, {"join": zeros}, {"meet": zeros, "join": zeros},
-                {"meet": [[0] * m] * (m + 1)}, {"join": [[0] * m] * (m + 1)}]
-    if tables is not None:
-        meet, join = tables
-        variants += [{"meet": meet}, {"join": join}, {"meet": meet, "join": join},
-                     {"meet": meet, "join": zeros}, {"meet": zeros, "join": join}]
-    return variants
-
-
 def leq_matrix_masks(leq):
     """(down, up): the down-set and up-set masks of an leq matrix."""
     m = len(leq)
@@ -517,36 +501,24 @@ def leq_matrix_masks(leq):
     )
 
 
-def assert_construction_matches_scan(leq, tables):
-    down, up = leq_matrix_masks(leq)
-    for supplied in supplied_tables(len(leq), tables):
-        assert construction_outcome(lambda: FiniteLattice(leq, **supplied)) == (
-            construction_outcome(lambda: meet_and_join_scan(down, up, **supplied))
-        ), supplied
+def assert_construction_matches_scan(leq):
+    """Construction fails as the scan of every meet and join row does:
+    the same exception type, message and witness, or success on both;
+    returns whether it succeeded."""
+    outcome = construction_outcome(lambda: FiniteLattice(leq))
+    assert outcome == construction_outcome(lambda: meet_and_join_scan(*leq_matrix_masks(leq)))
+    return outcome is None
 
 
 def test_meet_only_construction_matches_the_full_scan_on_every_small_poset():
-    # the same exception type, message and witness as the scan of every
-    # meet and join row, or success on both, with and without tables
     posets = small_posets()
     assert len(posets) == 1 + 3 + 19 + 219
-    outcomes = set()
-    for leq in posets:
-        tables = None
-        with contextlib.suppress(NoMeet, NoJoin):
-            lat = FiniteLattice(leq)
-            tables = ([list(row) for row in lat.meet], [list(row) for row in lat.join])
-        outcomes.add(tables is not None)
-        assert_construction_matches_scan(leq, tables)
-    assert outcomes == {True, False}
+    assert {assert_construction_matches_scan(leq) for leq in posets} == {True, False}
 
 
 @pytest.mark.parametrize("name", FAMILY)
 def test_meet_only_construction_matches_the_full_scan_on_the_family(name):
-    lat = FAMILY[name]()
-    assert_construction_matches_scan(
-        leq_matrix(lat), ([list(row) for row in lat.meet], [list(row) for row in lat.join])
-    )
+    assert assert_construction_matches_scan(leq_matrix(FAMILY[name]()))
 
 
 def test_meet_only_construction_names_the_first_missing_join():
@@ -969,6 +941,15 @@ def test_powerset_one_point_past_the_cap_is_refused_at_once():
     start = time.perf_counter()
     with pytest.raises(TooLarge):
         powerset_glattice(cyclic_group(2), reversal)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_boolean_lattice_one_atom_past_the_cap_is_refused_at_once():
+    # its 4096 x 4096 order would take seconds and 150 MB; the refusal is
+    # the one powerset_glattice gives
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^power-set lattice capped at 11 points"):
+        boolean_lattice(12)
     assert time.perf_counter() - start < 1.0
 
 

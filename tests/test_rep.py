@@ -699,7 +699,7 @@ def test_support_compose_matches_dense_product():
                 assert (fg.matrix, fg.theta) == dense_compose(f, g)
                 # the support built during the product is the matrix's own
                 fresh = SemilinearMap(f.space, fg.matrix, fg.theta)
-                assert fg._row_support() == fresh._row_support()
+                assert fg._rows == fresh._rows
                 pairs += 1
     assert pairs > 48 * 48 + 40 * 40
 
@@ -710,7 +710,7 @@ def test_support_ratio_matches_dense_ratio():
             for g in maps:
                 fg = f.compose(g)
                 for target in maps:
-                    a, b = fg._row_support(), target._row_support()
+                    a, b = fg._rows, target._rows
                     assert _ratio(a, b) == dense_ratio(fg.matrix, target.matrix)
                     assert _ratio(b, a) == dense_ratio(target.matrix, fg.matrix)
 
@@ -734,9 +734,9 @@ def test_support_ratio_on_multiples_zeros_and_mismatched_supports():
         maps += [f.scale(c) for f in maps for c in units]
         for f in maps:
             for g in maps:
-                assert _ratio(f._row_support(), g._row_support()) == dense_ratio(f.matrix, g.matrix)
+                assert _ratio(f._rows, g._rows) == dense_ratio(f.matrix, g.matrix)
         zero_map, identity, upper, _, first, second, _, upper_two = (
-            f._row_support() for f in maps[: len(matrices)]
+            f._rows for f in maps[: len(matrices)]
         )
         assert _ratio(zero_map, identity) == zero  # zero against nonzero
         assert _ratio(identity, zero_map) is None  # nothing against zero
@@ -918,7 +918,7 @@ def _non_monomial_reps():
 
 def test_log_route_is_not_taken_on_non_monomial_families(monkeypatch):
     reps = _non_monomial_reps()
-    assert any(len(row) > 1 for f in reps[-1].maps.values() for row in f._row_support())
+    assert any(len(row) > 1 for f in reps[-1].maps.values() for row in f._rows)
 
     def no_log_route(rep, views):
         raise AssertionError("the log route ran on a family without monomial views")
