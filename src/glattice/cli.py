@@ -35,7 +35,14 @@ from .jsonio import (
     scalar_to_json,
 )
 from .lattice import hasse_dot, orbit_report, orbits, validate_glattice
-from .linalg import VectorSpace, enumerate_subspaces, gaussian_binomial, identity_matrix, mat_mul
+from .linalg import (
+    VectorSpace,
+    enumerate_subspaces,
+    gaussian_binomial,
+    identity_matrix,
+    mat_mul,
+    subspace_refusal,
+)
 from .rep import RepClassification, induced_glattice, rep_from_matrices, validate_rep
 from .scalar import DivisionRing
 from .tgring import (
@@ -233,7 +240,7 @@ def cmd_roundtrip(args):
         cocycle = {(g, h): x for g, row in enumerate(fs.bracket) for h, x in enumerate(row)}
         payload["regular_rep"] = RepClassification(flags.projective, flags.split, cocycle).kind
         payload["recovered_system_equal"] = True
-        if fs.ring.is_finite() and fs.ring.order**fs.group.order <= 5000:
+        if fs.ring.is_finite() and subspace_refusal(fs.group.order, fs.ring.order) is None:
             action = induced_glattice(rho)
             payload["lattice_size"] = action.lattice.size
             payload["orbits"] = len(orbits(action))

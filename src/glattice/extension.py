@@ -52,6 +52,7 @@ products of ``Scalar``s.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,9 +77,10 @@ _MATERIALIZE_LIMIT = 2000
 # over GF(2^31 - 1) and 0.95 s over QQ (Python 3.11.7, 2 shared vCPUs)
 _FACTOR_SYSTEM_ORDER_LIMIT = 48
 # candidates mu that find_equivalence scans, (q - 1)^(|G| - 1), within
-# 1 s: a full scan of 16,380 took 0.28-0.41 s on Scalars (C2 over
-# GF(16381)) and of 2^13 0.04-0.05 s on cochains (C14 over GF(3)); 32,748
-# took 0.84 s on Scalars (C2 over GF(32749); Python 3.11.7, 2 shared vCPUs)
+# 1 s: a full scan of 16,380 took 0.17-0.26 s on Scalars (C2 over
+# GF(16381)) and of 2^13 0.03-0.05 s on cochains (C14 over GF(3)); 32,748
+# took 0.38-0.43 s on Scalars (C2 over GF(32749); Python 3.11.7, 2 shared
+# vCPUs)
 _MU_SEARCH_LIMIT = 2**14
 
 
@@ -488,38 +490,43 @@ def check_equivalence(fs_src, fs_dst, mu):
 
     E4 compares the canonical automorphisms chi'(g) and
     c(mu(g)^-1) chi(g), with no pointwise sample; E6 compares a scalar,
-    and E5 compares logs mod q - 1 over GF(q), q <= 5000, and scalars
-    elsewhere.
+    and E5 runs through ``_e5_test``, as in ``find_equivalence``.
     """
     if fs_src.group != fs_dst.group or fs_src.ring != fs_dst.ring:
         raise CarrierMismatch("factor systems for different (K, G)")
     mu = _coerce_mu(fs_src, mu)
     if not mu[0].is_one():
         return False
-    group = fs_src.group
-    for g in range(group.order):
+    for g in range(fs_src.group.order):
         if fs_dst.chi[g] != _conjugation(mu[g].inverse()).compose(fs_src.chi[g]):
             return False
+    return _e5_test(fs_src, fs_dst)(mu)
+
+
+def _e5_test(fs_src, fs_dst):
+    """E5 from fs_src to fs_dst as a test of mu, a sequence of units
+    indexed by the group: logs mod q - 1 on the cochains over GF(q),
+    q <= 5000, and products of ``Scalar``s elsewhere."""
+    cayley = fs_src.group.cayley
     src = cochain(fs_src)
     if src is not None:
-        return _e5_log_holds(group.cayley, src, cochain(fs_dst), [fs_src.ring.log(m) for m in mu])
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.cayley[g][h]
-            left = fs_src.bracket[g][h] * mu[gh]
-            right = mu[g] * fs_dst.chi[g](mu[h]) * fs_dst.bracket[g][h]
-            if left != right:
-                return False
-    return True
+        dst, (_, log) = cochain(fs_dst), fs_src.ring._log_tables()
+        return functools.partial(_e5_log_holds, cayley, src, dst, log)
+    return lambda mu: all(
+        fs_src.bracket[g][h] * mu[gh] == mu[g] * fs_dst.chi[g](mu[h]) * fs_dst.bracket[g][h]
+        for g, row in enumerate(cayley)
+        for h, gh in enumerate(row)
+    )
 
 
-def _e5_log_holds(cayley, src, dst, m):
-    """E5 mod n for mu = w^m, from the cochain ``src`` to ``dst``."""
+def _e5_log_holds(cayley, src, dst, log, mu):
+    """E5 mod n from the cochain ``src`` to ``dst``, for mu = w^m with m
+    read off ``log``, the ring's table of discrete logarithms."""
     n, twist = dst.n, dst.twist
-    for g, (beta_g, beta_dst_g, cayley_g) in enumerate(zip(src.beta, dst.beta, cayley)):
-        m_g, t_g = m[g], twist[g]
-        for h, gh in enumerate(cayley_g):
-            if (beta_g[h] + m[gh] - m_g - t_g * m[h] - beta_dst_g[h]) % n:
+    m = [log[x.payload] for x in mu]
+    for beta_g, beta_dst_g, cayley_g, m_g, t_g in zip(src.beta, dst.beta, cayley, m, twist):
+        for b, b_dst, gh, m_h in zip(beta_g, beta_dst_g, cayley_g, m):
+            if (b + m[gh] - m_g - t_g * m_h - b_dst) % n:
                 return False
     return True
 
@@ -560,51 +567,33 @@ def transform_factor_system(fs, mu):
     return FactorSystem(group, fs.ring, new_chi, new_bracket)
 
 
-def _mu_units(fs):
-    """K*, the values of mu, once the (q - 1)^(|G| - 1) candidates are
-    known to fit the search cap; TooLarge before any unit is listed."""
-    ring, order = fs.ring, fs.group.order
+def find_equivalence(fs_src, fs_dst):
+    """Search all mu : G -> K* with mu(1) = 1, tails in
+    ``itertools.product`` order of ``ring.units()``, and return the first
+    witness, or None.
+
+    K is a finite field, where conjugation is the identity, so E4 says
+    chi' = chi whatever mu is: it is decided once, before the cap.
+    TooLarge before the first candidate when there are more than 2^14
+    of them.  Each candidate is then tested for E5 alone, by the
+    ``_e5_test`` that ``check_equivalence`` runs.
+    """
+    if fs_src.group != fs_dst.group or fs_src.ring != fs_dst.ring:
+        raise CarrierMismatch("factor systems for different (K, G)")
+    ring, order = fs_src.ring, fs_src.group.order
     if not ring.is_finite():
         raise InfiniteCarrier("cannot search equivalences over an infinite unit group")
+    if fs_src.chi != fs_dst.chi:
+        return None
     if (ring.order - 1) ** (order - 1) > _MU_SEARCH_LIMIT:
         raise TooLarge(
             f"equivalence search capped at {_MU_SEARCH_LIMIT} candidates mu, "
             f"got {ring.order - 1}^{order - 1}"
         )
-    return ring.units()
-
-
-def _all_mu_candidates(fs):
-    one = fs.ring.one()
-    for tail in itertools.product(_mu_units(fs), repeat=fs.group.order - 1):
-        yield [one] + list(tail)
-
-
-def find_equivalence(fs_src, fs_dst):
-    """Search all mu : G -> K* with mu(1) = 1, in ``_all_mu_candidates``
-    order, and return the first witness, or None.
-
-    Over GF(q), q <= 5000, E4 does not depend on mu (conjugation is the
-    identity on a field), so it is checked once, and E5 is checked on
-    the cochains for each mu.  TooLarge before the first candidate when
-    there are more than 2^14 of them.
-    """
-    if fs_src.group != fs_dst.group or fs_src.ring != fs_dst.ring:
-        raise CarrierMismatch("factor systems for different (K, G)")
-    src = cochain(fs_src)
-    if src is not None:
-        if fs_src.chi != fs_dst.chi:
-            return None
-        dst, cayley = cochain(fs_dst), fs_src.group.cayley
-        units = _mu_units(fs_src)
-        logs = [fs_src.ring.log(a) for a in units]
-        for tail in itertools.product(range(len(units)), repeat=fs_src.group.order - 1):
-            if _e5_log_holds(cayley, src, dst, [0] + [logs[j] for j in tail]):
-                return [fs_src.ring.one()] + [units[j] for j in tail]
-        return None
-    for mu in _all_mu_candidates(fs_src):
-        if check_equivalence(fs_src, fs_dst, mu):
-            return mu
+    e5_holds, units = _e5_test(fs_src, fs_dst), ring.units()
+    for mu in itertools.product([ring.one()], *[units] * (order - 1)):
+        if e5_holds(mu):
+            return list(mu)
     return None
 
 

@@ -486,10 +486,6 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def subspace_count(n, q):
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-
-
 class SubspaceLattice(FiniteLattice):
     """The lattice L(V) of all subspaces of a finite vector space
     V = GF(q)^n.
@@ -847,6 +843,18 @@ def _raise_join_mismatch(perp_masks, up, bad):
     )
 
 
+def subspace_refusal(n, q):
+    """The TooLarge that ``enumerate_subspaces`` raises for GF(q)^n, or
+    None when L(GF(q)^n) fits both caps: q^n <= 5000, then at most 3000
+    subspaces."""
+    if q**n > _SUBSPACE_ENUM_LIMIT:
+        return TooLarge(f"q^n = {q ** n} exceeds {_SUBSPACE_ENUM_LIMIT}")
+    count = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    if count > _SUBSPACE_COUNT_LIMIT:
+        return TooLarge(f"{count} subspaces exceeds {_SUBSPACE_COUNT_LIMIT}")
+    return None
+
+
 def enumerate_subspaces(space):
     """Build L(V) for a finite field V = GF(q)^n with q^n <= 5000 and at
     most 3000 subspaces (counted by Gaussian binomials before any work).
@@ -864,11 +872,9 @@ def enumerate_subspaces(space):
     if not ring.is_commutative():
         raise InfiniteCarrier("subspace enumeration needs a commutative carrier")
     q, n = ring.order, space.dim
-    if q**n > _SUBSPACE_ENUM_LIMIT:
-        raise TooLarge(f"q^n = {q ** n} exceeds {_SUBSPACE_ENUM_LIMIT}")
-    count = subspace_count(n, q)
-    if count > _SUBSPACE_COUNT_LIMIT:
-        raise TooLarge(f"{count} subspaces exceeds {_SUBSPACE_COUNT_LIMIT}")
+    refusal = subspace_refusal(n, q)
+    if refusal is not None:
+        raise refusal
     bases = []
     for k in range(n + 1):
         layer = sorted(_rref_bases(n, q, k))

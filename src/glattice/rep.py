@@ -417,11 +417,14 @@ def rep_from_glattice(action):
 
     The action is validated once; each group element's lattice
     automorphism is then coordinatized independently, and the resulting
-    family is checked to (a) induce the original table exactly, row by
-    row, and (b) satisfy the projective law via cocycle extraction.  The
-    automorphisms are built unchecked: axiom (3) has compared the order
-    on every pair for every row, and a row that keeps x <= y iff
-    gx <= gy is injective by antisymmetry, so it is a permutation.
+    family is checked to satisfy the projective law via cocycle
+    extraction.  The automorphisms are built unchecked: axiom (3) has
+    compared the order on every pair for every row, and a row that keeps
+    x <= y iff gx <= gy is injective by antisymmetry, so it is a
+    permutation.  The family induces the table exactly, with no row
+    compared again: ``coordinatize`` has checked each map on every
+    point, and two automorphisms of the atomistic L(V) that agree on
+    points agree everywhere.
     """
     lattice = action.lattice
     if not isinstance(lattice, SubspaceLattice):
@@ -434,9 +437,6 @@ def rep_from_glattice(action):
         phi = LatticeAutomorphism._unchecked(lattice, action.table[g])
         maps[g] = coordinatize(phi)
     rep = SemilinearProjectiveRep(action.group, lattice.space, maps)
-    for g, row in enumerate(action.table):
-        if tuple(lattice._induced_row(lattice.point_image(maps[g]))) != row:
-            raise NotCoordinatizable("coordinatized family induces a different action")
     extract_cocycle(rep)  # raises if the family is not projective
     return rep
 

@@ -1,6 +1,7 @@
 import pytest
 
 import glattice.lattice
+import oracles
 from glattice import (
     DivisionRing,
     SemilinearMap,
@@ -8,6 +9,7 @@ from glattice import (
     VectorSpace,
     cyclic_group,
 )
+from glattice.lattice import GLatticeAction, orbits, validate_glattice
 from glattice.linalg import identity_map
 
 
@@ -39,6 +41,26 @@ def rationals():
 @pytest.fixture(scope="session")
 def quaternions():
     return DivisionRing.quaternions()
+
+
+@pytest.fixture(autouse=True)
+def orbits_match_the_search():
+    """Every valid action a test builds has the orbits that
+    ``oracles.orbits_by_search`` finds; checked once the test is done,
+    after the test's own patches are undone."""
+    built = []
+    init = GLatticeAction.__init__
+
+    def recording(self, group, lattice, table):
+        init(self, group, lattice, table)
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GLatticeAction, "__init__", recording)
+        yield
+    for action in built:
+        if validate_glattice(action).ok:
+            assert orbits(action) == oracles.orbits_by_search(action), action
 
 
 @pytest.fixture

@@ -59,6 +59,31 @@ def validate_all_five_axioms(action):
     return ActionReport(True)
 
 
+def orbits_by_search(action):
+    """The orbit partition, sorted by least member, found by closing each
+    unseen element under every group element in turn: the search
+    ``lattice.orbits`` ran before it read the orbits off the columns."""
+    seen = [False] * action.lattice.size
+    out = []
+    for x in range(action.lattice.size):
+        if seen[x]:
+            continue
+        orbit = set()
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            if y in orbit:
+                continue
+            orbit.add(y)
+            for g in range(action.group.order):
+                queue.append(action.table[g][y])
+        for y in orbit:
+            seen[y] = True
+        out.append(sorted(orbit))
+    out.sort(key=lambda orb: orb[0])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 

@@ -502,6 +502,23 @@ def test_cli_roundtrip(capsys, tmp_path):
     assert report["algebra"] is False
 
 
+@pytest.mark.parametrize(
+    "n,p,lattice",
+    [(4, 7, None), (5, 5, None), (7, 2, None), (3, 17, (616, 208))],
+    ids=["c4-gf7", "c5-gf5", "c7-gf2", "c3-gf17"],
+)
+def test_cli_roundtrip_reports_the_lattice_within_both_subspace_caps(capsys, tmp_path, n, p, lattice):
+    # q^|G| <= 5000 in each case, but L(GF(q)^|G|) holds 3652 / 42176 /
+    # 29212 subspaces past the 3000 cap for the first three: no lattice
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps({"group": {"group": "cyclic", "n": n}, "ring": {"ring": "gf", "p": p}}))
+    code, out = run_cli(capsys, "roundtrip", "--fs", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["recovered_system_equal"]
+    assert (report.get("lattice_size"), report.get("orbits")) == (lattice or (None, None))
+
+
 def test_cli_roundtrip_extracts_the_cocycle_once(capsys, tmp_path, monkeypatch):
     calls = []
     original = glattice.rep.extract_cocycle

@@ -29,6 +29,7 @@ from glattice import (
     validate_factor_system,
 )
 from glattice.errors import (
+    CarrierMismatch,
     GlatticeError,
     InfiniteCarrier,
     NotAssociated,
@@ -244,6 +245,66 @@ def test_equivalence_search_cap(gf3):
             FactorSystem(cyclic_group(2), gf65537, {}, {(1, 1): 3}),
         )
     assert time.perf_counter() - start < 1.0
+
+
+def test_equivalence_search_refusals_come_in_a_fixed_order(gf3, gf4, rationals, quaternions):
+    c2, c16 = cyclic_group(2), cyclic_group(16)
+    with pytest.raises(CarrierMismatch, match="^factor systems for different"):
+        find_equivalence(trivial_factor_system(c2, gf3), trivial_factor_system(c2, gf4))
+    # an infinite carrier is refused before chi' = chi is compared
+    inner = RingAutomorphism.inner(quaternions.scalar((0, 1, 0, 0)))
+    turned = FactorSystem(c2, quaternions, {1: inner}, {})
+    for src, dst in [
+        (trivial_factor_system(c2, rationals), trivial_factor_system(c2, rationals)),
+        (trivial_factor_system(c2, quaternions), turned),
+    ]:
+        with pytest.raises(InfiniteCarrier, match="^cannot search equivalences over an infinite"):
+            find_equivalence(src, dst)
+    # E4 fails for every mu when chi' != chi on a field: None, before the
+    # cap that 3^15 candidates would meet
+    frob = RingAutomorphism.frobenius(gf4, 1)
+    twisted = FactorSystem(c16, gf4, [frob if g % 2 else None for g in range(16)], {})
+    assert find_equivalence(trivial_factor_system(c16, gf4), twisted) is None
+    with pytest.raises(TooLarge, match=r"got 3\^15$"):
+        find_equivalence(twisted, twisted)
+
+
+def gf5003_pairs():
+    """Pairs over GF(5003), a prime field without log tables, so the scan
+    runs on Scalars: C1, and C2 with [a, a] a square (4) and a non-square
+    (5, since 5003 = 3 mod 5)."""
+    ring = DivisionRing.gf(5003)
+    c1, c2 = cyclic_group(1), cyclic_group(2)
+    trivial = trivial_factor_system(c2, ring)
+    return {
+        "c1-trivial": (trivial_factor_system(c1, ring), trivial_factor_system(c1, ring)),
+        "c2-square": (trivial, FactorSystem(c2, ring, {}, {(1, 1): 4})),
+        "c2-non-square": (trivial, FactorSystem(c2, ring, {}, {(1, 1): 5})),
+    }
+
+
+@pytest.mark.parametrize("case", ["c1-trivial", "c2-square", "c2-non-square"])
+def test_scalar_scan_finds_the_first_candidate_check_equivalence_accepts(case):
+    src, dst = gf5003_pairs()[case]
+    assert extension.cochain(src) is None
+    want = next((mu for mu in oracles.mu_candidates(src) if check_equivalence(src, dst, mu)), None)
+    assert find_equivalence(src, dst) == want
+    assert (want is None) == (case == "c2-non-square")
+
+
+def test_scalar_scan_decides_e4_once(monkeypatch):
+    # chi' = chi is compared once, with no conjugation per candidate mu
+    src, dst = gf5003_pairs()["c2-non-square"]
+    calls = []
+    original = extension._conjugation
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(extension, "_conjugation", counted)
+    assert find_equivalence(src, dst) is None
+    assert len(calls) <= src.group.order
 
 
 # ---------------------------------------------------------------------------

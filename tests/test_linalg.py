@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -574,6 +575,26 @@ def test_enumeration_guards(rationals):
         enumerate_subspaces(VectorSpace(rationals, 2))
     with pytest.raises(TooLarge):
         enumerate_subspaces(VectorSpace(DivisionRing.gf(2), 13))
+
+
+@pytest.mark.parametrize(
+    "q,n,refusal",
+    [
+        (2, 13, "q^n = 8192 exceeds 5000"),
+        (7, 4, "3652 subspaces exceeds 3000"),
+        (5, 5, "42176 subspaces exceeds 3000"),
+        (2, 7, "29212 subspaces exceeds 3000"),
+        (17, 3, None),
+        (2, 6, None),
+    ],
+)
+def test_enumeration_refuses_through_subspace_refusal(q, n, refusal):
+    # the q^n cap first, then the subspace count, both before any basis
+    got = linalg.subspace_refusal(n, q)
+    assert (got and str(got)) == refusal
+    if refusal is not None:
+        with pytest.raises(TooLarge, match=f"^{re.escape(refusal)}$"):
+            enumerate_subspaces(VectorSpace(DivisionRing.gf(q), n))
 
 
 # ---------------------------------------------------------------------------

@@ -536,13 +536,27 @@ def test_coordinatize_matches_scalar_route_on_a_sample(p, k, n):
         assert "frame" in permuted
 
 
+def frobenius_swap_rep_gf4():
+    """C2 on GF(4)^3 by (x, y, z) -> (y^2, x^2, z^2): the Frobenius twist
+    on a lattice of rank 3, where it is read back off the action."""
+    gf4 = DivisionRing.gf(2, 2)
+    one, zero = gf4.one(), gf4.zero()
+    swap = ((zero, one, zero), (one, zero, zero), (zero, zero, one))
+    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    frob = RingAutomorphism.frobenius(gf4, 1)
+    return rep_from_matrices(
+        cyclic_group(2), VectorSpace(gf4, 3), {0: (identity, None), 1: (swap, frob)}
+    )
+
+
 def test_rep_from_glattice_roundtrip(shift_rep_gf2, shift_rep_gf3):
-    for rep in (shift_rep_gf2, shift_rep_gf3):
+    for rep in (shift_rep_gf2, shift_rep_gf3, frobenius_swap_rep_gf4()):
         action = induced_glattice(rep)
         back = rep_from_glattice(action)
         again = induced_glattice(back, action.lattice)
         assert again.table == action.table
         assert back.maps[0].is_identity()
+        assert [f.theta for f in back.maps.values()] == [f.theta for f in rep.maps.values()]
 
 
 def test_rep_from_glattice_trivial(gf2):
