@@ -100,6 +100,8 @@ def cmd_verify_action(args):
 
 def cmd_subspace_lattice(args):
     ring = parse_ring_spec(args.ring)
+    if args.dim < 1:
+        raise ParseError(f"--dim must be >= 1, got {args.dim}")
     space = VectorSpace(ring, args.dim)
     lattice = enumerate_subspaces(space)
     by_dim = {}

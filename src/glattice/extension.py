@@ -706,40 +706,34 @@ def classify_up_to_equivalence(group, ring, chi=None):
     IV.3): ``_enumeration_feasible`` admits only GF(2) to GF(5), which
     all have exp/log tables, and over a field chi' = chi, so the image
     of a system under mu = w^m is read off ``_coboundary_orbit`` with no
-    ``FactorSystem`` built.  Signatures are ``FactorSystem.signature()``
-    read off the cochains: the sort key of an element of GF(q) is its
-    index, here that of w^beta.  ``transform_factor_system`` gives the
-    same images and is the reference the orbits are tested against.
+    ``FactorSystem`` built.  The systems share one chi and come sorted
+    by signature, so each is keyed by its bracket logs and named by its
+    position: classes and their members are ordered by position.
+    ``transform_factor_system`` gives the same images and is the
+    reference the orbits are tested against.
     """
     systems = enumerate_factor_systems(group, ring, chi)
-    index_of_log = [ring.exp(i).index() for i in range(ring.order - 1)]
-
-    def signature(chi_key, beta):
-        return chi_key, tuple(tuple(index_of_log[b] for b in row) for row in beta)
-
-    by_sig = {
-        signature(tuple(repr(phi) for phi in fs.chi), cochain(fs).beta): fs for fs in systems
-    }
-    unseen = dict(by_sig)
+    position = {cochain(fs).beta: i for i, fs in enumerate(systems)}
+    unseen = set(position.values())
     classes = []
-    for sig in sorted(by_sig):
-        if sig not in unseen:
+    for i, fs in enumerate(systems):
+        if i not in unseen:
             continue
-        orbit_sigs = set()
-        for beta in _coboundary_orbit(cochain(by_sig[sig]), group.cayley):
-            moved_sig = signature(sig[0], beta)
-            if moved_sig not in by_sig:
+        orbit = set()
+        for beta in _coboundary_orbit(cochain(fs), group.cayley):
+            moved = position.get(tuple(map(tuple, beta)))
+            if moved is None:
                 raise GlatticeError(
                     "equivalence moved a system outside the enumerated family"
                 )
-            orbit_sigs.add(moved_sig)
-        for s in orbit_sigs:
-            if unseen.pop(s, None) is None:
-                raise GlatticeError("two equivalence classes share a system")
-        classes.append(sorted(orbit_sigs))
+            orbit.add(moved)
+        if not orbit <= unseen:
+            raise GlatticeError("two equivalence classes share a system")
+        unseen -= orbit
+        classes.append(sorted(orbit))
     if sum(len(cls) for cls in classes) != len(systems):
         raise GlatticeError("the equivalence classes do not cover every system once")
-    return [[by_sig[s] for s in cls] for cls in classes]
+    return [[systems[i] for i in cls] for cls in classes]
 
 
 def _coboundary_orbit(view, cayley):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import and_
 
 from .errors import (
     MalformedTable,
@@ -168,7 +169,9 @@ def cyclic_group(n):
 
 
 def symmetric_group(n):
-    """S_n on lexicographically ordered permutation tuples, n <= 5."""
+    """S_n on lexicographically ordered permutation tuples, 1 <= n <= 5."""
+    if n < 1:
+        raise MalformedTable("need n >= 1")
     if n > 5:
         raise TooLarge("symmetric presets stop at n = 5")
     perms = sorted(itertools.permutations(range(n)))
@@ -249,11 +252,6 @@ class Subgroup:
     def __repr__(self):
         return "{" + ",".join(self.parent.labels[m] for m in self.members) + "}"
 
-    def conjugate(self, g):
-        """g H g^-1 as a member set."""
-        cay, inv = self.parent.cayley, self.parent.inverse
-        return frozenset(cay[cay[g][h]][inv[g]] for h in self.members)
-
 
 def all_subgroups(group):
     """Every subgroup, found by closing one added generator at a time."""
@@ -275,7 +273,8 @@ def all_subgroups(group):
 
 
 def subgroup_lattice(group):
-    """The lattice of all subgroups ordered by inclusion.
+    """The lattice of all subgroups ordered by inclusion, as the set
+    lattice of their member bitmasks (bit h for element h).
 
     The lattice is built from the inclusion order alone.  The algebraic
     route then checks the meet and join read off that order, one row at
@@ -285,20 +284,15 @@ def subgroup_lattice(group):
     is no subgroup has no index and differs as None.
     """
     subs = all_subgroups(group)
-    member_sets = [frozenset(s.members) for s in subs]
-    index = {members: i for i, members in enumerate(member_sets)}
-    lattice = _lattice.FiniteLattice(
-        [[a <= b for b in member_sets] for a in member_sets],
-        payloads=subs,
-        labels=[repr(s) for s in subs],
-    )
+    masks = [sum(1 << h for h in s.members) for s in subs]
+    lattice = _lattice.SetLattice(masks, payloads=subs, labels=[repr(s) for s in subs])
     bounds = (
-        ("meet", frozenset.intersection),
-        ("join", lambda a, b: _close(group.cayley, a | b)),
+        ("meet", and_),
+        ("join", lambda a, b: sum(1 << h for h in _close(group.cayley, _lattice._bits(a | b)))),
     )
     for name, bound in bounds:
-        for x, (a, true_row) in enumerate(zip(member_sets, getattr(lattice, name))):
-            row = [index.get(bound(a, b)) for b in member_sets]
+        for x, (a, true_row) in enumerate(zip(masks, getattr(lattice, name))):
+            row = [lattice.by_mask.get(bound(a, b)) for b in masks]
             error = _lattice._row_mismatch(name, x, row, list(true_row))
             if error is not None:
                 raise error
@@ -306,18 +300,21 @@ def subgroup_lattice(group):
 
 
 def conjugation_glattice(group):
-    """The action of a group on its own subgroup lattice by conjugation."""
-    lat = subgroup_lattice(group)
-    index = {frozenset(s.members): i for i, s in enumerate(lat.payloads)}
+    """The action of a group on its own subgroup lattice by conjugation.
+
+    Row g moves each subgroup element by element, h -> g h g^-1, and
+    the table is not validated: in a validated group each such map is
+    an automorphism, so it permutes the subgroups keeping inclusion both
+    ways (3), is the identity for g = e (2), and conjugating by h then
+    by g is conjugating by gh (1).
+    """
+    lattice = subgroup_lattice(group)
+    cayley, inverse = group.cayley, group.inverse
     table = [
-        [index[lat.payloads[x].conjugate(g)] for x in range(lat.size)]
+        lattice._induced_row([cayley[cayley[g][h]][inverse[g]] for h in range(group.order)])
         for g in range(group.order)
     ]
-    action = _lattice.GLatticeAction(group, lat, table)
-    report = _lattice.validate_glattice(action)
-    if not report.ok:
-        raise MalformedTable(f"conjugation action failed validation: {report}")
-    return action
+    return _lattice.GLatticeAction(group, lattice, table)
 
 
 # ---------------------------------------------------------------------------

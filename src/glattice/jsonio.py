@@ -212,7 +212,10 @@ def parse_space(obj):
     if not isinstance(obj, dict):
         raise ParseError("space literal must be an object")
     ring = parse_ring(_need(obj, "ring", "space literal"))
-    return VectorSpace(ring, _need_int(obj, "dim", "space literal"))
+    dim = _need_int(obj, "dim", "space literal")
+    if dim < 1:
+        raise ParseError(f"space literal: dim must be >= 1, got {dim}")
+    return VectorSpace(ring, dim)
 
 
 def parse_lattice(obj):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import and_, itemgetter
+from operator import itemgetter
 
 from .errors import (
     GlatticeError,
@@ -60,7 +60,7 @@ class FiniteLattice:
     read off them.
 
     The order is given as an ``leq`` matrix, whose rows are folded into
-    ``up_masks`` (a subclass may hand those over itself, through
+    ``up_masks`` (``SetLattice`` forms those from point sets, through
     ``_set_order``); ``down_masks`` is their transpose, and only the
     masks are kept.  down[x] and up[x] are the bitmasks of the elements
     below and above x (bit y for element y).  Construction checks that
@@ -269,6 +269,49 @@ def _row_mismatch(name, x, row, true_row):
     )
 
 
+class SetLattice(FiniteLattice):
+    """Sets of points ordered by inclusion: ``masks`` lists them as
+    pairwise distinct bitmasks (bit p for point p), ``by_mask`` inverts
+    it.  The up-set of x, handed to ``_set_order``, is the AND over the
+    points p of x of the elements that hold p.  ``_induced_row`` lifts a
+    permutation of the points to the sets."""
+
+    def __init__(self, masks, payloads=None, labels=None):
+        masks = tuple(masks)
+        # contain[p]: the elements whose set holds point p
+        contain = {}
+        for x, mask in enumerate(masks):
+            for p in _bits(mask):
+                contain[p] = contain.get(p, 0) | 1 << x
+        everything = (1 << len(masks)) - 1
+        up = []
+        for mask in masks:
+            above = everything
+            for p in _bits(mask):
+                above &= contain[p]
+            up.append(above)
+        self._set_order(up, payloads, labels)
+        self.masks = masks
+        self.by_mask = {mask: x for x, mask in enumerate(masks)}
+
+    def _induced_row(self, image):
+        """The index each set goes to when point p moves to image[p]: its
+        mask, moved bit by bit.  NotLatticeAutomorphism when a moved mask
+        is no element's."""
+        by_mask = self.by_mask
+        row = []
+        for mask in self.masks:
+            moved = 0
+            while mask:
+                low = mask & -mask
+                moved |= 1 << image[low.bit_length() - 1]
+                mask ^= low
+            if moved not in by_mask:
+                raise NotLatticeAutomorphism("a point permutation moves a subspace off the lattice")
+            row.append(by_mask[moved])
+        return row
+
+
 def chain_lattice(m):
     return FiniteLattice([[i <= j for j in range(m)] for i in range(m)])
 
@@ -278,16 +321,9 @@ def boolean_lattice(num_atoms):
     TooLarge above 11 atoms, before any table is built."""
     if num_atoms > _POWERSET_LIMIT:
         raise TooLarge(_POWERSET_REFUSAL)
-    m = 1 << num_atoms
-    payloads = [tuple(b for b in range(num_atoms) if i >> b & 1) for i in range(m)]
+    payloads = [tuple(_bits(i)) for i in range(1 << num_atoms)]
     labels = ["{" + ",".join(str(b) for b in payload) + "}" for payload in payloads]
-    # the up-set of subset i: the subsets that hold every atom of i
-    holders = [sum(1 << j for j in range(m) if j >> b & 1) for b in range(num_atoms)]
-    full = (1 << m) - 1
-    up = [functools.reduce(and_, (holders[b] for b in payload), full) for payload in payloads]
-    lattice = object.__new__(FiniteLattice)
-    lattice._set_order(up, payloads, labels)
-    return lattice
+    return SetLattice(range(1 << num_atoms), payloads, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -562,20 +598,22 @@ class ActionReport:
         return f"axiom ({self.axiom}) fails: {self.message} witness={self.witness}"
 
 
-def _axiom1(action):
-    table, group = action.table, action.group
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.cayley[g][h]
-            for x in range(action.lattice.size):
-                if table[g][table[h][x]] != table[gh][x]:
+def _axiom1(table, cayley):
+    """The first (g, h, x) with g(hx) != (gh)x in a table of rows, one
+    per group element, or None."""
+    for g, row in enumerate(table):
+        for h, gh in enumerate(cayley[g]):
+            moved, want = table[h], table[gh]
+            for x in range(len(want)):
+                if row[moved[x]] != want[x]:
                     return (g, h, x)
     return None
 
 
-def _axiom2(action):
-    for x in range(action.lattice.size):
-        if action.table[0][x] != x:
+def _axiom2(table):
+    """(0, x) for the first point x the identity row moves, or None."""
+    for x, ex in enumerate(table[0]):
+        if ex != x:
             return (0, x)
     return None
 
@@ -601,8 +639,8 @@ def _preserves(action, op):
 
 
 AXIOM_CHECKERS = {
-    1: _axiom1,
-    2: _axiom2,
+    1: lambda action: _axiom1(action.table, action.group.cayley),
+    2: lambda action: _axiom2(action.table),
     3: _axiom3,
     4: lambda action: _preserves(action, action.lattice.meet),
     5: lambda action: _preserves(action, action.lattice.join),
@@ -648,18 +686,20 @@ def trivial_action(group, lattice):
 def action_from_homomorphism(group, lattice, rho):
     """Turn a homomorphism g -> Aut(L) into an action table.
 
-    ``rho`` maps element indices to LatticeAutomorphisms.  The
-    homomorphism property is verified before the table is built.
+    ``rho`` maps element indices to LatticeAutomorphisms of one lattice.
+    The table is validated once: rho(g)rho(h) = rho(gh) is axiom (1),
+    whose first failing (g, h, x) names the first failing pair (g, h).
     """
     if not rho[0].is_identity():
         raise NotHomomorphism("identity must map to the identity automorphism", witness=(0,))
-    for g in range(group.order):
-        for h in range(group.order):
-            if rho[g].compose(rho[h]) != rho[group.cayley[g][h]]:
-                raise NotHomomorphism(f"rho({g})rho({h}) != rho({g}*{h})", witness=(g, h))
+    if any(rho[g].lattice is not rho[0].lattice for g in range(group.order)):
+        raise ShapeMismatch("automorphisms of different lattices")
     table = [[rho[g](x) for x in range(lattice.size)] for g in range(group.order)]
     action = GLatticeAction(group, lattice, table)
     report = validate_glattice(action)
+    if report.axiom == 1:
+        g, h, _ = report.witness
+        raise NotHomomorphism(f"rho({g})rho({h}) != rho({g}*{h})", witness=(g, h))
     if not report.ok:
         raise NotHomomorphism(str(report), witness=report.witness)
     return action
@@ -687,6 +727,13 @@ def powerset_glattice(group, gset_table):
     ``gset_table[g][x]`` is the image point of x under g.  Subsets are
     indexed by bitmask, so element i of the lattice is the subset with
     characteristic bits i.
+
+    The points are checked with the loops of axioms (2) and (1), and
+    the lifted table is not: a G-set moved along bijections of its
+    points is a G-lattice.  S -> gS is an inclusion-preserving
+    bijection whose inverse, the lift of g^-1, preserves inclusion too
+    (3); it fixes every S for g = e (2); g(hS) = (gh)S since it holds
+    on every point (1).
     """
     if len(gset_table) != group.order:
         raise ShapeMismatch("G-set table needs one row per group element")
@@ -698,30 +745,14 @@ def powerset_glattice(group, gset_table):
             raise ShapeMismatch("ragged G-set table")
         if sorted(row) != list(range(npoints)):
             raise NotGSet("a group element must act as a bijection on points")
-    for x in range(npoints):
-        if gset_table[0][x] != x:
-            raise NotGSet(f"identity moves point {x}", witness=(x,))
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.cayley[g][h]
-            for x in range(npoints):
-                if gset_table[g][gset_table[h][x]] != gset_table[gh][x]:
-                    raise NotGSet(f"g(hx) != (gh)x at ({g},{h},{x})", witness=(g, h, x))
+    witness = _axiom2(gset_table)
+    if witness is not None:
+        raise NotGSet(f"identity moves point {witness[1]}", witness=witness[1:])
+    witness = _axiom1(gset_table, group.cayley)
+    if witness is not None:
+        raise NotGSet("g(hx) != (gh)x at ({},{},{})".format(*witness), witness=witness)
     lattice = boolean_lattice(npoints)
-
-    def act_mask(g, mask):
-        out = 0
-        for x in range(npoints):
-            if mask >> x & 1:
-                out |= 1 << gset_table[g][x]
-        return out
-
-    table = [[act_mask(g, mask) for mask in range(lattice.size)] for g in range(group.order)]
-    action = GLatticeAction(group, lattice, table)
-    report = validate_glattice(action)
-    if not report.ok:
-        raise NotGSet(f"lifted action failed validation: {report}")
-    return action
+    return GLatticeAction(group, lattice, [lattice._induced_row(row) for row in gset_table])
 
 
 def orbits(action):

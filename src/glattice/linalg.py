@@ -30,15 +30,13 @@ from .errors import (
     InfiniteCarrier,
     NonCommutativeCarrier,
     NotInvertible,
-    NotLatticeAutomorphism,
     SpaceMismatch,
     TooLarge,
 )
 from .lattice import (
     _AUT_GROUP_LIMIT,
-    FiniteLattice,
     LatticeAutomorphism,
-    _bits,
+    SetLattice,
     _bounds,
     _row_mismatch,
     _union,
@@ -486,7 +484,7 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-class SubspaceLattice(FiniteLattice):
+class SubspaceLattice(SetLattice):
     """The lattice L(V) of all subspaces of a finite vector space
     V = GF(q)^n.
 
@@ -496,18 +494,16 @@ class SubspaceLattice(FiniteLattice):
     and ``pivots`` its pivot columns.  The payloads are the
     ``Subspace`` objects of those bases, built without elimination.
 
-    Each subspace is held as the bitmask of the points (1-dimensional
-    subspaces) it contains, bit i for the point at index i: ``masks``
-    lists them by index, ``by_mask`` inverts it and ``points`` lists the
-    point indices, ``point_rows`` their canonical rows (element-index
-    tuples) in the same order and ``point_of`` maps each such row back
-    to its point index.  A mask is spanned on element indices with the
-    ring's add/mul index tables, which only n >= 2 needs (and there
-    q <= 70); the masks must be pairwise distinct, so two bases that
-    span one subspace raise.  The order is inclusion of point sets,
-    handed to the base class as up-set masks: the elements above W are
-    those that hold all of its points.  The base class forms the
-    down-sets as their transpose and reads the meet off it (a down-set
+    It is the set lattice of the points (1-dimensional subspaces) each
+    subspace contains, bit i for the point at index i: ``masks`` lists
+    them by index, ``by_mask`` inverts it and ``points`` lists the point
+    indices, ``point_rows`` their canonical rows (element-index tuples)
+    in the same order and ``point_of`` maps each such row back to its
+    point index.  A mask is spanned on element indices with the ring's
+    add/mul index tables, which only n >= 2 needs (and there q <= 70);
+    the masks must be pairwise distinct, so two bases that span one
+    subspace raise before ``SetLattice`` orders them by inclusion.
+    ``FiniteLattice`` reads the meet off the down-sets (a down-set
     restricted to the points is the point mask, so the meet is the
     intersection of point sets) and checks the top.  The join, the sum,
     is checked independently through orthogonality: every basis row is
@@ -545,30 +541,16 @@ class SubspaceLattice(FiniteLattice):
         # L(K^1) = {0, K} needs no arithmetic; for n >= 2, q^2 <= q^n <= 5000
         add, mul = ring._index_tables() if n > 1 else (None, None)
         masks = _point_masks(bases, point_of, add, mul, ring.order)
-        by_mask = {}
+        first = {}
         for x, mask in enumerate(masks):
-            if mask in by_mask:
+            if mask in first:
                 raise GlatticeError(
-                    f"enumeration bug: bases {by_mask[mask]} and {x} span one subspace",
-                    witness=(by_mask[mask], x),
+                    f"enumeration bug: bases {first[mask]} and {x} span one subspace",
+                    witness=(first[mask], x),
                 )
-            by_mask[mask] = x
-
-        # contain[p]: the elements whose point set holds point p
-        contain = dict.fromkeys(point_of.values(), 0)
-        for x, mask in enumerate(masks):
-            for p in _bits(mask):
-                contain[p] |= 1 << x
-        everything = (1 << len(masks)) - 1
-        up = []
-        for mask in masks:
-            above = everything
-            for p in _bits(mask):
-                above &= contain[p]
-            up.append(above)
-
-        self._set_order(
-            up,
+            first[mask] = x
+        super().__init__(
+            masks,
             payloads=subspaces,
             # Subspace.__repr__, read off the element indices
             labels=[
@@ -580,11 +562,10 @@ class SubspaceLattice(FiniteLattice):
         # W -> W^perp, through the annihilator masks: an order-reversing
         # involution exactly when the join read off the order is the sum
         perp_masks = _annihilator_masks(bases, point_of, _orthogonality(point_of, n, add, mul))
-        bad = _first_non_duality([by_mask.get(mask) for mask in perp_masks], self.down_masks, up)
+        phi = [self.by_mask.get(mask) for mask in perp_masks]
+        bad = _first_non_duality(phi, self.down_masks, self.up_masks)
         if bad is not None:
-            _raise_join_mismatch(perp_masks, up, bad)
-        self.masks = tuple(masks)
-        self.by_mask = by_mask
+            _raise_join_mismatch(perp_masks, self.up_masks, bad)
         self.points = tuple(point_of.values())
         self.point_rows = tuple(point_of)
         self.point_of = point_of
@@ -700,22 +681,6 @@ class SubspaceLattice(FiniteLattice):
         ``point_image`` (index to index) and every subspace with its
         point set."""
         return LatticeAutomorphism(self, self._induced_row(point_image))
-
-    def _induced_row(self, point_image):
-        """The index each subspace goes to when the points move as
-        ``point_image``: its point mask, moved bit by bit.
-        NotLatticeAutomorphism when a moved mask is no subspace's."""
-        image = []
-        for mask in self.masks:
-            moved = 0
-            while mask:
-                low = mask & -mask
-                moved |= 1 << point_image[low.bit_length() - 1]
-                mask ^= low
-            if moved not in self.by_mask:
-                raise NotLatticeAutomorphism("a point permutation moves a subspace off the lattice")
-            image.append(self.by_mask[moved])
-        return image
 
     def _closed_automorphism_group(self):
         """Aut L(V): the generators closed and counted against the

@@ -13,6 +13,8 @@ from glattice.errors import (
     NoJoin,
     NoMeet,
     NotCoordinatizable,
+    NotGSet,
+    NotHomomorphism,
     NotInvertible,
     SpaceMismatch,
     TooLarge,
@@ -21,7 +23,7 @@ from glattice.extension import FactorSystem, FsReport
 from glattice.groups import FiniteGroup
 from glattice.lattice import _AXIOM_TEXT, ActionReport, check_axiom
 from glattice.linalg import SemilinearMap, add_vectors, rref, scale_vector
-from glattice.scalar import QUATERNIONS, RingAutomorphism, list_automorphisms
+from glattice.scalar import QUATERNIONS, DivisionRing, RingAutomorphism, list_automorphisms
 from glattice.tgring import AlgebraVerdict, TwistedModule
 
 
@@ -256,6 +258,66 @@ def all_subgroups(group):
                 found.add(bigger)
                 frontier.append(bigger)
     return [tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+def quaternion_group():
+    """Q8: the units +-1, +-i, +-j, +-k of the quaternions under their
+    product, 1 first."""
+    ring = DivisionRing.quaternions()
+    units = [ring.scalar([sign * (i == c) for i in range(4)]) for sign in (1, -1) for c in range(4)]
+    index = {u: n for n, u in enumerate(units)}
+    return FiniteGroup([[index[a * b] for b in units] for a in units], name="Q8")
+
+
+def subgroup_leq(lattice):
+    """The inclusion order of a subgroup lattice as an m x m matrix of
+    bools, compared on member frozensets."""
+    member_sets = [frozenset(s.members) for s in lattice.payloads]
+    return [[a <= b for b in member_sets] for a in member_sets]
+
+
+def conjugate(group, members, g):
+    """g H g^-1 as a member frozenset."""
+    cayley, inverse = group.cayley, group.inverse
+    return frozenset(cayley[cayley[g][h]][inverse[g]] for h in members)
+
+
+def conjugation_table(group, lattice):
+    """The conjugation action on a subgroup lattice, each subgroup
+    conjugated as a member frozenset and looked up by its members."""
+    index = {frozenset(s.members): i for i, s in enumerate(lattice.payloads)}
+    return tuple(
+        tuple(index[conjugate(group, s.members, g)] for s in lattice.payloads)
+        for g in range(group.order)
+    )
+
+
+def check_gset(group, table):
+    """The G-set laws on a table of point bijections, in the loops
+    ``powerset_glattice`` ran before it shared the axiom checkers':
+    NotGSet at the first point the identity moves, else at the first
+    (g, h, x) with g(hx) != (gh)x."""
+    for x in range(len(table[0])):
+        if table[0][x] != x:
+            raise NotGSet(f"identity moves point {x}", witness=(x,))
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.cayley[g][h]
+            for x in range(len(table[0])):
+                if table[g][table[h][x]] != table[gh][x]:
+                    raise NotGSet(f"g(hx) != (gh)x at ({g},{h},{x})", witness=(g, h, x))
+
+
+def check_homomorphism(group, rho):
+    """The homomorphism check ``action_from_homomorphism`` ran before it
+    read the first failing pair off axiom (1): rho(e) the identity, then
+    rho(g)rho(h) = rho(gh) composed pair by pair."""
+    if not rho[0].is_identity():
+        raise NotHomomorphism("identity must map to the identity automorphism", witness=(0,))
+    for g in range(group.order):
+        for h in range(group.order):
+            if rho[g].compose(rho[h]) != rho[group.cayley[g][h]]:
+                raise NotHomomorphism(f"rho({g})rho({h}) != rho({g}*{h})", witness=(g, h))
 
 
 def direct_product_of_cyclics(factors):

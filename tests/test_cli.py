@@ -671,6 +671,23 @@ def test_cli_abelian_extensions_above_forty_elements_named(capsys, tmp_path, com
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify-extensions", "--group", "sym:0", "--ring", "gf:3"),
+        ("classify-extensions", "--group", "sym:-4", "--ring", "gf:3"),
+        ("subspace-lattice", "--ring", "gf:2", "--dim", "0"),
+        ("subspace-lattice", "--ring", "gf:2", "--dim", "-2"),
+    ],
+    ids=["sym-0", "sym-negative", "dim-0", "dim-negative"],
+)
+def test_cli_non_positive_sizes_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert ">= 1" in report["error"] and "witness" not in report
+
+
 def test_cli_malformed_input_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -726,6 +743,8 @@ def test_cli_shape_baselines_are_well_formed(capsys, tmp_path):
         ("verify-action", {**GOOD_ACTION, "action": 7}),
         ("verify-action", {**GOOD_ACTION, "action": [[False, True], [False, True]]}),
         ("verify-action", {**GOOD_ACTION, "group": {"group": "table", "cayley": [[False, True], [True, False]]}}),
+        ("verify-action", {**GOOD_ACTION, "group": {"group": "sym", "n": -2}, "action": [[0, 1]]}),
+        ("verify-action", {**GOOD_ACTION, "lattice": {"space": gf_space(2, 0)}}),
         ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": "x"}}),
         ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 3, "k": None}}),
         ("roundtrip", {**GOOD_FS, "ring": {"ring": "gf", "p": 2, "k": 2, "modulus": 5}}),
@@ -745,7 +764,8 @@ def test_cli_shape_baselines_are_well_formed(capsys, tmp_path):
     ],
     ids=[
         "leq-scalar", "leq-row-scalar", "leq-entry-string", "short-labels", "cayley-scalar",
-        "n-not-int", "action-scalar", "action-bool", "cayley-bool", "p-not-int", "k-null",
+        "n-not-int", "action-scalar", "action-bool", "cayley-bool", "sym-n-negative",
+        "space-dim-0", "p-not-int", "k-null",
         "modulus-scalar", "modulus-entry", "chi-scalar", "frob-not-int", "bracket-scalar",
         "short-group-labels", "n-float", "p-float", "n-bool", "frob-float", "modulus-bool",
         "bracket-bool", "coefficient-float",

@@ -1,5 +1,6 @@
 """Cayley-table groups, subgroup lattices, conjugation actions."""
 
+import functools
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 import glattice.groups
 from glattice import (
     FiniteGroup,
+    FiniteLattice,
     are_isomorphic,
     conjugation_glattice,
     cyclic_group,
@@ -17,7 +19,14 @@ from glattice import (
     symmetric_group,
     validate_glattice,
 )
-from glattice.errors import NoIdentity, NoInverse, NotAssociative, TableMismatch, TooLarge
+from glattice.errors import (
+    MalformedTable,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    TableMismatch,
+    TooLarge,
+)
 from glattice.extension import FactorSystem, build_extension, classify_up_to_equivalence
 from glattice.groups import _generating_set, all_subgroups, trivial_group
 from glattice.lattice import fixed_points, orbits
@@ -199,6 +208,9 @@ def test_subgroups_match_the_from_scratch_closure():
 def test_symmetric_preset_cap():
     with pytest.raises(TooLarge):
         symmetric_group(6)
+    for n in (0, -4):
+        with pytest.raises(MalformedTable, match="^need n >= 1$"):
+            symmetric_group(n)
 
 
 def test_element_orders():
@@ -246,6 +258,27 @@ def test_subgroup_lattice_meet_join():
     i, j = order2[0], order2[1]
     assert len(lat.payloads[lat.meet[i][j]]) == 1
     assert len(lat.payloads[lat.join[i][j]]) == 6
+
+
+SET_LATTICE_GROUPS = {
+    **{f"C{n}": functools.partial(cyclic_group, n) for n in range(1, 13)},
+    "S3": functools.partial(symmetric_group, 3),
+    "S4": functools.partial(symmetric_group, 4),
+    "D4": functools.partial(dihedral_group, 4),
+    "D6": functools.partial(dihedral_group, 6),
+    "Q8": oracles.quaternion_group,
+}
+
+
+@pytest.mark.parametrize("name", SET_LATTICE_GROUPS)
+def test_subgroup_lattice_masks_match_the_leq_construction(name):
+    # the up-set masks formed from member bitmasks against the order built
+    # from an m x m matrix of frozenset inclusions
+    lat = subgroup_lattice(SET_LATTICE_GROUPS[name]())
+    want = FiniteLattice(oracles.subgroup_leq(lat))
+    assert (lat.up_masks, lat.down_masks) == (want.up_masks, want.down_masks)
+    assert lat.masks == tuple(sum(1 << h for h in s.members) for s in lat.payloads)
+    assert (lat.meet, lat.join) == (want.meet, want.join)
 
 
 SUBGROUP_MUTANTS = {"S4": lambda: symmetric_group(4), "D6": lambda: dihedral_group(6)}
@@ -362,6 +395,13 @@ def test_conjugation_axioms_exhaustive_small():
                   dihedral_group(6), cyclic_group(12)):
         assert group.order <= 12
         assert validate_glattice(conjugation_glattice(group)).ok
+
+
+@pytest.mark.parametrize("name", SET_LATTICE_GROUPS)
+def test_conjugation_tables_match_the_frozenset_conjugates(name):
+    group = SET_LATTICE_GROUPS[name]()
+    action = conjugation_glattice(group)
+    assert action.table == oracles.conjugation_table(group, action.lattice)
 
 
 def test_normal_sublattice_closed():

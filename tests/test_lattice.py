@@ -53,6 +53,7 @@ from glattice.lattice import (
     trivial_action,
 )
 
+import oracles
 from conftest import shift_rep
 from oracles import leq_matrix, meet_and_join_scan, validate_all_five_axioms
 
@@ -909,6 +910,48 @@ def test_not_homomorphism_rejected():
     assert validate_glattice(ok).ok
 
 
+def outcome(build):
+    """What build() gives: its result, or the type, message and witness
+    of the GlatticeError it raises."""
+    try:
+        return build()
+    except GlatticeError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+HOMOMORPHISM_BASES = {
+    "conj(S3)": lambda: conjugation_glattice(symmetric_group(3)),
+    "atoms(B3)": lambda: powerset_glattice(
+        symmetric_group(3), [list(p) for p in sorted(itertools.permutations(range(3)))]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOMOMORPHISM_BASES)
+def test_homomorphism_failures_match_the_pairwise_composition(name):
+    # rho with one value replaced by each automorphism in turn, or by one of
+    # another lattice: the first failing pair is the one rho(g)rho(h) =
+    # rho(gh), composed pair by pair, names
+    action = HOMOMORPHISM_BASES[name]()
+    group, lat = action.group, action.lattice
+    rho = homomorphism_from_action(action)
+    stranger = identity_automorphism(FiniteLattice(leq_matrix(lat)))
+    failures = set()
+    for g in range(group.order):
+        for a in [*lattice_automorphism_group(lat), stranger]:
+            tampered = {**rho, g: a}
+            expected = outcome(lambda: oracles.check_homomorphism(group, tampered))
+            got = outcome(lambda: action_from_homomorphism(group, lat, tampered))
+            if expected is None:
+                assert got.table == tuple(a.perm for a in tampered.values())
+            else:
+                assert got == expected
+                failures.add(expected[1].split("(")[0])
+    assert failures == {
+        "identity must map to the identity automorphism", "rho", "automorphisms of different lattices"
+    }
+
+
 # ---------------------------------------------------------------------------
 # power-set actions
 
@@ -943,6 +986,33 @@ def test_powerset_rejects_non_gset():
     # identity row broken
     with pytest.raises(NotGSet):
         powerset_glattice(c2, [[1, 0], [0, 1]])
+
+
+GSETS = {
+    "C3-shift": (cyclic_group(3), [[(x + g) % 3 for x in range(3)] for g in range(3)]),
+    "S3-natural": (symmetric_group(3), [list(p) for p in sorted(itertools.permutations(range(3)))]),
+    "C4-on-5": (cyclic_group(4), [[(x + g) % 4 for x in range(4)] + [4] for g in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", GSETS)
+def test_gset_failures_match_the_pointwise_loops(name):
+    # one row replaced by each bijection of the points in turn: the same
+    # NotGSet, message and witness as the pointwise identity and
+    # composition loops
+    group, table = GSETS[name]
+    failures = set()
+    for g in range(group.order):
+        for row in itertools.permutations(range(len(table[0]))):
+            tampered = [*table[:g], list(row), *table[g + 1:]]
+            expected = outcome(lambda: oracles.check_gset(group, tampered))
+            got = outcome(lambda: powerset_glattice(group, tampered))
+            if expected is None:
+                assert isinstance(got, GLatticeAction)
+            else:
+                assert got == expected
+                failures.add(expected[1].split(" ")[0])
+    assert failures == {"identity", "g(hx)"}
 
 
 def test_powerset_too_large():
