@@ -1,13 +1,12 @@
 """Finite lattices, their automorphisms, and lattices acted on by a group.
 
-A lattice is given by its order alone.  It stores the order once, as
-the down-set and up-set bitmask of every element, and reads its
-meet/join tables off those masks when they are first read.
-Construction checks the partial order, forms the meet rows and checks
-that a top exists: a finite poset with a top in which every pair has a
-meet is a lattice.  The join rows are formed only to name the first
-missing bound.  Every step is quadratic in the number of elements and
-runs at every size.
+Every lattice is a family of sets under inclusion: a lattice given by
+its order is the family of its down-sets.  It stores the sets and the
+down-set and up-set bitmask of every element, and reads its meet/join
+tables off those masks when they are first read.  Construction checks
+that the sets are closed under intersection and hold their union: such
+a family is a lattice whose meet is the intersection.  Every step is
+quadratic in the number of elements and runs at every size.
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -25,9 +24,8 @@ joins, so (4) and (5) cannot fail after it; their checkers stay public.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 from .errors import (
     GlatticeError,
@@ -46,68 +44,37 @@ _AUT_SEARCH_LIMIT = 40
 # |Aut L| on either route: admits L(GF(2)^4) (20,160) and the diamond M_8
 # (8!), refuses L(GF(8)^2) (9!), L(GF(4)^3) (120,960) and M_9
 _AUT_GROUP_LIMIT = 50_000
-# points of a power-set G-set: boolean_lattice checks an order of 3^n
-# comparable pairs, and each extra point costs about 4x time (11 points
-# build in about 1.1 s and 19 MB, 12 in about 5.1 s and 24 MB; Python
-# 3.11.7, 2 shared vCPUs)
+# points of a power-set G-set: boolean_lattice checks that each of the 4^n
+# pairs of subsets intersects in a member, so each extra point costs
+# about 4x time (C2 on 11 points builds in about 0.56 s and 19 MB, on 12
+# in about 1.9 s and 24 MB; Python 3.11.7, 2 shared vCPUs)
 _POWERSET_LIMIT = 11
 _POWERSET_REFUSAL = f"power-set lattice capped at {_POWERSET_LIMIT} points"
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class FiniteLattice:
-    """A finite lattice: its order as bitmasks, and meet and join tables
-    read off them.
-
-    The order is given as an ``leq`` matrix, whose rows are folded into
-    ``up_masks`` (``SetLattice`` forms those from point sets, through
-    ``_set_order``); ``down_masks`` is their transpose, and only the
-    masks are kept.  down[x] and up[x] are the bitmasks of the elements
-    below and above x (bit y for element y).  Construction checks that
-    it is a partial order, then reads meet[x][y] as the z with down[z]
-    == down[x] & down[y], one row at a time: the elements below z are
-    exactly the common lower bounds of x and y, so z is their greatest
-    lower bound.  It then checks that some element lies above every
-    element.  A finite poset with a top in which every pair has a meet
-    is a lattice: the join of x and y is the meet of their common upper
-    bounds, which the top makes nonempty (Davey & Priestley,
-    *Introduction to Lattices and Order*, 2nd ed., ch. 2).  So the join
-    rows, join[x][y] the z with up[z] == up[x] & up[y], are formed at
-    construction only when a meet or the top is missing, to raise NoMeet
-    / NoJoin at the first pair in row-major order that lacks one, the
-    meet before the join of the same pair.  No table is kept: ``meet``
-    and ``join`` are built from the masks when first read.  All of it is
-    O(m^2) mask operations.  The glb and lub operations of a partial
-    order satisfy the lattice laws (idempotence, commutativity,
-    associativity, absorption; ibid., "lattices as algebraic
-    structures"), so no cubic law check runs.  A lattice that also
-    knows its bounds algebraically compares them with these tables
-    itself, through ``_row_mismatch``: ``subgroup_lattice`` does so.
+    """A finite lattice as a family of sets under inclusion, built by
+    ``_set_family``: ``masks`` lists the sets as bitmasks, ``by_mask``
+    inverts it, and ``down_masks`` / ``up_masks`` hold the elements
+    below and above each x (bit y for element y).  ``SetLattice`` hands
+    over point sets; a lattice given by an ``leq`` matrix is checked to
+    be a partial order and hands over its down-sets, since x <= y
+    exactly when down[x] is a subset of down[y].  No m x m table is
+    kept: ``_bound_rows`` reads ``meet`` and ``join`` when first read.
+    A lattice that also knows its join algebraically compares it with
+    the table itself, through ``_row_mismatch``: ``subgroup_lattice``
+    does so.
     """
 
     def __init__(self, leq, payloads=None, labels=None):
         m = len(leq)
-        if m == 0:
-            raise NotPartialOrder("empty carrier")
         for row in leq:
             if len(row) != m:
                 raise ShapeMismatch("leq matrix is not square")
-        # up[x] is row x of leq
-        self._set_order([_mask(row) for row in leq], payloads, labels)
-
-    def _set_order(self, up, payloads=None, labels=None):
-        """Check the order given as up-set masks, check that every bound
-        exists and keep the masks.  Every lattice is built through here:
-        ``__init__`` hands over the rows of its ``leq`` matrix, a
-        subclass that knows its order otherwise hands over its own.  The
-        down-set masks are the transpose of the up-set masks.  The
-        errors come in a fixed order: NotPartialOrder, then NoMeet /
-        NoJoin, then ShapeMismatch for the payloads or labels."""
-        m = len(up)
-        down = [0] * m
-        for x, above in enumerate(up):
-            for y in _bits(above):
-                down[y] |= 1 << x
+        # up[x] is row x of leq, down[x] column x
+        up = [_mask(row) for row in leq]
+        down = _transpose(up)
         for x in range(m):
             if not up[x] >> x & 1:
                 raise NotPartialOrder(f"not reflexive at {x}", witness=(x,))
@@ -121,20 +88,70 @@ class FiniteLattice:
                         f"not transitive: {z}<={x}<={y} but not {z}<={y}",
                         witness=(z, x, y),
                     )
+        self._set_family(tuple(down), payloads, labels)
 
-        # with a top and every meet, every join exists; a missing bound is
-        # named by the full scan, at the first pair that lacks one
-        try:
-            _raise_first_missing_bound(down, None)
-        except NoMeet:
-            _raise_first_missing_bound(down, up)
-        if (1 << m) - 1 not in down:
-            _raise_first_missing_bound(down, up)
+    def _set_family(self, sets, payloads=None, labels=None):
+        """Build the lattice of the pairwise distinct sets ``sets``
+        (bitmasks, one per element) under inclusion.  The up-set of x is
+        the AND, over the points p of x, of the elements that hold p;
+        the down-sets are its transpose.
+
+        A family closed under pairwise intersection that holds the union
+        of its members is a lattice under inclusion: meet[x][y] is the
+        member masks[x] & masks[y], the union is the top, and the join
+        of x and y is the meet of their common upper bounds, which the
+        top makes nonempty (Davey & Priestley, *Introduction to Lattices
+        and Order*, 2nd ed., chs. 2 and 7).  The glb and lub of a
+        partial order satisfy the lattice laws, so no cubic law check
+        runs: construction checks every ``a & b`` and the union, O(m^2)
+        mask operations.  On down-sets that is the scan of every meet
+        and the check of the top.
+
+        The errors come in a fixed order.  NotPartialOrder("not
+        antisymmetric") at the first element x with a repeated set and
+        the first other element y with its set.  When an intersection
+        or the union is no member: NoMeet / NoJoin at the first pair in
+        row-major order that lacks a bound in the inclusion order, the
+        meet first; for a family that is a lattice all the same,
+        GlatticeError at the first pair whose intersection is no member.
+        Then ShapeMismatch for the payloads or labels.
+        """
+        m = len(sets)
+        if m == 0:
+            raise NotPartialOrder("empty carrier")
+        # the last element with each set, so a repeated set maps past its first
+        by_mask = dict(zip(sets, range(m)))
+        if len(by_mask) < m:
+            x = next(x for x, mask in enumerate(sets) if by_mask[mask] != x)
+            y = sets.index(sets[x], x + 1)
+            raise NotPartialOrder(f"not antisymmetric at ({x},{y})", witness=(x, y))
+        # contain[p]: the elements whose set holds point p
+        contain = {}
+        for x, mask in enumerate(sets):
+            for p in _bits(mask):
+                contain[p] = contain.get(p, 0) | 1 << x
+        everything = (1 << m) - 1
+        up = [functools.reduce(and_, map(contain.get, _bits(mask)), everything) for mask in sets]
+        down = _transpose(up)
+
+        gap = _first_gap(sets)
+        if gap is not None or functools.reduce(or_, sets) not in by_mask:
+            no_meet, no_join = _first_gap(down), _first_gap(up)
+            if no_meet is not None and (no_join is None or no_meet <= no_join):
+                raise NoMeet("elements {},{} have no meet".format(*no_meet), witness=no_meet)
+            if no_join is not None:
+                raise NoJoin("elements {},{} have no join".format(*no_join), witness=no_join)
+            x, y = gap
+            raise GlatticeError(
+                f"the sets of elements {x},{y} intersect in no member", witness=(x, y)
+            )
 
         for name, values in (("payloads", payloads), ("labels", labels)):
             if values is not None and len(values) != m:
                 raise ShapeMismatch(f"{len(values)} {name} for {m} elements")
         self.size = m
+        self.masks = sets
+        self.by_mask = by_mask
         self.down_masks = tuple(down)
         self.up_masks = tuple(up)
         self.payloads = tuple(payloads) if payloads is not None else tuple(range(m))
@@ -142,23 +159,13 @@ class FiniteLattice:
 
     @functools.cached_property
     def meet(self):
-        """The meet table, read off the down-set masks when first read."""
-        return tuple(tuple(row) for row, _ in _bounds(self.down_masks, None))
+        """The meet table, the intersections read off ``masks`` when first read."""
+        return tuple(map(tuple, _bound_rows(self.masks)))
 
     @functools.cached_property
     def join(self):
         """The join table, read off the up-set masks when first read."""
-        return tuple(tuple(row) for _, row in _bounds(None, self.up_masks))
-
-    @property
-    def bottom(self):
-        down = self.down_masks
-        return min(range(self.size), key=lambda x: bin(down[x]).count("1"))
-
-    @property
-    def top(self):
-        up = self.up_masks
-        return min(range(self.size), key=lambda x: bin(up[x]).count("1"))
+        return tuple(map(tuple, _bound_rows(self.up_masks)))
 
     def covers(self):
         """Pairs (x, y) with y covering x (the Hasse diagram edges)."""
@@ -205,6 +212,15 @@ def _union(mask, sets):
     return out
 
 
+def _transpose(masks):
+    """The masks of the transposed relation: bit x of out[y] for bit y of masks[x]."""
+    out = [0] * len(masks)
+    for x, mask in enumerate(masks):
+        for y in _bits(mask):
+            out[y] |= 1 << x
+    return out
+
+
 def _order_violation(lattice, row):
     """The first (x, y) in row-major order at which the map x -> row[x]
     breaks x <= y iff row[x] <= row[y], or None.
@@ -224,38 +240,24 @@ def _order_violation(lattice, row):
     return None
 
 
-def _bounds(down, up):
-    """The rows (meet[x], join[x]) read off the down-set and up-set
-    bitmasks, for x = 0, 1, ... in turn.  Masks given as None are not
-    read, and their rows are None.
-
-    A missing bound raises at the first pair in row-major order, the
-    meet before the join of the same pair.
-    """
-    by_down = {mask: x for x, mask in enumerate(down or ())}
-    by_up = {mask: x for x, mask in enumerate(up or ())}
-    pairs = list(itertools.zip_longest(down or (), up or ()))
-    for x, (dx, ux) in enumerate(pairs):
-        try:
-            rows = (
-                None if dx is None else [by_down[dx & dy] for dy in down],
-                None if ux is None else [by_up[ux & uy] for uy in up],
-            )
-        except KeyError:
-            for y, (dy, uy) in enumerate(pairs):
-                if dx is not None and dx & dy not in by_down:
-                    raise NoMeet(f"elements {x},{y} have no meet", witness=(x, y)) from None
-                if ux is not None and ux & uy not in by_up:
-                    raise NoJoin(f"elements {x},{y} have no join", witness=(x, y)) from None
-        yield rows
+def _bound_rows(masks):
+    """Row x of the table whose entry y is the element with mask
+    masks[x] & masks[y], for x = 0, 1, ... in turn; None where no
+    element has it.  Over the sets of a lattice this is the meet, over
+    its up-set masks the join, over its down-set masks the meet read off
+    the order."""
+    get = {mask: z for z, mask in enumerate(masks)}.get
+    for a in masks:
+        yield [get(a & b) for b in masks]
 
 
-def _raise_first_missing_bound(down, up):
-    """Scan every row ``_bounds`` reads off the masks given, so that the
-    first pair in row-major order that lacks a bound raises NoMeet /
-    NoJoin."""
-    for _ in _bounds(down, up):
-        pass
+def _first_gap(masks):
+    """The first (x, y) in row-major order at which ``_bound_rows`` finds
+    no element, or None."""
+    for x, row in enumerate(_bound_rows(masks)):
+        if None in row:
+            return x, row.index(None)
+    return None
 
 
 def _row_mismatch(name, x, row, true_row):
@@ -270,29 +272,12 @@ def _row_mismatch(name, x, row, true_row):
 
 
 class SetLattice(FiniteLattice):
-    """Sets of points ordered by inclusion: ``masks`` lists them as
-    pairwise distinct bitmasks (bit p for point p), ``by_mask`` inverts
-    it.  The up-set of x, handed to ``_set_order``, is the AND over the
-    points p of x of the elements that hold p.  ``_induced_row`` lifts a
-    permutation of the points to the sets."""
+    """Sets of points ordered by inclusion, given as pairwise distinct
+    bitmasks (bit p for point p) and built by ``_set_family``.
+    ``_induced_row`` lifts a permutation of the points to the sets."""
 
     def __init__(self, masks, payloads=None, labels=None):
-        masks = tuple(masks)
-        # contain[p]: the elements whose set holds point p
-        contain = {}
-        for x, mask in enumerate(masks):
-            for p in _bits(mask):
-                contain[p] = contain.get(p, 0) | 1 << x
-        everything = (1 << len(masks)) - 1
-        up = []
-        for mask in masks:
-            above = everything
-            for p in _bits(mask):
-                above &= contain[p]
-            up.append(above)
-        self._set_order(up, payloads, labels)
-        self.masks = masks
-        self.by_mask = {mask: x for x, mask in enumerate(masks)}
+        self._set_family(tuple(masks), payloads, labels)
 
     def _induced_row(self, image):
         """The index each set goes to when point p moves to image[p]: its
@@ -686,13 +671,13 @@ def trivial_action(group, lattice):
 def action_from_homomorphism(group, lattice, rho):
     """Turn a homomorphism g -> Aut(L) into an action table.
 
-    ``rho`` maps element indices to LatticeAutomorphisms of one lattice.
+    ``rho`` maps element indices to LatticeAutomorphisms of ``lattice``.
     The table is validated once: rho(g)rho(h) = rho(gh) is axiom (1),
     whose first failing (g, h, x) names the first failing pair (g, h).
     """
     if not rho[0].is_identity():
         raise NotHomomorphism("identity must map to the identity automorphism", witness=(0,))
-    if any(rho[g].lattice is not rho[0].lattice for g in range(group.order)):
+    if any(rho[g].lattice is not lattice for g in range(group.order)):
         raise ShapeMismatch("automorphisms of different lattices")
     table = [[rho[g](x) for x in range(lattice.size)] for g in range(group.order)]
     action = GLatticeAction(group, lattice, table)

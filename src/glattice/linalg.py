@@ -37,7 +37,7 @@ from .lattice import (
     _AUT_GROUP_LIMIT,
     LatticeAutomorphism,
     SetLattice,
-    _bounds,
+    _bound_rows,
     _row_mismatch,
     _union,
     automorphism_closure,
@@ -503,13 +503,13 @@ class SubspaceLattice(SetLattice):
     add/mul index tables, which only n >= 2 needs (and there q <= 70);
     the masks must be pairwise distinct, so two bases that span one
     subspace raise before ``SetLattice`` orders them by inclusion.
-    ``FiniteLattice`` reads the meet off the down-sets (a down-set
-    restricted to the points is the point mask, so the meet is the
-    intersection of point sets) and checks the top.  The join, the sum,
-    is checked independently through orthogonality: every basis row is
-    a point, so the point mask of W^perp is the intersection of
-    ``orth[r]`` over the rows r of W, where ``orth[r]`` is the mask of
-    the points whose dot product with r is zero.  Let phi[x] be the
+    Construction checks that the point sets are closed under
+    intersection and hold their union, so the meet is the intersection
+    of point sets.  The join, the sum, is checked independently through
+    orthogonality: every basis row is a point, so the point mask of
+    W^perp is the intersection of ``orth[r]`` over the rows r of W,
+    where ``orth[r]`` is the mask of the points whose dot product with r
+    is zero.  Let phi[x] be the
     element with the annihilator mask of x.  W -> W^perp must be an
     order-reversing involution: every phi[x] exists, phi[phi[x]] == x,
     and phi maps the elements above x onto those below phi[x], a check
@@ -797,7 +797,7 @@ def _raise_join_mismatch(perp_masks, up, bad):
     the first element at which W -> W^perp is no order-reversing
     involution."""
     sum_of = {mask: x for x, mask in enumerate(perp_masks)}
-    for x, (_, true_row) in enumerate(_bounds(None, up)):
+    for x, true_row in enumerate(_bound_rows(up)):
         row = [sum_of.get(perp_masks[x] & pj) for pj in perp_masks]
         error = _row_mismatch("join", x, row, true_row)
         if error is not None:

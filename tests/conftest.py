@@ -80,14 +80,19 @@ def orbits_match_the_search():
 
 @pytest.fixture
 def bounds_returning(monkeypatch):
-    """Make the lattice's bound computation yield the rows of the given
-    tables."""
+    """Make the bound reader yield the rows of the given meet table when
+    it reads the sets or the down-set masks of ``lat``, and of the given
+    join table when it reads its up-set masks."""
 
-    def install(meet, join):
-        def bounds(down, up):
-            return ((list(meet_row), list(join_row)) for meet_row, join_row in zip(meet, join))
+    def install(lat, meet, join):
+        reader = glattice.lattice._bound_rows
+        tables = {lat.masks: meet, lat.down_masks: meet, lat.up_masks: join}
 
-        monkeypatch.setattr(glattice.lattice, "_bounds", bounds)
+        def rows(masks):
+            table = tables.get(tuple(masks))
+            return reader(masks) if table is None else (list(row) for row in table)
+
+        monkeypatch.setattr(glattice.lattice, "_bound_rows", rows)
 
     return install
 

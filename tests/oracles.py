@@ -35,20 +35,24 @@ def leq_matrix(lattice):
 
 
 def meet_and_join_scan(down, up):
-    """The bound check of lattice construction before it formed only the
-    meet rows: the meet and the join of every pair, read off the down-set
-    and up-set masks row by row.  Raises NoMeet / NoJoin at the first
-    pair in row-major order that lacks a bound (the meet first); returns
-    None for a lattice."""
+    """The bound check of lattice construction before it read a lattice
+    as a family of sets: the meet and the join of every pair, read off
+    the down-set and up-set masks row by row.  Raises NoMeet / NoJoin at
+    the first pair in row-major order that lacks a bound (the meet
+    first); returns the (meet, join) tables, as lists, for a lattice."""
     by_down = {mask: x for x, mask in enumerate(down)}
     by_up = {mask: x for x, mask in enumerate(up)}
+    meet = [[None] * len(down) for _ in down]
+    join = [[None] * len(down) for _ in down]
     for x in range(len(down)):
         for y in range(len(down)):
             if down[x] & down[y] not in by_down:
                 raise NoMeet(f"elements {x},{y} have no meet", witness=(x, y))
             if up[x] & up[y] not in by_up:
                 raise NoJoin(f"elements {x},{y} have no join", witness=(x, y))
-    return None
+            meet[x][y] = by_down[down[x] & down[y]]
+            join[x][y] = by_up[up[x] & up[y]]
+    return meet, join
 
 
 def validate_all_five_axioms(action):

@@ -279,6 +279,10 @@ def test_subgroup_lattice_masks_match_the_leq_construction(name):
     assert (lat.up_masks, lat.down_masks) == (want.up_masks, want.down_masks)
     assert lat.masks == tuple(sum(1 << h for h in s.members) for s in lat.payloads)
     assert (lat.meet, lat.join) == (want.meet, want.join)
+    # the meet is read as intersections of member sets, the reference reads
+    # both tables off the down-set and up-set masks
+    meet, join = oracles.meet_and_join_scan(lat.down_masks, lat.up_masks)
+    assert (lat.meet, lat.join) == (tuple(map(tuple, meet)), tuple(map(tuple, join)))
 
 
 SUBGROUP_MUTANTS = {"S4": lambda: symmetric_group(4), "D6": lambda: dihedral_group(6)}
@@ -295,32 +299,13 @@ def incomparable_pairs(lat):
 
 
 @pytest.mark.parametrize("name", SUBGROUP_MUTANTS)
-def test_subgroup_lattice_rejects_a_corrupted_meet(name, bounds_returning):
-    # the meet read off the order is wrong at the last incomparable pair,
-    # the join at the first: every meet row is compared before any join row
-    group = SUBGROUP_MUTANTS[name]()
-    lat = subgroup_lattice(group)
-    (jx, jy), *_, (x, y) = incomparable_pairs(lat)
-    meet = [list(row) for row in lat.meet]
-    join = [list(row) for row in lat.join]
-    meet[x][y], join[jx][jy] = lat.join[x][y], lat.meet[jx][jy]
-    bounds_returning(meet, join)
-    with pytest.raises(TableMismatch) as err:
-        subgroup_lattice(group)
-    assert err.value.witness == (x, y)
-    assert str(err.value).startswith(
-        f"meet[{x}][{y}] = {lat.meet[x][y]}, but the true bound is {lat.join[x][y]}"
-    )
-
-
-@pytest.mark.parametrize("name", SUBGROUP_MUTANTS)
 def test_subgroup_lattice_rejects_a_corrupted_join(name, bounds_returning):
     group = SUBGROUP_MUTANTS[name]()
     lat = subgroup_lattice(group)
     x, y = incomparable_pairs(lat)[-1]
     join = [list(row) for row in lat.join]
     join[x][y] = lat.meet[x][y]
-    bounds_returning(lat.meet, join)
+    bounds_returning(lat, lat.meet, join)
     with pytest.raises(TableMismatch) as err:
         subgroup_lattice(group)
     assert err.value.witness == (x, y)
@@ -351,6 +336,27 @@ def test_subgroup_lattice_rejects_a_join_that_is_no_subgroup(name, monkeypatch):
     assert str(err.value).startswith(
         f"join[{x}][{y}] = None, but the true bound is {lat.join[x][y]}"
     )
+
+
+@pytest.mark.parametrize("name,unions", [("S4", 315), ("D6", 72)])
+def test_subgroup_join_check_closes_each_union_once(name, unions, monkeypatch):
+    # one closure per distinct union of two member sets that is no member
+    # itself; a member is its own closure
+    group = SUBGROUP_MUTANTS[name]()
+    subs = all_subgroups(group)
+    masks = {sum(1 << h for h in s.members) for s in subs}
+    assert len({a | b for a in masks for b in masks} - masks) == unions
+    close = glattice.groups._close
+    calls = []
+
+    def spy(cayley, generators):
+        calls.append(None)
+        return close(cayley, generators)
+
+    monkeypatch.setattr(glattice.groups, "all_subgroups", lambda _: subs)
+    monkeypatch.setattr(glattice.groups, "_close", spy)
+    subgroup_lattice(group)
+    assert 0 < len(calls) <= unions
 
 
 def test_subgroup_enumeration_too_large():

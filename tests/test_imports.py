@@ -69,3 +69,29 @@ def test_every_public_function_is_named_outside_its_definition():
             if stmt.name not in elsewhere | own and stmt.name not in _CALLED_ONLY_FROM_TESTS:
                 uncalled.append(f"{path.name}: {stmt.name}")
     assert uncalled == []
+
+
+def test_every_public_method_is_named():
+    # a public method or property of a class in src/glattice must be named
+    # as an attribute, or by a string constant, somewhere in src/glattice,
+    # tests/ or glatbench/
+    src = sorted((_ROOT / "src" / "glattice").glob("*.py"))
+    paths = src + sorted((_ROOT / "tests").glob("*.py")) + sorted((_ROOT / "glatbench").glob("*.py"))
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    unnamed = [
+        f"{path.name}: {cls.name}.{stmt.name}"
+        for path in src
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and stmt.name not in named
+    ]
+    assert unnamed == []

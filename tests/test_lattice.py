@@ -154,25 +154,21 @@ def b2_tables(*changes):
     "leq,changes,error,witness,message",
     [
         # the order first, then the bounds; then, for a lattice that knows
-        # its bounds algebraically (the subgroup lattice of C6, which is
-        # B2), every meet row before any join row.  The changes corrupt
-        # the rows read off the order, so the algebraic entry is reported
-        # against the corrupted one, at the first pair in row-major order
-        # within each table
+        # its join algebraically (the subgroup lattice of C6, which is
+        # B2), the join rows.  The changes corrupt the rows read off the
+        # masks, so the algebraic entry is reported against the corrupted
+        # one, at the first pair in row-major order; the meet is the
+        # intersection, which construction has checked, and is never
+        # compared
         ([[1, 1], [1, 1]], None, NotPartialOrder, (0, 1), "antisymmetric"),
         (NO_BOUNDS, None, NoMeet, (0, 3), "0,3 have no meet"),
         (NO_TOP, None, NoJoin, (1, 2), "1,2 have no join"),
-        (None, [("meet", 3, 3, 0)],
-         TableMismatch, (3, 3), r"meet\[3\]\[3\] = 3, but the true bound is 0"),
-        (None, [("meet", 2, 1, 3), ("join", 0, 1, 0)],
-         TableMismatch, (2, 1), r"meet\[2\]\[1\] = 0, but the true bound is 3"),
-        (None, [("meet", 2, 0, 2), ("meet", 1, 3, 3)],
-         TableMismatch, (1, 3), r"meet\[1\]\[3\] = 1, but the true bound is 3"),
         (None, [("join", 3, 0, 0), ("join", 1, 2, 1)],
          TableMismatch, (1, 2), r"join\[1\]\[2\] = 3, but the true bound is 1"),
+        (None, [("meet", 0, 1, 3), ("meet", 3, 3, 0), ("join", 2, 1, 2)],
+         TableMismatch, (2, 1), r"join\[2\]\[1\] = 3, but the true bound is 2"),
     ],
-    ids=["order", "no-meet", "no-join", "meet-entry", "meet-before-join",
-         "first-meet-entry", "first-join-entry"],
+    ids=["order", "no-meet", "no-join", "first-join-entry", "meet-never-compared"],
 )
 def test_construction_errors_come_in_a_fixed_order(
     leq, changes, error, witness, message, bounds_returning
@@ -180,13 +176,39 @@ def test_construction_errors_come_in_a_fixed_order(
     build = functools.partial(FiniteLattice, leq)
     if leq is None:
         c6 = cyclic_group(6)
-        assert subgroup_lattice(c6).meet == boolean_lattice(2).meet
-        assert subgroup_lattice(c6).join == boolean_lattice(2).join
-        bounds_returning(**b2_tables(*changes))
+        lat = subgroup_lattice(c6)
+        assert (lat.meet, lat.join) == (boolean_lattice(2).meet, boolean_lattice(2).join)
+        bounds_returning(lat, **b2_tables(*changes))
         build = functools.partial(subgroup_lattice, c6)
     with pytest.raises(error, match=message) as err:
         build()
     assert err.value.witness == witness
+
+
+# sets with no lattice under inclusion, and the lattice {0, 01, 02, 012}
+# whose two middle sets meet in the bottom although they intersect in {0}
+SET_FAMILY_FAILURES = {
+    "repeated-set": ([0b000, 0b001, 0b010, 0b001, 0b011], NotPartialOrder, (1, 3),
+                     r"not antisymmetric at \(1,3\)"),
+    "no-top": ([0b00, 0b01, 0b10], NoJoin, (1, 2), "1,2 have no join"),
+    "not-intersection-closed": ([0b000, 0b011, 0b101, 0b111], GlatticeError, (1, 2),
+                                "elements 1,2 intersect in no member"),
+}
+
+
+@pytest.mark.parametrize("name", SET_FAMILY_FAILURES)
+def test_set_family_failures(name):
+    # the error, and its witness, of the leq construction on the inclusion
+    # order, except on a lattice that is no closure system
+    masks, error, witness, message = SET_FAMILY_FAILURES[name]
+    with pytest.raises(error, match=message) as err:
+        lattice_module.SetLattice(masks)
+    assert type(err.value) is error and err.value.witness == witness
+    inclusion = functools.partial(FiniteLattice, [[a & b == a for b in masks] for a in masks])
+    if error is GlatticeError:
+        assert inclusion().meet[1][2] == 0
+    else:
+        assert construction_outcome(inclusion) == (error, str(err.value), witness)
 
 
 def test_construction_keeps_no_table():
@@ -336,10 +358,13 @@ def test_certified_tables_satisfy_the_lattice_laws(name):
 
 @pytest.mark.parametrize("name", FAMILY)
 def test_tables_match_the_bound_rows(name):
+    # the meet of a set lattice is read as intersections of its sets; the
+    # reference reads both tables off the down-set and up-set masks
     lat = FAMILY[name]()
-    rows = list(lattice_module._bounds(lat.down_masks, lat.up_masks))
-    assert lat.meet == tuple(tuple(meet) for meet, _ in rows)
-    assert lat.join == tuple(tuple(join) for _, join in rows)
+    meet, join = meet_and_join_scan(lat.down_masks, lat.up_masks)
+    assert lat.meet == tuple(map(tuple, meet))
+    assert lat.join == tuple(map(tuple, join))
+    assert (lat.masks == lat.down_masks) == name.startswith("chain")
 
 
 @pytest.mark.parametrize("name", ["boolean3", "L(GF(3)^2)", "sub(S4)", "L(GF(3)^4)"])
@@ -387,7 +412,7 @@ def test_corrupted_bound_computation_rejected(name, which, bounds_returning):
     # catch a wrong entry there, at its pair
     lat = FAMILY[name]()
     meet, join, pair = corrupted(lat, which)
-    bounds_returning(meet, join)
+    bounds_returning(lat, meet, join)
     built = FiniteLattice(leq_matrix(lat))
     assert mask_certificate_failure(built.meet, built.down_masks) == (
         pair if which == "meet" else None
@@ -549,20 +574,15 @@ def test_meet_only_construction_names_the_first_missing_join():
     with pytest.raises(NoJoin, match="0,1 have no join") as err:
         FiniteLattice(leq)
     assert err.value.witness == (0, 1)
-    with pytest.raises(NoMeet, match="3,4 have no meet"):
-        list(lattice_module._bounds(leq_matrix_masks(leq)[0], None))
+    assert lattice_module._first_gap(leq_matrix_masks(leq)[0]) == (3, 4)
 
 
 def test_bounds_reads_one_family_on_a_missing_bound():
-    # the rescan after a missing bound reads only the masks it was given
+    # the rescan after a missing bound reads each mask family on its own
     down, up = leq_matrix_masks(NO_BOUNDS)
-    with pytest.raises(NoMeet) as err:
-        list(lattice_module._bounds(down, None))
-    assert err.value.witness == (0, 3)
+    assert lattice_module._first_gap(down) == (0, 3)
     # 0 and 3 lack a join as well: their upper bounds 1 and 2 are incomparable
-    with pytest.raises(NoJoin) as err:
-        list(lattice_module._bounds(None, up))
-    assert err.value.witness == (0, 3)
+    assert lattice_module._first_gap(up) == (0, 3)
 
 
 def reference_covers(leq):
@@ -895,6 +915,16 @@ def test_homomorphism_roundtrip_conjugation():
             assert composed == rho[action.group.cayley[g][h]]
     back = action_from_homomorphism(action.group, action.lattice, rho)
     assert back.table == action.table
+
+
+@pytest.mark.parametrize("atoms", [3, 2], ids=["larger-lattice", "equal-copy"])
+def test_homomorphism_onto_another_lattice_is_refused(atoms):
+    # rho acts on one boolean_lattice(2); the lattice argument is another
+    # lattice, larger or built the same way
+    lat = boolean_lattice(2)
+    rho = {0: identity_automorphism(lat), 1: LatticeAutomorphism(lat, (0, 2, 1, 3))}
+    with pytest.raises(ShapeMismatch, match="automorphisms of different lattices"):
+        action_from_homomorphism(cyclic_group(2), boolean_lattice(atoms), rho)
 
 
 def test_not_homomorphism_rejected():

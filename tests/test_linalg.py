@@ -392,20 +392,21 @@ def test_duality_onto_no_element_is_caught(monkeypatch, gf3):
 
 
 def test_subspace_lattices_form_no_join_rows(monkeypatch):
-    # the meet rows and the duality check build the lattice; no join row
-    # is formed unless something is wrong
-    up_given = []
-    bounds = lattice_module._bounds
+    # the intersection check and the duality check build the lattice; no
+    # row is read off the up-set or down-set masks unless something is wrong
+    given = []
+    bound_rows = lattice_module._bound_rows
 
-    def spy(down, up):
-        up_given.append(up is not None)
-        return bounds(down, up)
+    def spy(masks):
+        given.append(tuple(masks))
+        return bound_rows(masks)
 
-    monkeypatch.setattr(lattice_module, "_bounds", spy)
-    monkeypatch.setattr(linalg, "_bounds", spy)
+    monkeypatch.setattr(lattice_module, "_bound_rows", spy)
+    monkeypatch.setattr(linalg, "_bound_rows", spy)
     for p, k, n in _LATTICE_FAMILY + [(3, 1, 4), (4999, 1, 1)]:
-        enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
-    assert up_given and not any(up_given)
+        lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
+        assert given[-1] == lattice.masks
+        assert lattice.up_masks not in given and lattice.down_masks not in given
 
 
 @pytest.mark.parametrize("p,k,n", [(4999, 1, 1), (2, 12, 1), (67, 1, 2)])
