@@ -1,12 +1,14 @@
 """Finite lattices, their automorphisms, and lattices acted on by a group.
 
 Every lattice is a family of sets under inclusion: a lattice given by
-its order is the family of its down-sets.  It stores the sets and the
-down-set and up-set bitmask of every element, and reads its meet/join
-tables off those masks when they are first read.  Construction checks
-that the sets are closed under intersection and hold their union: such
-a family is a lattice whose meet is the intersection.  Every step is
-quadratic in the number of elements and runs at every size.
+its order is the family of its down-sets.  It stores the sets, and
+forms the down-set and up-set bitmask of every element and its
+meet/join tables when they are first read.  Construction checks that
+the sets are closed under intersection and hold their union: such a
+family is a lattice whose meet is the intersection.  That check scans
+every pair of elements once, at every size, unless the lattice proves
+closure another way: a subspace lattice certifies that its sets are
+exactly L(V) through its annihilator duality (``linalg.SubspaceLattice``).
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -44,10 +46,10 @@ _AUT_SEARCH_LIMIT = 40
 # |Aut L| on either route: admits L(GF(2)^4) (20,160) and the diamond M_8
 # (8!), refuses L(GF(8)^2) (9!), L(GF(4)^3) (120,960) and M_9
 _AUT_GROUP_LIMIT = 50_000
-# points of a power-set G-set: boolean_lattice checks that each of the 4^n
-# pairs of subsets intersects in a member, so each extra point costs
-# about 4x time (C2 on 11 points builds in about 0.56 s and 19 MB, on 12
-# in about 1.9 s and 24 MB; Python 3.11.7, 2 shared vCPUs)
+# points of a power-set G-set: boolean_lattice checks that each of the
+# 4^n / 2 pairs of subsets intersects in a member, so each extra point
+# costs about 4x time (C2 on 11 points builds in 0.29-0.31 s in a fresh
+# process; Python 3.11.7, 2 shared vCPUs)
 _POWERSET_LIMIT = 11
 _POWERSET_REFUSAL = f"power-set lattice capped at {_POWERSET_LIMIT} points"
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -55,16 +57,16 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 class FiniteLattice:
     """A finite lattice as a family of sets under inclusion, built by
-    ``_set_family``: ``masks`` lists the sets as bitmasks, ``by_mask``
-    inverts it, and ``down_masks`` / ``up_masks`` hold the elements
-    below and above each x (bit y for element y).  ``SetLattice`` hands
-    over point sets; a lattice given by an ``leq`` matrix is checked to
-    be a partial order and hands over its down-sets, since x <= y
-    exactly when down[x] is a subset of down[y].  No m x m table is
-    kept: ``_bound_rows`` reads ``meet`` and ``join`` when first read.
-    A lattice that also knows its join algebraically compares it with
-    the table itself, through ``_row_mismatch``: ``subgroup_lattice``
-    does so.
+    ``_set_family``: ``masks`` lists the sets as bitmasks and
+    ``by_mask`` inverts it.  ``SetLattice`` hands over point sets; a
+    lattice given by an ``leq`` matrix is checked to be a partial order
+    and hands over its down-sets, since x <= y exactly when down[x] is a
+    subset of down[y].  Nothing else is kept: ``down_masks`` /
+    ``up_masks``, the elements below and above each x (bit y for element
+    y), are formed when first read, and ``_bound_rows`` reads ``meet``
+    and ``join`` when first read.  A lattice that also knows its join
+    algebraically compares it with the table itself, through
+    ``_row_mismatch``: ``subgroup_lattice`` does so.
     """
 
     def __init__(self, leq, payloads=None, labels=None):
@@ -92,29 +94,14 @@ class FiniteLattice:
 
     def _set_family(self, sets, payloads=None, labels=None):
         """Build the lattice of the pairwise distinct sets ``sets``
-        (bitmasks, one per element) under inclusion.  The up-set of x is
-        the AND, over the points p of x, of the elements that hold p;
-        the down-sets are its transpose.
-
-        A family closed under pairwise intersection that holds the union
-        of its members is a lattice under inclusion: meet[x][y] is the
-        member masks[x] & masks[y], the union is the top, and the join
-        of x and y is the meet of their common upper bounds, which the
-        top makes nonempty (Davey & Priestley, *Introduction to Lattices
-        and Order*, 2nd ed., chs. 2 and 7).  The glb and lub of a
-        partial order satisfy the lattice laws, so no cubic law check
-        runs: construction checks every ``a & b`` and the union, O(m^2)
-        mask operations.  On down-sets that is the scan of every meet
-        and the check of the top.
+        (bitmasks, one per element) under inclusion, checked by
+        ``_check_closure``.
 
         The errors come in a fixed order.  NotPartialOrder("not
         antisymmetric") at the first element x with a repeated set and
-        the first other element y with its set.  When an intersection
-        or the union is no member: NoMeet / NoJoin at the first pair in
-        row-major order that lacks a bound in the inclusion order, the
-        meet first; for a family that is a lattice all the same,
-        GlatticeError at the first pair whose intersection is no member.
-        Then ShapeMismatch for the payloads or labels.
+        the first other element y with its set; then the errors of
+        ``_check_closure``; then ShapeMismatch for the payloads or
+        labels.
         """
         m = len(sets)
         if m == 0:
@@ -125,37 +112,25 @@ class FiniteLattice:
             x = next(x for x, mask in enumerate(sets) if by_mask[mask] != x)
             y = sets.index(sets[x], x + 1)
             raise NotPartialOrder(f"not antisymmetric at ({x},{y})", witness=(x, y))
-        # contain[p]: the elements whose set holds point p
-        contain = {}
-        for x, mask in enumerate(sets):
-            for p in _bits(mask):
-                contain[p] = contain.get(p, 0) | 1 << x
-        everything = (1 << m) - 1
-        up = [functools.reduce(and_, map(contain.get, _bits(mask)), everything) for mask in sets]
-        down = _transpose(up)
-
-        gap = _first_gap(sets)
-        if gap is not None or functools.reduce(or_, sets) not in by_mask:
-            no_meet, no_join = _first_gap(down), _first_gap(up)
-            if no_meet is not None and (no_join is None or no_meet <= no_join):
-                raise NoMeet("elements {},{} have no meet".format(*no_meet), witness=no_meet)
-            if no_join is not None:
-                raise NoJoin("elements {},{} have no join".format(*no_join), witness=no_join)
-            x, y = gap
-            raise GlatticeError(
-                f"the sets of elements {x},{y} intersect in no member", witness=(x, y)
-            )
-
+        _check_closure(sets, by_mask)
         for name, values in (("payloads", payloads), ("labels", labels)):
             if values is not None and len(values) != m:
                 raise ShapeMismatch(f"{len(values)} {name} for {m} elements")
         self.size = m
         self.masks = sets
         self.by_mask = by_mask
-        self.down_masks = tuple(down)
-        self.up_masks = tuple(up)
         self.payloads = tuple(payloads) if payloads is not None else tuple(range(m))
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(m))
+
+    @functools.cached_property
+    def up_masks(self):
+        """The elements above each x, formed when first read."""
+        return tuple(_up_sets(self.masks))
+
+    @functools.cached_property
+    def down_masks(self):
+        """The elements below each x, the transpose of ``up_masks``."""
+        return tuple(_transpose(self.up_masks))
 
     @functools.cached_property
     def meet(self):
@@ -177,6 +152,11 @@ class FiniteLattice:
             for y in _bits(up[x])
             if x != y and up[x] & down[y] == 1 << x | 1 << y
         ]
+
+    def _row_violation(self, row):
+        """The first (x, y) at which the map x -> row[x] breaks x <= y
+        iff row[x] <= row[y], or None: ``_order_violation``."""
+        return _order_violation(self, row)
 
     def _closed_automorphism_group(self):
         """Every automorphism, sorted by permutation, when the lattice
@@ -221,6 +201,52 @@ def _transpose(masks):
     return out
 
 
+def _up_sets(sets):
+    """The up-set of each of the distinct sets ``sets``: the AND, over
+    the points p of the set, of the members that hold p."""
+    # contain[p]: the elements whose set holds point p
+    contain = {}
+    for x, mask in enumerate(sets):
+        for p in _bits(mask):
+            contain[p] = contain.get(p, 0) | 1 << x
+    everything = (1 << len(sets)) - 1
+    return [functools.reduce(and_, map(contain.get, _bits(mask)), everything) for mask in sets]
+
+
+def _check_closure(sets, by_mask):
+    """Raise unless the pairwise distinct sets ``sets``, indexed by
+    ``by_mask``, are closed under pairwise intersection and hold their
+    union.
+
+    Such a family is a lattice under inclusion: meet[x][y] is the
+    member masks[x] & masks[y], the union is the top, and the join of x
+    and y is the meet of their common upper bounds, which the top makes
+    nonempty (Davey & Priestley, *Introduction to Lattices and Order*,
+    2nd ed., chs. 2 and 7).  The glb and lub of a partial order satisfy
+    the lattice laws, so no cubic law check runs: this checks every
+    ``a & b`` with a before b, and the union, O(m^2) mask operations.
+    On down-sets that is the scan of every meet and the check of the
+    top.
+
+    When an intersection or the union is no member: NoMeet / NoJoin at
+    the first pair in row-major order that lacks a bound in the
+    inclusion order, the meet first; for a family that is a lattice all
+    the same, GlatticeError at the first pair whose intersection is no
+    member.
+    """
+    gap = _first_gap(sets)
+    if gap is None and functools.reduce(or_, sets) in by_mask:
+        return
+    up = _up_sets(sets)
+    no_meet, no_join = _first_gap(_transpose(up)), _first_gap(up)
+    if no_meet is not None and (no_join is None or no_meet <= no_join):
+        raise NoMeet("elements {},{} have no meet".format(*no_meet), witness=no_meet)
+    if no_join is not None:
+        raise NoJoin("elements {},{} have no join".format(*no_join), witness=no_join)
+    x, y = gap
+    raise GlatticeError(f"the sets of elements {x},{y} intersect in no member", witness=(x, y))
+
+
 def _order_violation(lattice, row):
     """The first (x, y) in row-major order at which the map x -> row[x]
     breaks x <= y iff row[x] <= row[y], or None.
@@ -253,10 +279,14 @@ def _bound_rows(masks):
 
 def _first_gap(masks):
     """The first (x, y) in row-major order at which ``_bound_rows`` finds
-    no element, or None."""
-    for x, row in enumerate(_bound_rows(masks)):
-        if None in row:
-            return x, row.index(None)
+    no element, or None.  ``a & b`` is symmetric and ``a & a`` is a
+    member, so the first gap has x < y, and only those pairs are
+    scanned."""
+    members = set(masks)
+    for x, a in enumerate(masks):
+        later = masks[x + 1 :]
+        if not all(map(members.__contains__, map(a.__and__, later))):
+            return x, x + 1 + next(y for y, b in enumerate(later) if a & b not in members)
     return None
 
 
@@ -318,8 +348,10 @@ def boolean_lattice(num_atoms):
 class LatticeAutomorphism:
     """An order-automorphism of a finite lattice, stored as a permutation.
 
-    The constructor checks the permutation on every ordered pair, one
-    up-set mask per element.  Products and inverses of checked
+    The constructor checks the permutation through the lattice's
+    ``_row_violation``: on every ordered pair, one up-set mask per
+    element, or on the point sets of a certified subspace lattice.
+    Products and inverses of checked
     automorphisms are automorphisms, so ``compose``, ``inverse`` and the
     closure of checked generators build their results through
     ``_unchecked``.
@@ -331,7 +363,7 @@ class LatticeAutomorphism:
         perm = tuple(perm)
         if sorted(perm) != list(range(lattice.size)):
             raise NotLatticeAutomorphism("not a permutation of the carrier")
-        witness = _order_violation(lattice, perm)
+        witness = lattice._row_violation(perm)
         if witness is not None:
             x, y = witness
             raise NotLatticeAutomorphism(f"order not preserved at ({x},{y})", witness=witness)
@@ -605,7 +637,7 @@ def _axiom2(table):
 
 def _axiom3(action):
     for g, row in enumerate(action.table):
-        witness = _order_violation(action.lattice, row)
+        witness = action.lattice._row_violation(row)
         if witness is not None:
             return (g, *witness)
     return None

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import and_, or_
 
 from .errors import (
     DimensionMismatch,
@@ -38,6 +39,8 @@ from .lattice import (
     LatticeAutomorphism,
     SetLattice,
     _bound_rows,
+    _check_closure,
+    _order_violation,
     _row_mismatch,
     _union,
     automorphism_closure,
@@ -45,7 +48,9 @@ from .lattice import (
 from .scalar import RingAutomorphism
 
 _SUBSPACE_ENUM_LIMIT = 5000
-_SUBSPACE_COUNT_LIMIT = 3000
+# subspaces of L(GF(q)^n), counted before any basis is built: admits
+# L(GF(7)^4) (3652) and L(GF(8)^4) (5917), each within 2 s (README.md)
+_SUBSPACE_COUNT_LIMIT = 6000
 
 
 class VectorSpace:
@@ -472,6 +477,7 @@ def map_subspace(f, subspace):
     return Subspace(f.space, [f.apply(row) for row in subspace.basis])
 
 
+@functools.cache
 def gaussian_binomial(n, k, q):
     """Number of k-dimensional subspaces of GF(q)^n (exact integer)."""
     if k < 0 or k > n:
@@ -492,7 +498,8 @@ class SubspaceLattice(SetLattice):
     reduced row echelon basis in element coordinates: ``(rows,
     pivots)``, each row a tuple of element indices over ``range(q)``
     and ``pivots`` its pivot columns.  The payloads are the
-    ``Subspace`` objects of those bases, built without elimination.
+    ``Subspace`` objects of those bases, built without elimination when
+    first read.
 
     It is the set lattice of the points (1-dimensional subspaces) each
     subspace contains, bit i for the point at index i: ``masks`` lists
@@ -502,25 +509,52 @@ class SubspaceLattice(SetLattice):
     point index.  A mask is spanned on element indices with the ring's
     add/mul index tables, which only n >= 2 needs (and there q <= 70);
     the masks must be pairwise distinct, so two bases that span one
-    subspace raise before ``SetLattice`` orders them by inclusion.
-    Construction checks that the point sets are closed under
-    intersection and hold their union, so the meet is the intersection
-    of point sets.  The join, the sum, is checked independently through
-    orthogonality: every basis row is a point, so the point mask of
-    W^perp is the intersection of ``orth[r]`` over the rows r of W,
-    where ``orth[r]`` is the mask of the points whose dot product with r
-    is zero.  Let phi[x] be the
-    element with the annihilator mask of x.  W -> W^perp must be an
-    order-reversing involution: every phi[x] exists, phi[phi[x]] == x,
-    and phi maps the elements above x onto those below phi[x], a check
-    of O(comparable pairs) bit operations.  An order-reversing bijection
-    turns meets into joins, so it gives ``W1 + W2 = (W1^perp meet
-    W2^perp)^perp`` for every pair, which is the sum.  If the check
-    fails, the sums read off the annihilator masks are compared with the
-    join rows read off the order, one row at a time: TableMismatch at
-    the first pair in row-major order where they differ, else
-    GlatticeError at the first element where phi fails, since then the
-    masks are not annihilators.  No m x m table is built.
+    subspace raise first.  ``orth[p]`` is the mask of the points whose
+    dot product with point p is zero, computed apart from the masks.
+
+    Construction certifies, in one pass over the points of every
+    subspace, that the masks are exactly the point sets of L(V) and that
+    W -> W^perp reverses inclusion (``_certified``).  Every basis row is
+    a point, so the point mask of W^perp is the AND of ``orth[r]`` over
+    the rows r of W; let phi[x] be the element with the annihilator mask
+    of x.  The certificate checks that the family has as many members as
+    L(V) has subspaces (the Gaussian binomials), that phi is an
+    involution, that masks[phi[p]] == orth[p] for every point p, and
+    that masks[phi[x]] is the AND, over the points p of x, of
+    masks[phi[p]], starting from the set of all points.  Then:
+
+    * phi reverses inclusion both ways.  x <= y gives phi[y] <= phi[x],
+      since the AND over more points is smaller, and the same applied
+      to phi[y] <= phi[x] gives back x <= y.
+    * Each mask is a subspace's point set.  Applied to phi[x], with
+      phi[phi[x]] == x and masks[phi[t]] == orth[t], the identity reads
+      masks[x] = AND(orth[t] for t in points of phi[x]); orth[t], read
+      off dot products apart from the masks, is the point set of
+      t^perp, and an intersection of subspaces is one (Veblen & Young,
+      *Projective Geometry*, vol. 1, ch. 1).
+    * So the pairwise distinct masks, as many as L(V) has subspaces,
+      are all of L(V): the family is closed under intersection and holds
+      its union V, so it is a lattice whose meet is the intersection
+      (Davey & Priestley, *Introduction to Lattices and Order*, chs. 2
+      and 7).  An order-reversing involution turns meets into joins, so
+      ``join[x][y] = phi[meet[phi[x]][phi[y]]]``, the sum
+      ``(W1^perp meet W2^perp)^perp``, and the covers of W are
+      W + <p> = phi(phi W meet phi p) for the points p outside W.
+    * A row that permutes the points and sends every mask to the mask
+      of its moved points keeps inclusion both ways and is injective,
+      since the masks are distinct: axiom (3) accepts it without the
+      up-set masks.
+
+    A family that fails the certificate goes to the checks on the order
+    masks, in their order, so every error and witness is theirs:
+    ``_check_closure``'s pairwise scan, then ``_first_non_duality``,
+    which on failure compares the sums read off the annihilator masks
+    with the join rows read off the order, one row at a time,
+    TableMismatch at the first pair in row-major order where they
+    differ, else GlatticeError at the first element where phi fails,
+    since then the masks are not annihilators.  Such a lattice, if it
+    passes, and a row the point check does not accept, read the order
+    masks (``covers``, ``_order_violation``).
 
     ``labels`` are the ``repr`` of the payloads, written from a table of
     element reprs over the index rows; ``index_of`` reads a dictionary
@@ -530,45 +564,107 @@ class SubspaceLattice(SetLattice):
     def __init__(self, space, bases):
         ring, n = space.ring, space.dim
         self.space = space
-        elements = ring.elements()
-        # the repr of each element index; the bases of L(K^1) hold only index 1
-        names = [repr(e) for e in (elements if n > 1 else elements[:2])]
-        subspaces = [
-            Subspace._reduced(space, tuple(tuple(elements[i] for i in row) for row in rows), pivots)
-            for rows, pivots in bases
-        ]
+        self._bases = bases
         point_of = {rows[0]: i for i, (rows, _) in enumerate(bases) if len(rows) == 1}
         # L(K^1) = {0, K} needs no arithmetic; for n >= 2, q^2 <= q^n <= 5000
         add, mul = ring._index_tables() if n > 1 else (None, None)
-        masks = _point_masks(bases, point_of, add, mul, ring.order)
-        first = {}
+        members = _point_sets(bases, point_of, add, mul, ring.order)
+        masks = tuple([functools.reduce(or_, map((1).__lshift__, points), 0) for points in members])
+        by_mask = {}
         for x, mask in enumerate(masks):
-            if mask in first:
+            if mask in by_mask:
                 raise GlatticeError(
-                    f"enumeration bug: bases {first[mask]} and {x} span one subspace",
-                    witness=(first[mask], x),
+                    f"enumeration bug: bases {by_mask[mask]} and {x} span one subspace",
+                    witness=(by_mask[mask], x),
                 )
-            first[mask] = x
-        super().__init__(
-            masks,
-            payloads=subspaces,
-            # Subspace.__repr__, read off the element indices
-            labels=[
-                "span{" + ";".join(["(" + ",".join([names[i] for i in row]) + ")" for row in rows])
-                + "}"
-                for rows, _ in bases
-            ],
-        )
-        # W -> W^perp, through the annihilator masks: an order-reversing
-        # involution exactly when the join read off the order is the sum
-        perp_masks = _annihilator_masks(bases, point_of, _orthogonality(point_of, n, add, mul))
-        phi = [self.by_mask.get(mask) for mask in perp_masks]
-        bad = _first_non_duality(phi, self.down_masks, self.up_masks)
-        if bad is not None:
-            _raise_join_mismatch(perp_masks, self.up_masks, bad)
+            by_mask[mask] = x
+        self.size = len(masks)
+        self.masks = masks
+        self.by_mask = by_mask
+        self._members = members
+        orth = _orthogonality(point_of, n, add, mul)
+        perp_masks = _annihilator_masks(bases, point_of, orth)
+        phi = [by_mask.get(mask) for mask in perp_masks]
+        count = sum(gaussian_binomial(n, k, ring.order) for k in range(n + 1))
+        self._certified = _certified(phi, masks, members, orth, count)
+        if not self._certified:
+            _check_closure(masks, by_mask)
+            bad = _first_non_duality(phi, self.down_masks, self.up_masks)
+            if bad is not None:
+                _raise_join_mismatch(perp_masks, self.up_masks, bad)
+        self._phi = phi
         self.points = tuple(point_of.values())
         self.point_rows = tuple(point_of)
         self.point_of = point_of
+
+    @functools.cached_property
+    def _elements(self):
+        """The ring's elements by index, listed when first needed."""
+        return self.space.ring.elements()
+
+    @functools.cached_property
+    def payloads(self):
+        """The ``Subspace`` of each basis, built when first read.  Every
+        reduced row is a canonical point row, so each is converted once."""
+        elements = self._elements
+        rows = {row: tuple(map(elements.__getitem__, row)) for row in self.point_rows}
+        return tuple(
+            Subspace._reduced(self.space, tuple(map(rows.__getitem__, basis)), pivots)
+            for basis, pivots in self._bases
+        )
+
+    @functools.cached_property
+    def labels(self):
+        """``Subspace.__repr__`` of each payload, written from the repr of
+        each element index in use and each point row once, when first
+        read."""
+        elements = self._elements
+        names = {i: repr(elements[i]) for i in set().union(*self.point_rows)}
+        rows = {row: "(" + ",".join(map(names.__getitem__, row)) + ")" for row in self.point_rows}
+        return tuple("span{" + ";".join(map(rows.__getitem__, basis)) + "}" for basis, _ in self._bases)
+
+    @functools.cached_property
+    def join(self):
+        """The join table through the duality: x v y = phi(phi x ^ phi y),
+        the meet read off ``masks`` row by row."""
+        phi, get = self._phi, self.by_mask.__getitem__
+        perp = list(map(self.masks.__getitem__, phi))
+        return tuple(tuple(map(phi.__getitem__, map(get, map(a.__and__, perp)))) for a in perp)
+
+    def covers(self):
+        """Pairs (x, y) with y covering x.  On a certified lattice the
+        covers of x are x v p = phi(phi x ^ phi p) for the points p
+        outside x."""
+        if not self._certified:
+            return super().covers()
+        phi, by_mask, masks = self._phi, self.by_mask, self.masks
+        perp = list(map(masks.__getitem__, phi))
+        everything = perp[0]  # phi of the zero subspace is V
+        out = []
+        for x, mask in enumerate(masks):
+            above = []
+            # each cover y = x v p takes the points p outside x that lie in y
+            rest = everything & ~mask
+            while rest:
+                y = phi[by_mask[perp[x] & perp[(rest & -rest).bit_length() - 1]]]
+                above.append(y)
+                rest &= ~masks[y]
+            out += [(x, y) for y in sorted(above)]
+        return out
+
+    def _row_violation(self, row):
+        """None at once for a row that permutes the points and sends
+        every mask to the mask of its moved points, on a certified
+        lattice; else ``_order_violation``."""
+        if self._certified and sorted(row[p] for p in self.points) == list(self.points):
+            moved = [1 << z for z in row]
+            masks = self.masks
+            if all(
+                masks[z] == functools.reduce(or_, map(moved.__getitem__, points), 0)
+                for z, points in zip(row, self._members)
+            ):
+                return None
+        return _order_violation(self, row)
 
     @functools.cached_property
     def _index(self):
@@ -714,8 +810,9 @@ def _rref_bases(n, q, k):
             yield tuple(map(tuple, rows)), pivots
 
 
-def _point_masks(bases, point_of, add, mul, q):
-    """The bitmask of the points inside the span of each basis.
+def _point_sets(bases, point_of, add, mul, q):
+    """The indices of the points inside the span of each basis, each
+    once when the rows are independent.
 
     The combinations of reduced rows whose first nonzero coefficient is
     1 are already canonical point rows: the one with c_t = 1 and c_s = 0
@@ -725,22 +822,21 @@ def _point_masks(bases, point_of, add, mul, q):
     ``point_of`` (canonical row to point index).  A basis of at most one
     row needs no arithmetic.
     """
-    masks = []
+    out = []
     for rows, _ in bases:
         if len(rows) < 2:
-            masks.append(1 << point_of[rows[0]] if rows else 0)
+            out.append([point_of[rows[0]]] if rows else [])
             continue
         span = [(0,) * len(rows[0])]  # the span of rows[t + 1:]
-        mask = 0
+        members = []
         for t in reversed(range(len(rows))):
             row = rows[t]
-            for v in span:
-                mask |= 1 << point_of[tuple([add[a][b] for a, b in zip(row, v)])]
+            members += [point_of[tuple([add[a][b] for a, b in zip(row, v)])] for v in span]
             if t:
                 multiples = [tuple([mul[c][a] for a in row]) for c in range(1, q)]
                 span += [tuple([add[a][b] for a, b in zip(w, v)]) for w in multiples for v in span]
-        masks.append(mask)
-    return masks
+        out.append(members)
+    return out
 
 
 def _orthogonality(point_of, n, add, mul):
@@ -777,6 +873,25 @@ def _annihilator_masks(bases, point_of, orth):
     return out
 
 
+def _certified(phi, masks, members, orth, count):
+    """Whether the masks, ``members[x]`` listing the points of
+    ``masks[x]``, are exactly the ``count`` point sets of L(V) and phi
+    its annihilator duality, by the certificate of ``SubspaceLattice``:
+    phi is an involution, masks[phi[p]] == orth[p] for every point p,
+    and masks[phi[x]] is the AND of masks[phi[p]] over the points p of
+    x, starting from the set of all points."""
+    if len(masks) != count or None in phi or list(map(phi.__getitem__, phi)) != list(range(count)):
+        return False
+    perp = list(map(masks.__getitem__, phi))
+    if any(perp[p] != mask for p, mask in orth.items()):
+        return False
+    get, everything = perp.__getitem__, sum(1 << p for p in orth)
+    return all(
+        perp[x] == functools.reduce(and_, map(get, points), everything)
+        for x, points in enumerate(members)
+    )
+
+
 def _first_non_duality(phi, down, up):
     """The first x at which x -> phi[x] fails to be an order-reversing
     involution, or None: phi[x] is None, phi[phi[x]] != x, or phi sends
@@ -810,7 +925,7 @@ def _raise_join_mismatch(perp_masks, up, bad):
 
 def subspace_refusal(n, q):
     """The TooLarge that ``enumerate_subspaces`` raises for GF(q)^n, or
-    None when L(GF(q)^n) fits both caps: q^n <= 5000, then at most 3000
+    None when L(GF(q)^n) fits both caps: q^n <= 5000, then at most 6000
     subspaces."""
     if q**n > _SUBSPACE_ENUM_LIMIT:
         return TooLarge(f"q^n = {q ** n} exceeds {_SUBSPACE_ENUM_LIMIT}")
@@ -822,7 +937,7 @@ def subspace_refusal(n, q):
 
 def enumerate_subspaces(space):
     """Build L(V) for a finite field V = GF(q)^n with q^n <= 5000 and at
-    most 3000 subspaces (counted by Gaussian binomials before any work).
+    most 6000 subspaces (counted by Gaussian binomials before any work).
 
     The bases are enumerated in element indices and each dimension's
     layer is sorted on them, which is the (dimension, basis) order of

@@ -163,12 +163,36 @@ def test_cli_subspace_lattice(capsys, tmp_path):
             "a8b2ecce92f4c7e78542b5c4a9ce74ee4caff171ad1781a0aaa97464a1e24abf",
             "5a203c8a9117e2a225242e0571e1d9cb54c5530dc21fe1e8e705d86d87800409",
         ),
-    ],    ids=["gf3-dim4", "gf2-dim5"],
+        (
+            "gf:2", "6",
+            "ff4ec353cf1ff70de163a28e7a8697677fc1bf846410fa27b84264268fe2702f",
+            "ca32c7e751c1f3e8bc3e0e24db2ef36c4b7586ec01c4015136742e665ea962e8",
+        ),
+        (
+            "gf:3", "5",
+            "727e3b344e288283e649d80f97ffcb58d78d2f442dbe185c27c054f740e28ea7",
+            "18d1c9ca581b2f9f32ed7dadf46be63cc2bbff94524cc8149fb1a1127fc01ba6",
+        ),
+        (
+            "gf:7", "4",
+            "aa728c31674d5d27b059c827f3f9a9330dd2959bb7a3e89ded47fe092db110e6",
+            "d7ec18b6ac8d400bc229db832e17b260e773e817e5832da98e0654f04e17e3a3",
+        ),
+        (
+            "gf:8", "4",
+            "030b193d83c4c07ad1f8583e2a272926bb3c6c3d8551c9fa0603e637c9bb7890",
+            "b65ab4d9e9ed2c9059e89a6dd6294a3ee5ef6694f3eb81228b76edf9918763da",
+        ),
+    ],
+    ids=["gf3-dim4", "gf2-dim5", "gf2-dim6", "gf3-dim5", "gf7-dim4", "gf8-dim4"],
 )
 def test_cli_subspace_lattice_pinned_above_table_law_cap(
     capsys, tmp_path, ring, dim, json_sha, dot_sha
 ):
-    # 212 and 374 subspaces; digests recorded from the rref-per-pair build
+    # 212, 374, 2825, 2664, 3652 and 5917 subspaces; the first two digests
+    # recorded from the rref-per-pair build, the others from the build that
+    # scanned every pair of point masks and read the covers off the up-set
+    # and down-set masks (GF(7)^4 and GF(8)^4 with the subspace cap lifted)
     dot_path = tmp_path / "lattice.dot"
     code, out = run_cli(
         capsys, "subspace-lattice", "--ring", ring, "--dim", dim, "--dot", str(dot_path)
@@ -378,11 +402,11 @@ def test_cli_large_groups_refused_quickly(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "ring,dim",
-    [("gf:2", "7"), ("gf:3", "6"), ("gf:4", "5"), ("gf:8", "4")],
-    ids=["gf2-dim7", "gf3-dim6", "gf4-dim5", "gf8-dim4"],
+    [("gf:2", "7"), ("gf:3", "6"), ("gf:4", "5"), ("gf:5", "5")],
+    ids=["gf2-dim7", "gf3-dim6", "gf4-dim5", "gf5-dim5"],
 )
 def test_cli_subspace_count_refused_quickly(capsys, ring, dim):
-    # q^n <= 5000 in each case, but 29212 / 56632 / 12278 / 5917 subspaces
+    # q^n <= 5000 in each case, but 29212 / 56632 / 12278 / 42176 subspaces
     start = time.perf_counter()
     code, out = run_cli(capsys, "subspace-lattice", "--ring", ring, "--dim", dim)
     elapsed = time.perf_counter() - start
@@ -504,12 +528,12 @@ def test_cli_roundtrip(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "n,p,lattice",
-    [(4, 7, None), (5, 5, None), (7, 2, None), (3, 17, (616, 208))],
+    [(4, 7, (3652, 942)), (5, 5, None), (7, 2, None), (3, 17, (616, 208))],
     ids=["c4-gf7", "c5-gf5", "c7-gf2", "c3-gf17"],
 )
 def test_cli_roundtrip_reports_the_lattice_within_both_subspace_caps(capsys, tmp_path, n, p, lattice):
-    # q^|G| <= 5000 in each case, but L(GF(q)^|G|) holds 3652 / 42176 /
-    # 29212 subspaces past the 3000 cap for the first three: no lattice
+    # q^|G| <= 5000 in each case, but L(GF(q)^|G|) holds 42176 / 29212
+    # subspaces past the 6000 cap for C5 and C7: no lattice
     path = tmp_path / "fs.json"
     path.write_text(json.dumps({"group": {"group": "cyclic", "n": n}, "ring": {"ring": "gf", "p": p}}))
     code, out = run_cli(capsys, "roundtrip", "--fs", str(path))

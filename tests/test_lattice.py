@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 import time
 import tracemalloc
 
@@ -583,6 +584,36 @@ def test_bounds_reads_one_family_on_a_missing_bound():
     assert lattice_module._first_gap(down) == (0, 3)
     # 0 and 3 lack a join as well: their upper bounds 1 and 2 are incomparable
     assert lattice_module._first_gap(up) == (0, 3)
+
+
+def full_row_major_gap(masks):
+    """The first (x, y) over every ordered pair, row by row, whose
+    intersection is no member, or None."""
+    members = set(masks)
+    for x, a in enumerate(masks):
+        for y, b in enumerate(masks):
+            if a & b not in members:
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_first_gap_matches_the_full_row_major_scan(seed):
+    # a family closed under intersection (every subset of a few points, or
+    # the down-sets of a chain), shuffled, with members dropped and random
+    # sets added; the half scan finds the full scan's first gap
+    rng = random.Random(seed)
+    points = rng.randint(2, 6)
+    if seed % 2:
+        family = list(range(1 << points))
+    else:
+        family = [(1 << k) - 1 for k in range(points + 1)]
+    rng.shuffle(family)
+    for _ in range(rng.randint(1, len(family) // 2)):
+        family.pop(rng.randrange(len(family)))
+    for _ in range(rng.randint(1, 3)):
+        family.insert(rng.randrange(len(family) + 1), rng.getrandbits(points))
+    assert lattice_module._first_gap(family) == full_row_major_gap(family)
 
 
 def reference_covers(leq):

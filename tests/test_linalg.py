@@ -28,7 +28,7 @@ from glattice.errors import (
     TableMismatch,
     TooLarge,
 )
-from glattice.lattice import LatticeAutomorphism
+from glattice.lattice import LatticeAutomorphism, _bits
 from glattice.linalg import add_vectors, identity_map, rref
 from glattice.scalar import list_automorphisms
 
@@ -392,8 +392,9 @@ def test_duality_onto_no_element_is_caught(monkeypatch, gf3):
 
 
 def test_subspace_lattices_form_no_join_rows(monkeypatch):
-    # the intersection check and the duality check build the lattice; no
-    # row is read off the up-set or down-set masks unless something is wrong
+    # the certificate builds the lattice: no row is read off the sets, the
+    # up-set or the down-set masks, and no order mask is formed, unless
+    # something is wrong
     given = []
     bound_rows = lattice_module._bound_rows
 
@@ -405,8 +406,141 @@ def test_subspace_lattices_form_no_join_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_bound_rows", spy)
     for p, k, n in _LATTICE_FAMILY + [(3, 1, 4), (4999, 1, 1)]:
         lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
-        assert given[-1] == lattice.masks
-        assert lattice.up_masks not in given and lattice.down_masks not in given
+        assert lattice._certified
+        assert given == []
+        assert "up_masks" not in vars(lattice) and "down_masks" not in vars(lattice)
+
+
+def _forced_fallback(space):
+    """L(V) built as if the certificate had failed: the pairwise scan and
+    the order-mask duality check run, and ``covers`` and the row check
+    read the order masks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_certified", lambda *args: False)
+        return enumerate_subspaces(space)
+
+
+@pytest.mark.parametrize("p,k,modulus,n", _BUILT)
+def test_certified_build_matches_the_forced_fallback(p, k, modulus, n):
+    space = VectorSpace(DivisionRing.gf(p, k, modulus), n)
+    certified, reference = enumerate_subspaces(space), _forced_fallback(space)
+    assert certified._certified and not reference._certified
+    assert (certified.masks, certified.by_mask) == (reference.masks, reference.by_mask)
+    assert certified.covers() == reference.covers()
+    assert certified.meet == reference.meet
+    assert certified.join == reference.join
+    # the duality verdict on the order masks
+    assert certified._phi == reference._phi
+    assert linalg._first_non_duality(reference._phi, reference.down_masks, reference.up_masks) is None
+    # axiom (3) on lifted generators, accepted without the order masks, and
+    # on tampered rows: two points swapped, and a point sent to the bottom,
+    # which is no point
+    rows = [list(range(certified.size))] + [list(a.perm) for a in certified.automorphism_generators()]
+    for row in rows:
+        assert certified._row_violation(row) is None
+    assert "up_masks" not in vars(certified)
+    first, second = certified.points[0], certified.points[-1]
+    for row in rows[:]:
+        swapped = row[:]
+        swapped[first], swapped[second] = row[second], row[first]
+        to_bottom = row[:]
+        to_bottom[first] = 0
+        rows += [swapped, to_bottom]
+    for row in rows:
+        want = lattice_module._order_violation(reference, row)
+        assert certified._row_violation(row) == want
+        assert reference._row_violation(row) == want
+
+
+def _build_outcome(space, forced=False):
+    """The error the build raises, as (type, message, witness), or the
+    masks of the lattice it builds; through ``_forced_fallback`` if
+    ``forced``."""
+    try:
+        return (_forced_fallback if forced else enumerate_subspaces)(space).masks
+    except GlatticeError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+# each returns a new mask for element x of the family ``masks``
+def _lowest_point_dropped(masks, x):
+    return masks[x] & masks[x] - 1
+
+
+def _foreign_point_added(masks, x):
+    outside = masks[-1] & ~masks[x]
+    return masks[x] | outside & -outside
+
+
+def _zero_bit_added(masks, x):
+    # bit 0 is the zero subspace, which is no point
+    return masks[x] | 1
+
+
+def _next_mask_repeated(masks, x):
+    return masks[x + 1]
+
+
+@pytest.mark.parametrize(
+    "p,n,dim,corrupt",
+    [
+        (3, 3, 2, _lowest_point_dropped),
+        (3, 3, 3, _lowest_point_dropped),
+        (3, 3, 2, _foreign_point_added),
+        (3, 3, 2, _zero_bit_added),
+        (3, 3, 2, _next_mask_repeated),
+        (2, 4, 2, _lowest_point_dropped),
+        (2, 4, 3, _lowest_point_dropped),
+        (2, 4, 2, _foreign_point_added),
+        (2, 4, 3, _foreign_point_added),
+        (2, 4, 3, _zero_bit_added),
+        (2, 4, 1, _next_mask_repeated),
+        (3, 4, 3, _lowest_point_dropped),
+        (3, 4, 3, _foreign_point_added),
+    ],
+)
+def test_corrupted_masks_raise_what_the_pairwise_scan_raises(monkeypatch, p, n, dim, corrupt):
+    # the first mask of dimension dim loses a point, gains one, or repeats
+    # the next mask: the certificate refuses the family, and the build
+    # raises what the scan and the order masks raise
+    space = VectorSpace(DivisionRing.gf(p), n)
+    x = sum(gaussian_binomial(n, j, p) for j in range(dim))
+    point_sets, certified = linalg._point_sets, linalg._certified
+
+    def corrupted(*args):
+        sets = point_sets(*args)
+        sets[x] = list(_bits(corrupt([sum(1 << t for t in points) for points in sets], x)))
+        return sets
+
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "_point_sets", corrupted)
+    monkeypatch.setattr(linalg, "_certified", recorded)
+    got = _build_outcome(space)
+    assert verdicts in ([], [False])
+    assert type(got) is tuple and isinstance(got[0], type)
+    assert got == _build_outcome(space, forced=True)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
+def test_corrupted_orthogonality_raises_what_the_order_masks_raise(monkeypatch, p, n):
+    orthogonality = linalg._orthogonality
+
+    def corrupted(*args):
+        orth = orthogonality(*args)
+        first, second = list(orth)[:2]
+        orth[first] = orth[second]
+        return orth
+
+    monkeypatch.setattr(linalg, "_orthogonality", corrupted)
+    space = VectorSpace(DivisionRing.gf(p), n)
+    got = _build_outcome(space)
+    assert got[0] is TableMismatch
+    assert got == _build_outcome(space, forced=True)
 
 
 @pytest.mark.parametrize("p,k,n", [(4999, 1, 1), (2, 12, 1), (67, 1, 2)])
@@ -582,9 +716,11 @@ def test_enumeration_guards(rationals):
     "q,n,refusal",
     [
         (2, 13, "q^n = 8192 exceeds 5000"),
-        (7, 4, "3652 subspaces exceeds 3000"),
-        (5, 5, "42176 subspaces exceeds 3000"),
-        (2, 7, "29212 subspaces exceeds 3000"),
+        (5, 5, "42176 subspaces exceeds 6000"),
+        (2, 7, "29212 subspaces exceeds 6000"),
+        (3, 6, "56632 subspaces exceeds 6000"),
+        (7, 4, None),
+        (8, 4, None),
         (17, 3, None),
         (2, 6, None),
     ],
