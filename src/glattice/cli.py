@@ -9,6 +9,7 @@ malformed input.  Execution is single-threaded and deterministic.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -21,6 +22,7 @@ from .extension import (
     classify_extension,
     classify_up_to_equivalence,
     factor_system_from_rep,
+    naming_refusal,
     trivial_factor_system,
     validate_factor_system,
 )
@@ -104,9 +106,8 @@ def cmd_subspace_lattice(args):
         raise ParseError(f"--dim must be >= 1, got {args.dim}")
     space = VectorSpace(ring, args.dim)
     lattice = enumerate_subspaces(space)
-    by_dim = {}
-    for sub in lattice.payloads:
-        by_dim[sub.dim] = by_dim.get(sub.dim, 0) + 1
+    # a reduced basis has one row per dimension
+    by_dim = collections.Counter(len(rows) for rows, _ in lattice._bases)
     payload = {
         "command": "subspace-lattice",
         "ok": True,
@@ -162,6 +163,9 @@ def cmd_build_extension(args):
             args.out,
         )
         return 1
+    refusal = naming_refusal(fs)
+    if refusal is not None:
+        raise refusal
     ext = build_extension(fs)
     flags = classify_extension(fs)
     payload = {
@@ -221,6 +225,9 @@ def cmd_roundtrip(args):
             args.out,
         )
         return 1
+    refusal = naming_refusal(fs)
+    if refusal is not None:
+        raise refusal
     ext = build_extension(fs)
     flags = classify_extension(fs)
     payload = {

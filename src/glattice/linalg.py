@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 from operator import and_, or_
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -45,7 +46,7 @@ from .lattice import (
     _union,
     automorphism_closure,
 )
-from .scalar import RingAutomorphism
+from .scalar import RingAutomorphism, list_automorphisms
 
 _SUBSPACE_ENUM_LIMIT = 5000
 # subspaces of L(GF(q)^n), counted before any basis is built: admits
@@ -676,12 +677,19 @@ class SubspaceLattice(SetLattice):
 
     def point_image(self, f):
         """Where the semilinear map f sends each point, as a dict from
-        point index to point index, moved on element indices by
-        ``_moved_points``.  NotInvertible at the first point, in
-        ``points`` order, that goes to zero, which happens exactly when f
-        is singular: its kernel is a nonzero subspace and so holds a
-        point.  L(K^1) has the one point <1>, which goes to itself unless
-        row 0 is empty; it needs no tables, which would hold q^2 entries.
+        point index to point index, moved on element indices.
+
+        Each point row v goes to ``out[r] = sum_j M[r][j] * theta(v_j)``,
+        summed over the row support of r through the ring's add/mul index
+        tables, is scaled by the index inverse of its first nonzero entry,
+        and is looked up in ``point_of``.  NotInvertible at the first
+        point, in ``points`` order, that goes to zero, which happens
+        exactly when f is singular: its kernel is a nonzero subspace and
+        so holds a point.  L(K^1) has the one point <1>, which goes to
+        itself unless row 0 is empty; it needs no tables, which would
+        hold q^2 entries.  ``coordinatize`` knows each point's target,
+        so it scales and looks up nothing: it tests that the image is a
+        nonzero multiple of the target row (``_frame``).
         """
         if f.space != self.space:
             raise SpaceMismatch("map and lattice live on different spaces")
@@ -689,28 +697,14 @@ class SubspaceLattice(SetLattice):
             if not f._rows[0]:
                 raise NotInvertible("images of subspaces need an invertible map")
             return {i: i for i in self.points}
-        rows = [[(j, x.index()) for j, x in row] for row in f._rows]
-        return dict(self._moved_points(rows, f.theta))
-
-    def _moved_points(self, rows, theta):
-        """Yield ``(point, image point)`` for each point in ``points``
-        order, as the semilinear map with row supports ``rows`` (per
-        row, its ``(column, entry index)`` pairs) and twist theta moves
-        it; n >= 2 only.
-
-        Each point row v goes to ``out[r] = sum_j M[r][j] * theta(v_j)``,
-        summed over the row support of r through the ring's add/mul index
-        tables, is scaled by the index inverse of its first nonzero entry,
-        and is looked up in ``point_of``.  NotInvertible when a point goes
-        to zero.  A caller that stops early moves no further point.
-        """
         ring = self.space.ring
         add, mul = ring._index_tables()
         inv = ring._index_inverses()
         # per row, its support with the mul row of each entry: mul[x][a] is x * a
-        rows = [[(j, mul[x]) for j, x in row] for row in rows]
-        twist = None if theta.is_identity() else ring._frobenius_indices(theta.power)
+        rows = [[(j, mul[x.index()]) for j, x in row] for row in f._rows]
+        twist = None if f.theta.is_identity() else ring._frobenius_indices(f.theta.power)
         point_of = self.point_of
+        image = {}
         for i, v in zip(self.points, self.point_rows):
             if twist is not None:
                 v = [twist[a] for a in v]
@@ -726,7 +720,31 @@ class SubspaceLattice(SetLattice):
             if lead != 1:
                 scale = mul[inv[lead]]
                 out = [scale[a] for a in out]
-            yield i, point_of[tuple(out)]
+            image[i] = point_of[tuple(out)]
+        return image
+
+    @functools.cached_property
+    def _frame(self):
+        """The per-lattice data ``coordinatize`` reads, formed on its
+        first call on this lattice (n >= 2 only): the frame points, each
+        point's leading column and canonical row, each twist's point rows
+        and the index of -1 (``_Frame``).  O(k N) entries for k twists
+        and N points; no table of the q^n vectors."""
+        ring, n = self.space.ring, self.space.dim
+        point_of, point_rows = self.point_of, self.point_rows
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        frame = tuple(point_of[row] for row in unit) + (point_of[(1,) * n],)
+        # a canonical row's first nonzero entry is index 1, the one
+        rows = {p: (row.index(1), row) for p, row in zip(self.points, point_rows)}
+        twists = []
+        for theta in list_automorphisms(ring):
+            if theta.is_identity():
+                twists.append((theta, point_rows))
+            else:
+                twist = ring._frobenius_indices(theta.power)
+                twists.append((theta, tuple([tuple([twist[a] for a in v]) for v in point_rows])))
+        add, _ = ring._index_tables()
+        return _Frame(frame, rows, tuple(twists), add[1].index(0))
 
     def automorphism_order(self):
         """|Aut L(GF(q)^n)| in closed form: 1 for n = 1, (q + 1)! for
@@ -787,6 +805,16 @@ class SubspaceLattice(SetLattice):
                 f"|Aut L(V)| = {order} exceeds the automorphism-group cap {_AUT_GROUP_LIMIT}"
             )
         return automorphism_closure(self, self.automorphism_generators(), order)
+
+
+class _Frame(NamedTuple):
+    """What ``coordinatize`` reads of a subspace lattice on every call
+    (``SubspaceLattice._frame``)."""
+
+    frame_points: tuple  # the point indices of <e_1>, ..., <e_n>, <e_1 + ... + e_n>
+    rows: dict  # point index -> (leading column, canonical row)
+    twists: tuple  # (theta, the point rows twisted, in ``points`` order), in list_automorphisms order
+    minus_one: int  # the index of -1
 
 
 def _rref_bases(n, q, k):

@@ -27,10 +27,13 @@ theorem of projective geometry the images of the frame <e_1>, ...,
 <e_n>, <e_1 + ... + e_n> fix the matrix up to a scalar, so
 coordinatization is one linear solve followed by a check of each ring
 automorphism on the points; it returns the same map as the first
-match of a scan of SGL(V) in enumeration order.  Both directions move
-points, on element indices (``SubspaceLattice._moved_points``, behind
-``point_image``), never whole subspaces, and coordinatization solves
-on element indices too.
+match of a scan of SGL(V) in enumeration order.  Both directions work
+on points and element indices, never whole subspaces: the induced
+action moves each point and looks its image up
+(``SubspaceLattice.point_image``), while coordinatization knows each
+point's target row w and only tests that the image is a nonzero
+multiple lambda w, lambda read at w's leading column, against data
+the lattice keeps for every call (``SubspaceLattice._frame``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .linalg import (
     enumerate_subspaces,
     identity_map,
 )
-from .scalar import list_automorphisms
 
 
 class SemilinearProjectiveRep:
@@ -334,17 +336,22 @@ def coordinatize(phi):
     points it contains), so two automorphisms that agree on the points
     agree everywhere.
 
-    For n >= 2 all of it runs on element indices: the frame rows are
-    the canonical ``point_rows``, the solve is a Gauss-Jordan
-    elimination on the ring's add/mul index tables, and each twist
-    moves the points through ``SubspaceLattice._moved_points``, the
-    loop ``point_image`` runs, stopping at the first point that misses.
-    ``Scalar``s are built only for the returned map and for the witness
-    of a frame that is not in general position.  L(K^1) = {0, K} needs
-    no tables (they would hold q^2 entries): every map fixes its one
-    point, and the identity map comes first in the scan.  The
-    ``Scalar`` route, with ``rref`` and one ``SemilinearMap`` per twist,
-    is the reference in ``tests/oracles.py``.
+    For n >= 2 all of it runs on element indices, against what the
+    lattice keeps once for every call (``SubspaceLattice._frame``): the
+    frame points, each point's canonical row and leading column, and
+    each twist's point rows.  The solve is a Gauss-Jordan elimination
+    on the ring's add/mul index tables.  Each twist then checks every
+    point p, the frame included, against the row w of phi(p), which is
+    known: M theta(v) lies in phi(p) exactly when it equals lambda w,
+    with lambda its entry at w's leading column and lambda nonzero
+    (``_inducing_twist``), so no image is scaled or looked up, and a
+    twist stops at its first point that misses.  ``Scalar``s are built
+    only for the returned map and for the witness of a frame that is
+    not in general position.  L(K^1) = {0, K} needs no tables (they
+    would hold q^2 entries): every map fixes its one point, and the
+    identity map comes first in the scan.  The ``Scalar`` route, with
+    ``rref`` and one ``SemilinearMap`` per twist, is the reference in
+    ``tests/oracles.py``.
 
     The result is the first match of a scan of SGL(V) with twists outer
     and matrices inner in lexicographic order: within one twist every
@@ -362,17 +369,12 @@ def coordinatize(phi):
         if phi(point) != point:
             raise NotCoordinatizable(_NO_TWIST)
         return identity_map(space)
-    row_of = dict(zip(lattice.points, lattice.point_rows))
-
-    def image_row(v):
-        # index 0 is zero and index 1 is one: e_i and the basis sum are point rows
-        return row_of[phi(lattice.point_of[v])]
-
-    columns = [image_row(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    u = image_row((1,) * n)
+    frame = lattice._frame
+    columns = [frame.rows[phi(p)][1] for p in frame.frame_points]
+    u = columns.pop()
     add, mul = ring._index_tables()
     inv = ring._index_inverses()
-    coeffs = _frame_coefficients(columns, u, add, mul, inv)
+    coeffs = _frame_coefficients(columns, u, add, mul, inv, frame.minus_one)
     scalar = ring.from_index
     if coeffs is None:
         raise NotCoordinatizable(
@@ -382,21 +384,65 @@ def coordinatize(phi):
     matrix = [[mul[c][v[r]] for c, v in zip(coeffs, columns)] for r in range(n)]
     scale = mul[inv[next(x for row in matrix for x in row if x)]]
     rows = [[(j, scale[x]) for j, x in enumerate(row) if x] for row in matrix]
-    perm = phi.perm
-    for theta in list_automorphisms(ring):
-        if all(perm[i] == j for i, j in lattice._moved_points(rows, theta)):
-            support = tuple(tuple((j, scalar(x)) for j, x in row) for row in rows)
-            return SemilinearMap._from_rows(space, support, theta)
-    raise NotCoordinatizable(_NO_TWIST)
+    theta = _inducing_twist(lattice, phi.perm, rows)
+    if theta is None:
+        raise NotCoordinatizable(_NO_TWIST)
+    support = tuple(tuple((j, scalar(x)) for j, x in row) for row in rows)
+    return SemilinearMap._from_rows(space, support, theta)
 
 
-def _frame_coefficients(columns, u, add, mul, inv):
+def _inducing_twist(lattice, perm, matrix):
+    """The first twist theta, in ``list_automorphisms`` order, with which
+    the matrix sends every point p of the subspace lattice into the point
+    perm[p], or None; ``matrix`` holds each row's (column, entry index)
+    pairs, n >= 2.
+
+    Let v be p's twisted row and w the canonical row of perm[p], whose
+    first nonzero entry is 1 at column c.  M theta(v) lies in <w> exactly
+    when M theta(v) = lambda w for a nonzero lambda, and then lambda is
+    its entry at c.  So each point costs one such entry, a test that it
+    is nonzero, and a comparison of every entry with lambda w, all on
+    the ring's add/mul index tables; no image is scaled or looked up.
+    A twist stops at its first point that misses.
+    """
+    frame = lattice._frame
+    add, mul = lattice.space.ring._index_tables()
+    # per row, its support with the mul row of each entry: mul[x][a] is x * a
+    rows = [[(j, mul[x]) for j, x in row] for row in matrix]
+    targets = frame.rows
+    for theta, twisted in frame.twists:
+        for p, v in zip(lattice.points, twisted):
+            # a point sent outside the points (an unchecked phi) misses
+            target = targets.get(perm[p])
+            if target is None:
+                break
+            lead, w = target
+            lam = 0
+            for j, times in rows[lead]:
+                lam = add[lam][times[v[j]]]
+            if not lam:
+                break
+            scale = mul[lam]
+            for row, x in zip(rows, w):
+                acc = 0
+                for j, times in row:
+                    acc = add[acc][times[v[j]]]
+                if acc != scale[x]:
+                    break
+            else:
+                continue  # p lies in perm[p]: on to the next point
+            break
+        else:
+            return theta
+    return None
+
+
+def _frame_coefficients(columns, u, add, mul, inv, minus_one):
     """The c with sum_j c_j v_j = u, on element indices, by Gauss-Jordan
     elimination of [v_1 ... v_n | u] through the add/mul index tables;
     None unless the v_j are independent and every c_j is nonzero."""
     n = len(u)
     rows = [[v[r] for v in columns] + [u[r]] for r in range(n)]
-    minus_one = add[1].index(0)
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:

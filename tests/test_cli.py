@@ -696,6 +696,31 @@ def test_cli_abelian_extensions_above_forty_elements_named(capsys, tmp_path, com
 
 
 @pytest.mark.parametrize(
+    "command,digest",
+    [
+        ("build-extension", "e313615f11a5957ff94cbdffd7b38c673ab6a27b4482ec48703f25b031fbaf72"),
+        ("roundtrip", "8b1a9080aa562cd190ec8e6cddbd0d8668b9f6ec7be6edb61897ae00e020507f"),
+    ],
+)
+def test_cli_unnameable_extension_refused_before_materialize(capsys, tmp_path, monkeypatch, command, digest):
+    # D24 over GF(41): 1920 elements, not abelian, so naming it would need
+    # an isomorphism search above order 40; the report is the one
+    # identify_group raised after materialize (digests recorded from it)
+    def no_materialize(self):
+        raise AssertionError("materialized")
+
+    monkeypatch.setattr(glattice.extension.SchreierExtension, "materialize", no_materialize)
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps({"group": {"group": "dihedral", "n": 24}, "ring": {"ring": "gf", "p": 41}}))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, command, "--fs", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("classify-extensions", "--group", "sym:0", "--ring", "gf:3"),

@@ -217,6 +217,49 @@ def test_factor_system_check_order_cap(gf3):
     assert time.perf_counter() - start < 1.0
 
 
+def _non_symmetric_v4_system(ring):
+    """V4 = D2 as pairs (f, i) with [x, y] = (-1)^(f_x i_y): a bilinear
+    form, so a normalized cocycle, and not symmetric."""
+    minus_one = -ring.one()
+    bracket = {(x, y): minus_one for x in range(4) for y in range(4) if x // 2 and y % 2}
+    return FactorSystem(dihedral_group(2), ring, {}, bracket)
+
+
+@pytest.mark.parametrize(
+    "system,refused",
+    [
+        (lambda: trivial_factor_system(parse_group_spec("sym:4"), DivisionRing.gf(3)), True),
+        (lambda: _non_symmetric_v4_system(DivisionRing.gf(13)), True),
+        (
+            lambda: FactorSystem(
+                cyclic_group(2),
+                DivisionRing.gf(7, 2),
+                {1: RingAutomorphism.frobenius(DivisionRing.gf(7, 2), 1)},
+                {},
+            ),
+            True,
+        ),
+        (lambda: trivial_factor_system(cyclic_group(48), DivisionRing.gf(41)), False),
+    ],
+    ids=["s4-gf3", "v4-gf13-non-symmetric", "c2-gf49-frobenius", "c48-gf41"],
+)
+def test_naming_refusal_agrees_with_identify_group(system, refused):
+    # decided on the system, before materialize, as identify_group decides
+    # on the materialized extension
+    fs = system()
+    assert validate_factor_system(fs).ok
+    refusal = extension.naming_refusal(fs)
+    group = build_extension(fs).group
+    assert extension.is_abelian_extension(fs) == group.is_abelian()
+    if refused:
+        with pytest.raises(TooLarge) as raised:
+            identify_group(group)
+        assert type(refusal) is TooLarge and str(refusal) == str(raised.value)
+    else:
+        assert refusal is None
+        assert identify_group(group) == "C240xC8"
+
+
 def wrapping_system(n, ring, w):
     """C_n's system with [a, b] = w where a + b wraps past n; it is
     equivalent to the trivial one exactly when w is an n-th power."""

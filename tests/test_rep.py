@@ -1,6 +1,8 @@
 """Projective-representation validation, cocycles, coordinatization,
 equivalence."""
 
+import functools
+import os
 import random
 import time
 import tracemalloc
@@ -32,6 +34,7 @@ from glattice.errors import (
     ScalarInconsistent,
     SpaceMismatch,
 )
+from glattice.cli import main
 from glattice.extension import (
     FactorSystem,
     enumerate_factor_systems,
@@ -534,6 +537,50 @@ def test_coordinatize_matches_scalar_route_on_a_sample(p, k, n):
     assert "no twist" in permuted
     if n == 3:
         assert "frame" in permuted
+
+
+def test_coordinatize_forms_its_frame_data_once_per_lattice(monkeypatch):
+    # the per-lattice data is formed on the first coordinatize call and
+    # kept; building a lattice or moving points with point_image forms none
+    formed = []
+    form = glattice.linalg.SubspaceLattice._frame.func
+
+    def counted(self):
+        formed.append(self)
+        return form(self)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(glattice.linalg.SubspaceLattice, "_frame")
+    monkeypatch.setattr(glattice.linalg.SubspaceLattice, "_frame", spy)
+    lattices = [enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n)) for p, k, n in [(2, 2, 2), (3, 1, 2)]]
+    for lattice in lattices:
+        lattice.point_image(identity_map(lattice.space))
+    assert main(["subspace-lattice", "--ring", "gf:4", "--dim", "2", "--out", os.devnull]) == 0
+    assert formed == []
+    for lattice in lattices:
+        for _ in range(2):
+            for phi in lattice_automorphism_group(lattice):
+                coordinatize(phi)
+    assert formed == lattices
+    # O(k N) entries: one row per point and twist
+    for lattice in lattices:
+        frame = lattice._frame
+        assert len(frame.twists) == len(list_automorphisms(lattice.space.ring))
+        assert all(len(rows) == len(lattice.points) for _, rows in frame.twists)
+        assert frame.rows == {p: (v.index(1), v) for p, v in zip(lattice.points, lattice.point_rows)}
+
+
+def test_inducing_twist_refuses_a_point_sent_to_zero():
+    # M = [[1, 0], [0, 0]] on GF(3)^2 sends every point into <e_1> but
+    # <e_2>, which it sends to zero; 0 = lambda w holds with lambda = 0,
+    # so only the lambda != 0 test refuses the map
+    lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(3), 2))
+    identity = list(range(lattice.size))
+    assert glattice.rep._inducing_twist(lattice, identity, [[(0, 1)], [(1, 1)]]).is_identity()
+    onto_e1 = list(identity)
+    for p in lattice.points:
+        onto_e1[p] = lattice.point_of[(1, 0)]
+    assert glattice.rep._inducing_twist(lattice, onto_e1, [[(0, 1)], []]) is None
 
 
 def frobenius_swap_rep_gf4():
