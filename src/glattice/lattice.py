@@ -6,9 +6,9 @@ forms the down-set and up-set bitmask of every element and its
 meet/join tables when they are first read.  Construction checks that
 the sets are closed under intersection and hold their union: such a
 family is a lattice whose meet is the intersection.  That check scans
-every pair of elements once, at every size, unless the lattice proves
-closure another way: a subspace lattice certifies that its sets are
-exactly L(V) through its annihilator duality (``linalg.SubspaceLattice``).
+every pair of elements once, at every size, except on a subspace
+lattice, whose construction proves that its sets are exactly L(V)
+through the annihilator duality (``linalg.SubspaceLattice``).
 
 An action of a group G on a lattice L is a |G| x |L| index table.  The
 five compatibility axioms an action must satisfy are
@@ -350,11 +350,10 @@ class LatticeAutomorphism:
 
     The constructor checks the permutation through the lattice's
     ``_row_violation``: on every ordered pair, one up-set mask per
-    element, or on the point sets of a certified subspace lattice.
-    Products and inverses of checked
-    automorphisms are automorphisms, so ``compose``, ``inverse`` and the
-    closure of checked generators build their results through
-    ``_unchecked``.
+    element, or on the point sets of a subspace lattice.  Products and
+    inverses of checked automorphisms are automorphisms, so ``compose``,
+    ``inverse`` and the closure of checked generators build their
+    results through ``_unchecked``.
     """
 
     __slots__ = ("lattice", "perm")

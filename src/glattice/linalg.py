@@ -39,11 +39,7 @@ from .lattice import (
     _AUT_GROUP_LIMIT,
     LatticeAutomorphism,
     SetLattice,
-    _bound_rows,
-    _check_closure,
     _order_violation,
-    _row_mismatch,
-    _union,
     automorphism_closure,
 )
 from .scalar import RingAutomorphism, list_automorphisms
@@ -515,20 +511,21 @@ class SubspaceLattice(SetLattice):
 
     Construction certifies, in one pass over the points of every
     subspace, that the masks are exactly the point sets of L(V) and that
-    W -> W^perp reverses inclusion (``_certified``).  Every basis row is
-    a point, so the point mask of W^perp is the AND of ``orth[r]`` over
-    the rows r of W; let phi[x] be the element with the annihilator mask
-    of x.  The certificate checks that the family has as many members as
-    L(V) has subspaces (the Gaussian binomials), that phi is an
-    involution, that masks[phi[p]] == orth[p] for every point p, and
-    that masks[phi[x]] is the AND, over the points p of x, of
-    masks[phi[p]], starting from the set of all points.  Then:
+    W -> W^perp reverses inclusion (``_certificate_failure``).  Every
+    basis row is a point, so ``_perp[x]``, the point mask of W^perp for
+    the subspace W at x, is the AND of ``orth[r]`` over the rows r of W;
+    phi[x] is the element with that mask.  The certificate checks that
+    the family has as many members as L(V) has subspaces (the Gaussian
+    binomials), that phi is total and an involution, that perp[p] ==
+    orth[p] for every point p, and that perp[x] is the AND, over the
+    points p of x, of perp[p], starting from the set of all points.
+    Since masks[phi[x]] == perp[x], then:
 
     * phi reverses inclusion both ways.  x <= y gives phi[y] <= phi[x],
       since the AND over more points is smaller, and the same applied
       to phi[y] <= phi[x] gives back x <= y.
     * Each mask is a subspace's point set.  Applied to phi[x], with
-      phi[phi[x]] == x and masks[phi[t]] == orth[t], the identity reads
+      phi[phi[x]] == x and perp[t] == orth[t], the identity reads
       masks[x] = AND(orth[t] for t in points of phi[x]); orth[t], read
       off dot products apart from the masks, is the point set of
       t^perp, and an intersection of subspaces is one (Veblen & Young,
@@ -546,16 +543,11 @@ class SubspaceLattice(SetLattice):
       since the masks are distinct: axiom (3) accepts it without the
       up-set masks.
 
-    A family that fails the certificate goes to the checks on the order
-    masks, in their order, so every error and witness is theirs:
-    ``_check_closure``'s pairwise scan, then ``_first_non_duality``,
-    which on failure compares the sums read off the annihilator masks
-    with the join rows read off the order, one row at a time,
-    TableMismatch at the first pair in row-major order where they
-    differ, else GlatticeError at the first element where phi fails,
-    since then the masks are not annihilators.  Such a lattice, if it
-    passes, and a row the point check does not accept, read the order
-    masks (``covers``, ``_order_violation``).
+    The bases come from ``enumerate_subspaces`` alone, so a failed
+    certificate is a bug in the enumeration: GlatticeError with the
+    first failing clause and its witness.  A row the point check does
+    not accept goes to ``_order_violation``, which reads the up-set
+    masks.
 
     ``labels`` are the ``repr`` of the payloads, written from a table of
     element reprs over the index rows; ``index_of`` reads a dictionary
@@ -579,20 +571,18 @@ class SubspaceLattice(SetLattice):
                     witness=(by_mask[mask], x),
                 )
             by_mask[mask] = x
+        orth = _orthogonality(point_of, n, add, mul)
+        perp = _annihilator_masks(bases, point_of, orth)
+        phi = [by_mask.get(mask) for mask in perp]
+        count = sum(gaussian_binomial(n, k, ring.order) for k in range(n + 1))
+        failure = _certificate_failure(phi, perp, members, orth, count)
+        if failure is not None:
+            raise GlatticeError(f"enumeration bug: {failure[0]}", witness=failure[1])
         self.size = len(masks)
         self.masks = masks
         self.by_mask = by_mask
         self._members = members
-        orth = _orthogonality(point_of, n, add, mul)
-        perp_masks = _annihilator_masks(bases, point_of, orth)
-        phi = [by_mask.get(mask) for mask in perp_masks]
-        count = sum(gaussian_binomial(n, k, ring.order) for k in range(n + 1))
-        self._certified = _certified(phi, masks, members, orth, count)
-        if not self._certified:
-            _check_closure(masks, by_mask)
-            bad = _first_non_duality(phi, self.down_masks, self.up_masks)
-            if bad is not None:
-                _raise_join_mismatch(perp_masks, self.up_masks, bad)
+        self._perp = perp
         self._phi = phi
         self.points = tuple(point_of.values())
         self.point_rows = tuple(point_of)
@@ -627,19 +617,14 @@ class SubspaceLattice(SetLattice):
     @functools.cached_property
     def join(self):
         """The join table through the duality: x v y = phi(phi x ^ phi y),
-        the meet read off ``masks`` row by row."""
-        phi, get = self._phi, self.by_mask.__getitem__
-        perp = list(map(self.masks.__getitem__, phi))
+        the meet read off the annihilator masks row by row."""
+        phi, get, perp = self._phi, self.by_mask.__getitem__, self._perp
         return tuple(tuple(map(phi.__getitem__, map(get, map(a.__and__, perp)))) for a in perp)
 
     def covers(self):
-        """Pairs (x, y) with y covering x.  On a certified lattice the
-        covers of x are x v p = phi(phi x ^ phi p) for the points p
-        outside x."""
-        if not self._certified:
-            return super().covers()
-        phi, by_mask, masks = self._phi, self.by_mask, self.masks
-        perp = list(map(masks.__getitem__, phi))
+        """Pairs (x, y) with y covering x: the covers of x are
+        x v p = phi(phi x ^ phi p) for the points p outside x."""
+        phi, by_mask, masks, perp = self._phi, self.by_mask, self.masks, self._perp
         everything = perp[0]  # phi of the zero subspace is V
         out = []
         for x, mask in enumerate(masks):
@@ -655,9 +640,9 @@ class SubspaceLattice(SetLattice):
 
     def _row_violation(self, row):
         """None at once for a row that permutes the points and sends
-        every mask to the mask of its moved points, on a certified
-        lattice; else ``_order_violation``."""
-        if self._certified and sorted(row[p] for p in self.points) == list(self.points):
+        every mask to the mask of its moved points; else
+        ``_order_violation``."""
+        if sorted(row[p] for p in self.points) == list(self.points):
             moved = [1 << z for z in row]
             masks = self.masks
             if all(
@@ -901,54 +886,29 @@ def _annihilator_masks(bases, point_of, orth):
     return out
 
 
-def _certified(phi, masks, members, orth, count):
-    """Whether the masks, ``members[x]`` listing the points of
-    ``masks[x]``, are exactly the ``count`` point sets of L(V) and phi
-    its annihilator duality, by the certificate of ``SubspaceLattice``:
-    phi is an involution, masks[phi[p]] == orth[p] for every point p,
-    and masks[phi[x]] is the AND of masks[phi[p]] over the points p of
-    x, starting from the set of all points."""
-    if len(masks) != count or None in phi or list(map(phi.__getitem__, phi)) != list(range(count)):
-        return False
-    perp = list(map(masks.__getitem__, phi))
-    if any(perp[p] != mask for p, mask in orth.items()):
-        return False
-    get, everything = perp.__getitem__, sum(1 << p for p in orth)
-    return all(
-        perp[x] == functools.reduce(and_, map(get, points), everything)
-        for x, points in enumerate(members)
-    )
-
-
-def _first_non_duality(phi, down, up):
-    """The first x at which x -> phi[x] fails to be an order-reversing
-    involution, or None: phi[x] is None, phi[phi[x]] != x, or phi sends
-    the elements above x somewhere other than onto the elements below
-    phi[x].  O(comparable pairs) bit operations."""
-    phi_bit = [0 if y is None else 1 << y for y in phi]
+def _certificate_failure(phi, perp, members, orth, count):
+    """None when the certificate of ``SubspaceLattice`` holds, with
+    ``members[x]`` the points of element x and ``perp[x]`` the point mask
+    of its annihilator; else (message, witness) for the first clause to
+    fail, in the docstring's order.  The witness is the member count for
+    the count, the point for orth, else the first element that fails."""
+    if len(members) != count:
+        return f"{len(members)} subspaces, but L(V) has {count}", (len(members),)
+    involution = "the annihilator masks are no order-reversing involution at element {}"
+    if None in phi:
+        x = phi.index(None)
+        return involution.format(x) + ": no element has its annihilator mask", (x,)
     for x, y in enumerate(phi):
-        if y is None or phi[y] != x or _union(up[x], phi_bit) != down[y]:
-            return x
+        if phi[y] != x:
+            return involution.format(x), (x,)
+    for p, mask in orth.items():
+        if perp[p] != mask:
+            return f"the annihilator of point {p} is not the points orthogonal to it", (p,)
+    get, everything = perp.__getitem__, sum(1 << p for p in orth)
+    for x, points in enumerate(members):
+        if perp[x] != functools.reduce(and_, map(get, points), everything):
+            return f"the annihilator of element {x} is not the AND over its points", (x,)
     return None
-
-
-def _raise_join_mismatch(perp_masks, up, bad):
-    """Raise where the sums ``(W1^perp meet W2^perp)^perp``, read off the
-    annihilator masks, first differ from the join read off the order:
-    TableMismatch at the first (x, y) in row-major order.  When every sum
-    agrees, the masks are not the annihilators: GlatticeError at ``bad``,
-    the first element at which W -> W^perp is no order-reversing
-    involution."""
-    sum_of = {mask: x for x, mask in enumerate(perp_masks)}
-    for x, true_row in enumerate(_bound_rows(up)):
-        row = [sum_of.get(perp_masks[x] & pj) for pj in perp_masks]
-        error = _row_mismatch("join", x, row, true_row)
-        if error is not None:
-            raise error
-    raise GlatticeError(
-        f"the annihilator masks are no order-reversing involution at element {bad}",
-        witness=(bad,),
-    )
 
 
 def subspace_refusal(n, q):
@@ -977,8 +937,6 @@ def enumerate_subspaces(space):
     ring = space.ring
     if not ring.is_finite():
         raise InfiniteCarrier(f"cannot enumerate subspaces over {ring}")
-    if not ring.is_commutative():
-        raise InfiniteCarrier("subspace enumeration needs a commutative carrier")
     q, n = ring.order, space.dim
     refusal = subspace_refusal(n, q)
     if refusal is not None:

@@ -9,6 +9,7 @@ import pytest
 import glattice.cli
 import glattice.extension
 import glattice.rep
+from glattice import DivisionRing, VectorSpace, enumerate_subspaces
 from glattice.cli import main
 from glattice.errors import ParseError, TooLarge
 from glattice.jsonio import (
@@ -20,6 +21,7 @@ from glattice.jsonio import (
     parse_scalar,
     parse_theta,
 )
+from glattice.lattice import SetLattice, _order_violation
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +445,33 @@ def test_cli_verify_action_pass_and_fail(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["axiom"] == 3 and "witness" in report
+
+
+@pytest.mark.parametrize("swap", [(1, 8), (1, 2)], ids=["point-with-line", "point-transposition"])
+def test_cli_verify_action_refuses_a_bad_row_on_a_subspace_lattice(capsys, tmp_path, swap):
+    # C2 on L(GF(2)^3), elements 1-7 the points and 8-14 the lines, through
+    # an involution the point check does not accept, so axiom (3) reads the
+    # order masks: a point swapped with a line, or two points swapped while
+    # every line stays
+    lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(2), 3))
+    assert lattice.points == tuple(range(1, 8))
+    x, y = swap
+    row = list(range(lattice.size))
+    row[x], row[y] = y, x
+    path = tmp_path / "act.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"group": "cyclic", "n": 2},
+                "lattice": {"space": gf_space(2, 3)},
+                "action": [list(range(lattice.size)), row],
+            }
+        )
+    )
+    code, out = run_cli(capsys, "verify-action", "--in", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False and report["axiom"] == 3
+    assert report["witness"] == [1, *_order_violation(SetLattice(lattice.masks), row)]
 
 
 def test_cli_orbit_report(capsys, tmp_path):

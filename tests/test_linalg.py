@@ -25,10 +25,9 @@ from glattice.errors import (
     InfiniteCarrier,
     NonCommutativeCarrier,
     NotInvertible,
-    TableMismatch,
     TooLarge,
 )
-from glattice.lattice import LatticeAutomorphism, _bits
+from glattice.lattice import LatticeAutomorphism, SetLattice, _bits, _order_violation
 from glattice.linalg import add_vectors, identity_map, rref
 from glattice.scalar import list_automorphisms
 
@@ -312,23 +311,47 @@ def test_two_bases_spanning_one_subspace_are_refused(monkeypatch, gf2):
     assert sorted(caught.value.witness) == sorted([replaced, plane])
 
 
-def test_corrupted_orthogonality_is_caught_by_the_join(monkeypatch, gf3):
+_INVOLUTION = "enumeration bug: the annihilator masks are no order-reversing involution at element {}"
+_NOT_TOTAL = _INVOLUTION + ": no element has its annihilator mask"
+_NOT_ORTH = "enumeration bug: the annihilator of point {} is not the points orthogonal to it"
+_NOT_AND = "enumeration bug: the annihilator of element {} is not the AND over its points"
+
+
+def _build_outcome(space):
+    """The error the build raises, as (type, message, witness), or the
+    masks of the lattice it builds."""
+    try:
+        return enumerate_subspaces(space).masks
+    except GlatticeError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _orthogonality_corrupted(monkeypatch):
+    """Give the first point the orthogonal set of the second, another
+    hyperplane's points."""
     orthogonality = linalg._orthogonality
 
     def corrupted(*args):
         orth = orthogonality(*args)
         first, second = list(orth)[:2]
-        orth[first] = orth[second]  # another hyperplane's points
+        orth[first] = orth[second]
         return orth
 
     monkeypatch.setattr(linalg, "_orthogonality", corrupted)
-    with pytest.raises(TableMismatch, match="join") as caught:
-        enumerate_subspaces(VectorSpace(gf3, 3))
-    assert len(caught.value.witness) == 2
+
+
+def test_corrupted_orthogonality_is_caught_by_the_join(monkeypatch, gf3):
+    # the annihilators spanned from the corrupted orth send V to an element
+    # other than the top, so phi fails to be an involution at the bottom
+    _orthogonality_corrupted(monkeypatch)
+    got = _build_outcome(VectorSpace(gf3, 3))
+    assert got == (GlatticeError, _INVOLUTION.format(0), (0,))
 
 
 @pytest.mark.parametrize("corruption", ["swap", "no-annihilator"])
 def test_corrupted_annihilator_is_caught_by_the_join(monkeypatch, gf3, corruption):
+    # two points trade annihilators, so phi[phi[1]] = 2; or element 5
+    # gains the points of another hyperplane, a mask no element has
     annihilator_masks = linalg._annihilator_masks
 
     def corrupted(*args):
@@ -340,13 +363,12 @@ def test_corrupted_annihilator_is_caught_by_the_join(monkeypatch, gf3, corruptio
         return perp
 
     monkeypatch.setattr(linalg, "_annihilator_masks", corrupted)
-    with pytest.raises(TableMismatch, match="join") as caught:
-        enumerate_subspaces(VectorSpace(gf3, 3))
-    assert len(caught.value.witness) == 2
+    want = {"swap": (_INVOLUTION.format(1), (1,)), "no-annihilator": (_NOT_TOTAL.format(5), (5,))}
+    assert _build_outcome(VectorSpace(gf3, 3)) == (GlatticeError, *want[corruption])
 
 
 def _annihilators_replaced(monkeypatch, corrupt):
-    """Make the enumeration hand ``corrupt(perp_masks)`` to the duality check."""
+    """Make the enumeration hand ``corrupt(perp_masks)`` to the certificate."""
     annihilator_masks = linalg._annihilator_masks
     monkeypatch.setattr(
         linalg, "_annihilator_masks", lambda *args: corrupt(annihilator_masks(*args))
@@ -371,14 +393,12 @@ def test_non_involutive_duality_is_caught(monkeypatch, gf3):
 
 
 def test_identity_duality_is_caught_by_the_join(monkeypatch, gf3):
-    # each element's own point mask: phi is the identity, and every sum read
-    # off the masks is the meet, first wrong at the bottom and the first point
+    # each element's own point mask: phi is the identity, a total
+    # involution, but the first point's mask is no hyperplane
     space = VectorSpace(gf3, 3)
     lattice = enumerate_subspaces(space)
     _annihilators_replaced(monkeypatch, lambda masks: list(lattice.masks))
-    with pytest.raises(TableMismatch, match=r"join\[0\]\[1\] = 0, but the true bound is 1") as err:
-        enumerate_subspaces(space)
-    assert err.value.witness == (0, 1)
+    assert _build_outcome(space) == (GlatticeError, _NOT_ORTH.format(1), (1,))
 
 
 def test_duality_onto_no_element_is_caught(monkeypatch, gf3):
@@ -391,10 +411,63 @@ def test_duality_onto_no_element_is_caught(monkeypatch, gf3):
     assert caught.value.witness == (0,)
 
 
+def _swap_points_and_hyperplanes(perp):
+    # points 1 and 2 trade annihilators, and so do their hyperplanes:
+    # phi stays an involution, but perp[1] is the hyperplane of point 2
+    h1, h2 = perp.index(1 << 1), perp.index(1 << 2)  # the hyperplanes with perp 1 and 2
+    perp[1], perp[2], perp[h1], perp[h2] = perp[2], perp[1], perp[h2], perp[h1]
+    return perp
+
+
+def _swap_bottom_and_top(perp):
+    # 0 and V each become their own annihilator: a total involution that
+    # agrees with orth on the points, but the AND over no points is V
+    perp[0], perp[-1] = perp[-1], perp[0]
+    return perp
+
+
+def _no_element_at_14(perp):
+    perp[14] |= 1  # bit 0 is the zero subspace, no point
+    return perp
+
+
+def _first_two_alike(perp):
+    # phi[0] = phi[1] = the hyperplane of point 1, which phi sends to 1
+    perp[0] = perp[1]
+    return perp
+
+
+@pytest.mark.parametrize(
+    "corrupt,want",
+    [
+        (_no_element_at_14, (_NOT_TOTAL.format(14), (14,))),
+        (_first_two_alike, (_INVOLUTION.format(0), (0,))),
+        (_swap_points_and_hyperplanes, (_NOT_ORTH.format(1), (1,))),
+        (_swap_bottom_and_top, (_NOT_AND.format(0), (0,))),
+    ],
+    ids=["total", "involution", "orth", "and"],
+)
+def test_each_certificate_clause_raises_at_its_witness(monkeypatch, gf3, corrupt, want):
+    # one corruption of the annihilator masks of L(GF(3)^3) per clause:
+    # phi total, an involution, orth on the points, the AND over the points
+    _annihilators_replaced(monkeypatch, corrupt)
+    assert _build_outcome(VectorSpace(gf3, 3)) == (GlatticeError, *want)
+
+
+def test_certificate_refuses_a_short_family(gf3):
+    # the count clause, which enumerate_subspaces's own layer counts keep
+    # out of reach: the data of L(GF(3)^3), one member short
+    lattice = enumerate_subspaces(VectorSpace(gf3, 3))
+    orth = linalg._orthogonality(lattice.point_of, 3, *gf3._index_tables())
+    data = lattice._phi, lattice._perp
+    assert linalg._certificate_failure(*data, lattice._members, orth, 28) is None
+    got = linalg._certificate_failure(*data, lattice._members[:-1], orth, 28)
+    assert got == ("27 subspaces, but L(V) has 28", (27,))
+
+
 def test_subspace_lattices_form_no_join_rows(monkeypatch):
     # the certificate builds the lattice: no row is read off the sets, the
-    # up-set or the down-set masks, and no order mask is formed, unless
-    # something is wrong
+    # up-set or the down-set masks, and no order mask is formed
     given = []
     bound_rows = lattice_module._bound_rows
 
@@ -403,35 +476,26 @@ def test_subspace_lattices_form_no_join_rows(monkeypatch):
         return bound_rows(masks)
 
     monkeypatch.setattr(lattice_module, "_bound_rows", spy)
-    monkeypatch.setattr(linalg, "_bound_rows", spy)
     for p, k, n in _LATTICE_FAMILY + [(3, 1, 4), (4999, 1, 1)]:
         lattice = enumerate_subspaces(VectorSpace(DivisionRing.gf(p, k), n))
-        assert lattice._certified
         assert given == []
         assert "up_masks" not in vars(lattice) and "down_masks" not in vars(lattice)
 
 
-def _forced_fallback(space):
-    """L(V) built as if the certificate had failed: the pairwise scan and
-    the order-mask duality check run, and ``covers`` and the row check
-    read the order masks."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_certified", lambda *args: False)
-        return enumerate_subspaces(space)
-
-
 @pytest.mark.parametrize("p,k,modulus,n", _BUILT)
 def test_certified_build_matches_the_forced_fallback(p, k, modulus, n):
+    # the reference is the generic set-family route on the same masks: the
+    # pairwise closure scan, then covers, join and axiom (3) read off the
+    # order masks
     space = VectorSpace(DivisionRing.gf(p, k, modulus), n)
-    certified, reference = enumerate_subspaces(space), _forced_fallback(space)
-    assert certified._certified and not reference._certified
-    assert (certified.masks, certified.by_mask) == (reference.masks, reference.by_mask)
+    certified = enumerate_subspaces(space)
+    reference = SetLattice(certified.masks)
+    assert certified.by_mask == reference.by_mask
     assert certified.covers() == reference.covers()
     assert certified.meet == reference.meet
     assert certified.join == reference.join
-    # the duality verdict on the order masks
-    assert certified._phi == reference._phi
-    assert linalg._first_non_duality(reference._phi, reference.down_masks, reference.up_masks) is None
+    # the annihilator masks are the masks of the elements phi names
+    assert certified._perp == [certified.masks[y] for y in certified._phi]
     # axiom (3) on lifted generators, accepted without the order masks, and
     # on tampered rows: two points swapped, and a point sent to the bottom,
     # which is no point
@@ -447,19 +511,7 @@ def test_certified_build_matches_the_forced_fallback(p, k, modulus, n):
         to_bottom[first] = 0
         rows += [swapped, to_bottom]
     for row in rows:
-        want = lattice_module._order_violation(reference, row)
-        assert certified._row_violation(row) == want
-        assert reference._row_violation(row) == want
-
-
-def _build_outcome(space, forced=False):
-    """The error the build raises, as (type, message, witness), or the
-    masks of the lattice it builds; through ``_forced_fallback`` if
-    ``forced``."""
-    try:
-        return (_forced_fallback if forced else enumerate_subspaces)(space).masks
-    except GlatticeError as exc:
-        return type(exc), str(exc), exc.witness
+        assert certified._row_violation(row) == _order_violation(reference, row)
 
 
 # each returns a new mask for element x of the family ``masks``
@@ -481,66 +533,51 @@ def _next_mask_repeated(masks, x):
     return masks[x + 1]
 
 
-@pytest.mark.parametrize(
-    "p,n,dim,corrupt",
-    [
-        (3, 3, 2, _lowest_point_dropped),
-        (3, 3, 3, _lowest_point_dropped),
-        (3, 3, 2, _foreign_point_added),
-        (3, 3, 2, _zero_bit_added),
-        (3, 3, 2, _next_mask_repeated),
-        (2, 4, 2, _lowest_point_dropped),
-        (2, 4, 3, _lowest_point_dropped),
-        (2, 4, 2, _foreign_point_added),
-        (2, 4, 3, _foreign_point_added),
-        (2, 4, 3, _zero_bit_added),
-        (2, 4, 1, _next_mask_repeated),
-        (3, 4, 3, _lowest_point_dropped),
-        (3, 4, 3, _foreign_point_added),
-    ],
-)
+# what the build raises for each corruption below, as (message, witness): a
+# repeated mask raises before the certificate; a lost or added point leaves
+# the mask of some element's annihilator to no element
+_SPAN_ONE = "enumeration bug: bases {} and {} span one subspace"
+_CORRUPTED_MASKS = {
+    (3, 3, 2, _lowest_point_dropped): (_NOT_TOTAL.format(5), (5,)),
+    (3, 3, 3, _lowest_point_dropped): (_NOT_TOTAL.format(0), (0,)),
+    (3, 3, 2, _foreign_point_added): (_NOT_TOTAL.format(5), (5,)),
+    (3, 3, 2, _zero_bit_added): (_NOT_TOTAL.format(5), (5,)),
+    (3, 3, 2, _next_mask_repeated): (_SPAN_ONE.format(14, 15), (14, 15)),
+    (2, 4, 2, _lowest_point_dropped): (_NOT_TOTAL.format(26), (26,)),
+    (2, 4, 3, _lowest_point_dropped): (_NOT_TOTAL.format(8), (8,)),
+    (2, 4, 2, _foreign_point_added): (_NOT_TOTAL.format(26), (26,)),
+    (2, 4, 3, _foreign_point_added): (_NOT_TOTAL.format(8), (8,)),
+    (2, 4, 3, _zero_bit_added): (_NOT_TOTAL.format(8), (8,)),
+    (2, 4, 1, _next_mask_repeated): (_SPAN_ONE.format(1, 2), (1, 2)),
+    (3, 4, 3, _lowest_point_dropped): (_NOT_TOTAL.format(14), (14,)),
+    (3, 4, 3, _foreign_point_added): (_NOT_TOTAL.format(14), (14,)),
+}
+
+
+@pytest.mark.parametrize("p,n,dim,corrupt", list(_CORRUPTED_MASKS))
 def test_corrupted_masks_raise_what_the_pairwise_scan_raises(monkeypatch, p, n, dim, corrupt):
     # the first mask of dimension dim loses a point, gains one, or repeats
-    # the next mask: the certificate refuses the family, and the build
-    # raises what the scan and the order masks raise
+    # the next mask: the build raises at the pinned witness
     space = VectorSpace(DivisionRing.gf(p), n)
     x = sum(gaussian_binomial(n, j, p) for j in range(dim))
-    point_sets, certified = linalg._point_sets, linalg._certified
+    point_sets = linalg._point_sets
 
     def corrupted(*args):
         sets = point_sets(*args)
         sets[x] = list(_bits(corrupt([sum(1 << t for t in points) for points in sets], x)))
         return sets
 
-    verdicts = []
-
-    def recorded(*args):
-        verdicts.append(certified(*args))
-        return verdicts[-1]
-
     monkeypatch.setattr(linalg, "_point_sets", corrupted)
-    monkeypatch.setattr(linalg, "_certified", recorded)
-    got = _build_outcome(space)
-    assert verdicts in ([], [False])
-    assert type(got) is tuple and isinstance(got[0], type)
-    assert got == _build_outcome(space, forced=True)
+    assert _build_outcome(space) == (GlatticeError, *_CORRUPTED_MASKS[p, n, dim, corrupt])
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
 def test_corrupted_orthogonality_raises_what_the_order_masks_raise(monkeypatch, p, n):
-    orthogonality = linalg._orthogonality
-
-    def corrupted(*args):
-        orth = orthogonality(*args)
-        first, second = list(orth)[:2]
-        orth[first] = orth[second]
-        return orth
-
-    monkeypatch.setattr(linalg, "_orthogonality", corrupted)
-    space = VectorSpace(DivisionRing.gf(p), n)
-    got = _build_outcome(space)
-    assert got[0] is TableMismatch
-    assert got == _build_outcome(space, forced=True)
+    # the masks are right, so the order masks would build L(V); the
+    # annihilators spanned from the corrupted orth are what fails
+    _orthogonality_corrupted(monkeypatch)
+    got = _build_outcome(VectorSpace(DivisionRing.gf(p), n))
+    assert got == (GlatticeError, _INVOLUTION.format(0), (0,))
 
 
 @pytest.mark.parametrize("p,k,n", [(4999, 1, 1), (2, 12, 1), (67, 1, 2)])
