@@ -61,8 +61,9 @@ QUATERNIONS = "quaternions"
 # and an irreducible modulus is searched among p^k candidates
 _PRIME_LIMIT = 2**32
 _EXTENSION_ORDER_LIMIT = 5000
-# exp/log tables hold 3(q - 1) entries; a prime field builds them on first use
-_LOG_TABLE_LIMIT = 5000
+# exp/log tables hold 3(q - 1) entries; a prime field builds them on first
+# use, and a GF(p^k) field computes on them, so the two caps agree
+_LOG_TABLE_LIMIT = _EXTENSION_ORDER_LIMIT
 
 _QUAT_ZERO = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
 _QUAT_ONE = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))

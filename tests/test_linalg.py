@@ -294,8 +294,28 @@ def _replace_basis(monkeypatch, old, new):
 
 def test_duplicated_basis_is_refused(monkeypatch, gf2):
     _replace_basis(monkeypatch, (((0, 1, 0), (0, 0, 1)), (1, 2)), (((1, 0, 0), (0, 1, 0)), (0, 1)))
-    with pytest.raises(TooLarge, match="enumeration bug"):
-        enumerate_subspaces(VectorSpace(gf2, 3))
+    assert _build_outcome(VectorSpace(gf2, 3)) == (
+        GlatticeError,
+        "enumeration bug: bases 9 and 10 span one subspace",
+        (9, 10),
+    )
+
+
+def test_dropped_basis_is_refused_by_the_count(monkeypatch, gf3):
+    # the count clause of the certificate, reached through the enumeration:
+    # one basis of a plane of GF(3)^3 is never yielded
+    rref_bases = linalg._rref_bases
+    dropped = (((1, 0, 0), (0, 1, 0)), (0, 1))
+
+    def patched(n, q, k):
+        return (basis for basis in rref_bases(n, q, k) if basis != dropped)
+
+    monkeypatch.setattr(linalg, "_rref_bases", patched)
+    assert _build_outcome(VectorSpace(gf3, 3)) == (
+        GlatticeError,
+        "enumeration bug: 27 subspaces, but L(V) has 28",
+        (27,),
+    )
 
 
 def test_two_bases_spanning_one_subspace_are_refused(monkeypatch, gf2):
@@ -455,13 +475,14 @@ def test_each_certificate_clause_raises_at_its_witness(monkeypatch, gf3, corrupt
 
 
 def test_certificate_refuses_a_short_family(gf3):
-    # the count clause, which enumerate_subspaces's own layer counts keep
-    # out of reach: the data of L(GF(3)^3), one member short
+    # the count clause on the data of L(GF(3)^3), one member short
     lattice = enumerate_subspaces(VectorSpace(gf3, 3))
-    orth = linalg._orthogonality(lattice.point_of, 3, *gf3._index_tables())
+    add, mul = gf3._index_tables()
+    orth = linalg._orthogonality(lattice.point_of, 3, add, mul)
+    members = linalg._point_sets(lattice._bases, lattice.point_of, add, mul, 3)
     data = lattice._phi, lattice._perp
-    assert linalg._certificate_failure(*data, lattice._members, orth, 28) is None
-    got = linalg._certificate_failure(*data, lattice._members[:-1], orth, 28)
+    assert linalg._certificate_failure(*data, members, orth, 28) is None
+    got = linalg._certificate_failure(*data, members[:-1], orth, 28)
     assert got == ("27 subspaces, but L(V) has 28", (27,))
 
 
