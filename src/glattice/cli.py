@@ -22,7 +22,6 @@ from .extension import (
     classify_extension,
     classify_up_to_equivalence,
     factor_system_from_rep,
-    naming_refusal,
     trivial_factor_system,
     validate_factor_system,
 )
@@ -163,9 +162,6 @@ def cmd_build_extension(args):
             args.out,
         )
         return 1
-    refusal = naming_refusal(fs)
-    if refusal is not None:
-        raise refusal
     ext = build_extension(fs)
     flags = classify_extension(fs)
     payload = {
@@ -225,9 +221,6 @@ def cmd_roundtrip(args):
             args.out,
         )
         return 1
-    refusal = naming_refusal(fs)
-    if refusal is not None:
-        raise refusal
     ext = build_extension(fs)
     flags = classify_extension(fs)
     payload = {

@@ -67,7 +67,7 @@ from .errors import (
     TooLarge,
     ZeroBracket,
 )
-from .groups import _ISO_ORDER_LIMIT, _ISO_REFUSAL, FiniteGroup
+from .groups import FiniteGroup
 from .rep import extract_cocycle
 from .scalar import RingAutomorphism
 
@@ -406,45 +406,6 @@ def build_extension(fs):
     if ext.is_finite:
         ext.materialize()
     return ext
-
-
-def is_abelian_extension(fs):
-    """Whether the extension of a valid system over a finite carrier is
-    abelian: exactly when G is abelian, every chi(g) is the identity and
-    the bracket is symmetric.
-
-    A finite division ring is a field (Wedderburn), so K is commutative.
-    (a,g)(b,h) = (a chi(g)(b) [g,h], gh) and (b,h)(a,g) = (b chi(h)(a)
-    [h,g], hg).  If the three hold, both are (ab [g,h], gh).  Conversely,
-    a = b = 1 gives ([g,h], gh) = ([h,g], hg), so G is abelian and the
-    bracket symmetric, and a = 1, h = 1 gives (chi(g)(b) [g,1], g) =
-    (b [1,g], g); [g,1] = [1,g] = 1 by E2 and E3, so chi(g)(b) = b for
-    every b.
-    """
-    return (
-        fs.group.is_abelian()
-        and all(phi.is_identity() for phi in fs.chi)
-        and fs.bracket == tuple(zip(*fs.bracket))
-    )
-
-
-def naming_refusal(fs):
-    """The TooLarge that ``identify_group`` would raise on the extension
-    of a valid system, or None, decided before anything is materialized.
-
-    ``identify_group`` names abelian groups by their element orders and
-    refuses a non-abelian group of even order n > 40, which would need
-    an isomorphism search.  So the refusal is raised exactly when the
-    carrier is finite, n = |K*| |G| is within the materialize cap (a
-    larger n keeps ``materialize``'s own message), n > 40 is even and
-    the extension is not abelian (``is_abelian_extension``).
-    """
-    if not fs.ring.is_finite():
-        return None
-    n = (fs.ring.order - 1) * fs.group.order
-    if n > _MATERIALIZE_LIMIT or n <= _ISO_ORDER_LIMIT or n % 2 or is_abelian_extension(fs):
-        return None
-    return TooLarge(_ISO_REFUSAL)
 
 
 @dataclass

@@ -183,19 +183,20 @@ def symmetric_group(n):
     return FiniteGroup(cayley, labels=labels, name=f"S{n}")
 
 
+def _dihedral_product(n, x, y):
+    """x * y in D_n, element f n + i being s^f r^i, by r^i s = s r^-i."""
+    f1, i = divmod(x, n)
+    f2, j = divmod(y, n)
+    rot = (j + i) % n if f2 == 0 else (j - i) % n
+    return (f1 ^ f2) * n + rot
+
+
 def dihedral_group(n):
     """The dihedral group of order 2n in the form s^f r^i: n rotations
     (f = 0) then n reflections (f = 1), multiplying by r^i s = s r^-i."""
     if n < 1:
         raise MalformedTable("need n >= 1")
-
-    def mul(x, y):
-        f1, i = divmod(x, n)
-        f2, j = divmod(y, n)
-        rot = (j + i) % n if f2 == 0 else (j - i) % n
-        return (f1 ^ f2) * n + rot
-
-    cayley = [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
+    cayley = [[_dihedral_product(n, x, y) for y in range(2 * n)] for x in range(2 * n)]
     labels = (
         ["1"]
         + [f"r^{i}" if i > 1 else "r" for i in range(1, n)]
@@ -322,14 +323,13 @@ def conjugation_glattice(group):
 # isomorphism testing (exhaustive search with pruning, small orders only)
 
 _ISO_ORDER_LIMIT = 40
-_ISO_REFUSAL = f"isomorphism search capped at order {_ISO_ORDER_LIMIT}"
 
 
 def are_isomorphic(g1, g2):
     if g1.order != g2.order:
         return False
     if g1.order > _ISO_ORDER_LIMIT:
-        raise TooLarge(_ISO_REFUSAL)
+        raise TooLarge(f"isomorphism search capped at order {_ISO_ORDER_LIMIT}")
     n = g1.order
     orders1 = [g1.element_order(x) for x in range(n)]
     orders2 = [g2.element_order(x) for x in range(n)]
@@ -370,8 +370,9 @@ def are_isomorphic(g1, g2):
 
 
 def identify_group(group):
-    """A human-readable name for a small group: cyclic and abelian
-    groups by invariant factors, dihedral/symmetric by isomorphism,
+    """A human-readable name for any finite group: cyclic and abelian
+    groups by invariant factors, S3 and S4 by isomorphism, D_m by a
+    presentation witness (``_is_dihedral``), Q8 by its one involution,
     otherwise a descriptor string."""
     n = group.order
     if n == 1:
@@ -381,19 +382,45 @@ def identify_group(group):
         return f"C{n}"
     if group.is_abelian():
         return "x".join(f"C{d}" for d in _invariant_factors(orders))
-    if n % 2 == 0 and n >= 6:
+    if n % 2 == 0:
         if n == 6 and are_isomorphic(group, symmetric_group(3)):
             return "S3"
         if n == 24 and are_isomorphic(group, symmetric_group(4)):
             return "S4"
-        if n > _ISO_ORDER_LIMIT:
-            # refused before D_{n/2} is built: are_isomorphic would refuse it
-            raise TooLarge(_ISO_REFUSAL)
-        if are_isomorphic(group, dihedral_group(n // 2)):
+        if _is_dihedral(group, orders):
             return f"D{n // 2}"
         if n == 8 and orders.count(2) == 1:
             return "Q8"
     return f"order{n}-nonabelian-maxord{max(orders)}"
+
+
+def _is_dihedral(group, orders):
+    """Whether a non-abelian group of order n = 2m >= 6 is D_m.
+
+    r is the first element of order m and s the first element outside
+    <r>, so s^f r^i (f = 0, 1; 0 <= i < m) lists every element once.
+    The group is D_m exactly when that map from D_m, element f m + i to
+    s^f r^i, is multiplicative on the whole table.  In D_m with m > 2
+    every element of order m is a rotation and every element outside
+    the rotations a reflection, so the map is an isomorphism whichever
+    r and s are picked: a failure is no accident of the choice.
+    """
+    m = group.order // 2
+    r = next((x for x, o in enumerate(orders) if o == m), None)
+    if r is None:
+        return False
+    cayley = group.cayley
+    image = [0]
+    for _ in range(1, m):
+        image.append(cayley[image[-1]][r])
+    rotations = set(image)
+    s = next(x for x in range(group.order) if x not in rotations)
+    image += [cayley[s][x] for x in image]
+    return all(
+        cayley[image[x]][image[y]] == image[_dihedral_product(m, x, y)]
+        for x in range(group.order)
+        for y in range(group.order)
+    )
 
 
 def _invariant_factors(orders):

@@ -36,7 +36,7 @@ from .errors import GlatticeError, ParseError, TooLarge
 from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from .lattice import FiniteLattice, GLatticeAction
 from .linalg import VectorSpace, enumerate_subspaces
-from .scalar import DivisionRing, RingAutomorphism
+from .scalar import _PRIME_LIMIT, DivisionRing, RingAutomorphism
 from .extension import FactorSystem
 
 # the order of S5, the largest symmetric preset
@@ -162,7 +162,7 @@ def parse_group_spec(text):
 def _factor_prime_power(q):
     if q < 2:
         raise ParseError("field order must be >= 2")
-    if q > 2**32:
+    if q > _PRIME_LIMIT:
         raise TooLarge(f"field order {q} is above the cap 2^32")
     # the smallest divisor of q is at most isqrt(q), or q itself is prime
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)

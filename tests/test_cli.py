@@ -724,29 +724,78 @@ def test_cli_abelian_extensions_above_forty_elements_named(capsys, tmp_path, com
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+_D24_GF41 = {"group": {"group": "dihedral", "n": 24}, "ring": {"ring": "gf", "p": 41}}
+_S3_GF8 = {"group": {"group": "sym", "n": 3}, "ring": {"ring": "gf", "p": 2, "k": 3}}
+_C2_GF49_FROBENIUS = {
+    "group": {"group": "cyclic", "n": 2},
+    "ring": {"ring": "gf", "p": 7, "k": 2},
+    "chi": {"a": {"frob": 1}},
+}
+
+
 @pytest.mark.parametrize(
-    "command,digest",
+    "command,system,name,digest",
     [
-        ("build-extension", "e313615f11a5957ff94cbdffd7b38c673ab6a27b4482ec48703f25b031fbaf72"),
-        ("roundtrip", "8b1a9080aa562cd190ec8e6cddbd0d8668b9f6ec7be6edb61897ae00e020507f"),
+        (
+            "build-extension",
+            _D24_GF41,
+            "order1920-nonabelian-maxord120",
+            "d28df564f2ac4900c91d643797d0b64a7d91bf8803272379380fe75b7c0ab083",
+        ),
+        (
+            "roundtrip",
+            _D24_GF41,
+            "order1920-nonabelian-maxord120",
+            "3e65a9ea200369a9e8f467bc146dd6897c1b4d02da4781b50f0065d50ebf9e34",
+        ),
+        (
+            "build-extension",
+            _S3_GF8,
+            "order42-nonabelian-maxord21",
+            "fc36d43ed6ae0c8da9b5ebc4b68126ca4536ad52be9914c210d3d6388cbcb822",
+        ),
+        (
+            "roundtrip",
+            _S3_GF8,
+            "order42-nonabelian-maxord21",
+            "bcce1e0c8640b01177b3442b51083a492204180319a204a4d0c458f4513d77f1",
+        ),
+        (
+            "build-extension",
+            _C2_GF49_FROBENIUS,
+            "order96-nonabelian-maxord48",
+            "dc7590d8a8799d245c64a56bed0e5283992d14db97e92c68db9d22c503e471bd",
+        ),
+        (
+            "roundtrip",
+            _C2_GF49_FROBENIUS,
+            "order96-nonabelian-maxord48",
+            "0b0b61981a6136e6f122a163287cf244b7ff0513464971227361f0154c22331d",
+        ),
+    ],
+    ids=[
+        "build-d24-gf41",
+        "roundtrip-d24-gf41",
+        "build-s3-gf8",
+        "roundtrip-s3-gf8",
+        "build-c2-gf49-frobenius",
+        "roundtrip-c2-gf49-frobenius",
     ],
 )
-def test_cli_unnameable_extension_refused_before_materialize(capsys, tmp_path, monkeypatch, command, digest):
-    # D24 over GF(41): 1920 elements, not abelian, so naming it would need
-    # an isomorphism search above order 40; the report is the one
-    # identify_group raised after materialize (digests recorded from it)
-    def no_materialize(self):
-        raise AssertionError("materialized")
-
-    monkeypatch.setattr(glattice.extension.SchreierExtension, "materialize", no_materialize)
+def test_cli_unnameable_extension_refused_before_materialize(capsys, tmp_path, command, system, name, digest):
+    # non-abelian extensions above order 40, once refused before
+    # materialize, are named by their descriptor; D24 over GF(41) has
+    # 1920 elements, so it runs within the 3 s materialize budget
     path = tmp_path / "fs.json"
-    path.write_text(json.dumps({"group": {"group": "dihedral", "n": 24}, "ring": {"ring": "gf", "p": 41}}))
+    path.write_text(json.dumps(system))
     start = time.perf_counter()
     code, out = run_cli(capsys, command, "--fs", str(path))
     elapsed = time.perf_counter() - start
-    assert code == 1
+    assert code == 0
+    report = json.loads(out)
+    assert report["extension_group" if command == "roundtrip" else "group"] == name
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-    assert elapsed < 1.0
+    assert elapsed < 3.0
 
 
 @pytest.mark.parametrize(

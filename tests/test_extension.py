@@ -226,10 +226,10 @@ def _non_symmetric_v4_system(ring):
 
 
 @pytest.mark.parametrize(
-    "system,refused",
+    "system,name",
     [
-        (lambda: trivial_factor_system(parse_group_spec("sym:4"), DivisionRing.gf(3)), True),
-        (lambda: _non_symmetric_v4_system(DivisionRing.gf(13)), True),
+        (lambda: trivial_factor_system(parse_group_spec("sym:4"), DivisionRing.gf(3)), "order48-nonabelian-maxord6"),
+        (lambda: _non_symmetric_v4_system(DivisionRing.gf(13)), "order48-nonabelian-maxord12"),
         (
             lambda: FactorSystem(
                 cyclic_group(2),
@@ -237,27 +237,18 @@ def _non_symmetric_v4_system(ring):
                 {1: RingAutomorphism.frobenius(DivisionRing.gf(7, 2), 1)},
                 {},
             ),
-            True,
+            "order96-nonabelian-maxord48",
         ),
-        (lambda: trivial_factor_system(cyclic_group(48), DivisionRing.gf(41)), False),
+        (lambda: trivial_factor_system(cyclic_group(48), DivisionRing.gf(41)), "C240xC8"),
     ],
     ids=["s4-gf3", "v4-gf13-non-symmetric", "c2-gf49-frobenius", "c48-gf41"],
 )
-def test_naming_refusal_agrees_with_identify_group(system, refused):
-    # decided on the system, before materialize, as identify_group decides
-    # on the materialized extension
+def test_naming_refusal_agrees_with_identify_group(system, name):
+    # extensions above order 40: the non-abelian ones are named by their
+    # descriptor, with no refusal before materialize and no search after
     fs = system()
     assert validate_factor_system(fs).ok
-    refusal = extension.naming_refusal(fs)
-    group = build_extension(fs).group
-    assert extension.is_abelian_extension(fs) == group.is_abelian()
-    if refused:
-        with pytest.raises(TooLarge) as raised:
-            identify_group(group)
-        assert type(refusal) is TooLarge and str(refusal) == str(raised.value)
-    else:
-        assert refusal is None
-        assert identify_group(group) == "C240xC8"
+    assert identify_group(build_extension(fs).group) == name
 
 
 def wrapping_system(n, ring, w):

@@ -27,7 +27,13 @@ from glattice.errors import (
     TableMismatch,
     TooLarge,
 )
-from glattice.extension import FactorSystem, build_extension, classify_up_to_equivalence
+from glattice.extension import (
+    FactorSystem,
+    build_extension,
+    classify_up_to_equivalence,
+    enumerate_factor_systems,
+    trivial_factor_system,
+)
 from glattice.groups import _generating_set, all_subgroups, trivial_group
 from glattice.lattice import fixed_points, orbits
 from glattice.scalar import DivisionRing, RingAutomorphism
@@ -466,14 +472,62 @@ def test_is_abelian_matches_the_pairwise_check():
 
 
 def test_identify_group_refuses_a_large_nonabelian_group_before_building_a_dihedral(monkeypatch):
-    group = dihedral_group(21)  # 42 elements, past the isomorphism search's cap
+    # 42 elements, past the isomorphism search's cap: D21 is recognised by
+    # its presentation, and no dihedral group is built to compare with
+    group = dihedral_group(21)
 
     def no_dihedral(n):
-        raise AssertionError(f"dihedral_group({n}) built for a comparison that is refused")
+        raise AssertionError(f"dihedral_group({n}) built for a comparison")
 
     monkeypatch.setattr(glattice.groups, "dihedral_group", no_dihedral)
-    with pytest.raises(TooLarge, match="isomorphism search capped at order 40"):
-        identify_group(group)
+    assert identify_group(group) == "D21"
+
+
+ABELIAN_SHAPES = [(2, 2), (2, 6), (6, 2), (3, 4), (4, 6), (2, 2, 2), (2, 3, 4), (2, 2, 6), (3, 3), (3, 9), (2, 4, 4), (5, 5), (2, 2, 2, 2)]
+
+
+def _groups_up_to_forty():
+    """Every group of order <= 40 the tests build: the presets, direct
+    products of cyclic groups, Q8, and the extensions of the enumerated
+    and the trivial factor systems over small fields."""
+    quaternions = oracles.quaternion_group()
+    groups = [trivial_group(), quaternions]
+    groups += [cyclic_group(n) for n in range(1, 41)] + [dihedral_group(n) for n in range(1, 21)]
+    groups += [symmetric_group(n) for n in range(1, 5)]
+    groups += [direct_product_of_cyclics(shape) for shape in ABELIAN_SHAPES]
+    fields = [DivisionRing.gf(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+    bases = [cyclic_group(n) for n in range(2, 7)] + [dihedral_group(n) for n in range(2, 7)]
+    bases += [symmetric_group(3), quaternions]
+    systems = [
+        trivial_factor_system(group, ring)
+        for group in bases
+        for ring in fields
+        if (ring.order - 1) * group.order <= 40
+    ]
+    # the enumeration cap: |G| <= 3 with |K*| <= 4, or |G| <= 4 with |K*| <= 2
+    for group, ring in itertools.product((cyclic_group(2), cyclic_group(3), cyclic_group(4), dihedral_group(2)), fields[:4]):
+        if group.order <= 3 or ring.order <= 3:
+            systems += enumerate_factor_systems(group, ring)
+    gf4 = fields[2]
+    systems += enumerate_factor_systems(cyclic_group(2), gf4, {1: RingAutomorphism.frobenius(gf4, 1)})
+    groups += [build_extension(fs).group for fs in systems]
+    return list(dict.fromkeys(groups))
+
+
+def test_identify_group_matches_the_isomorphism_search_up_to_forty(monkeypatch):
+    # the presentation witness against the isomorphism search it replaced,
+    # are_isomorphic(group, dihedral_group(n // 2)), on every group that
+    # search accepts
+    groups = _groups_up_to_forty()
+    names = [identify_group(group) for group in groups]
+    monkeypatch.setattr(
+        glattice.groups,
+        "_is_dihedral",
+        lambda group, orders: are_isomorphic(group, dihedral_group(group.order // 2)),
+    )
+    assert names == [identify_group(group) for group in groups]
+    assert len(groups) > 100
+    assert {"D20", "Q8", "S4", "order24-nonabelian-maxord12", "order30-nonabelian-maxord15"} <= set(names)
 
 
 def test_identify_group_names():
@@ -484,10 +538,7 @@ def test_identify_group_names():
     assert identify_group(trivial_group()) == "C1"
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [(2, 2), (2, 6), (6, 2), (3, 4), (4, 6), (2, 2, 2), (2, 3, 4), (2, 2, 6), (3, 3), (3, 9), (2, 4, 4), (5, 5), (2, 2, 2, 2)],
-)
+@pytest.mark.parametrize("shape", ABELIAN_SHAPES)
 def test_identify_group_names_abelian_groups_by_invariant_factors(shape):
     # the name is the invariant-factor form of a group isomorphic to this one
     group = direct_product_of_cyclics(shape)

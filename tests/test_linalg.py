@@ -360,11 +360,12 @@ def _orthogonality_corrupted(monkeypatch):
     monkeypatch.setattr(linalg, "_orthogonality", corrupted)
 
 
-def test_corrupted_orthogonality_is_caught_by_the_join(monkeypatch, gf3):
-    # the annihilators spanned from the corrupted orth send V to an element
-    # other than the top, so phi fails to be an involution at the bottom
+def test_corrupted_orthogonality_is_caught_by_the_join(monkeypatch):
+    # over the extension field GF(4): the annihilators spanned from the
+    # corrupted orth send V to an element other than the top, so phi fails
+    # to be an involution at the bottom
     _orthogonality_corrupted(monkeypatch)
-    got = _build_outcome(VectorSpace(gf3, 3))
+    got = _build_outcome(VectorSpace(DivisionRing.gf(2, 2), 3))
     assert got == (GlatticeError, _INVOLUTION.format(0), (0,))
 
 

@@ -29,3 +29,19 @@ def test_readme_states_every_cap(module, name):
     assert entry is not None, f"README.md has no entry for {name}"
     stated = re.findall(r"(?<![\d^])\d[\d,]*", entry.group(1))
     assert f"{value}" in stated or f"{value:,}" in stated, (name, value, entry.group(1))
+
+
+SOURCE = "\n".join(path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "glattice").glob("*.py")))
+
+
+@pytest.mark.parametrize("module,name", CAPS, ids=[name for _, name in CAPS])
+def test_readme_cap_entries_name_only_code_that_exists(module, name):
+    # every identifier with an underscore inside backticks of the entry,
+    # up to the next entry or the blank line that ends the list, is
+    # defined or named somewhere in src/glattice
+    entry = re.search(rf"^  \* `{name}` \(`{module}`\) = (.*?)(?=^  \* |^\s*$)", README, re.MULTILINE | re.DOTALL)
+    assert entry is not None, f"README.md has no entry for {name}"
+    spans = re.findall(r"`([^`]+)`", entry.group(0))
+    names = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span) if "_" in word}
+    missing = sorted(word for word in names if not re.search(rf"\b{word}\b", SOURCE))
+    assert not missing, (name, missing)
