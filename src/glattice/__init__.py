@@ -16,7 +16,6 @@ from .scalar import (
 from .groups import (
     FiniteGroup,
     Subgroup,
-    are_isomorphic,
     conjugation_glattice,
     cyclic_group,
     dihedral_group,

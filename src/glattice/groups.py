@@ -8,6 +8,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -206,10 +207,6 @@ def dihedral_group(n):
     return FiniteGroup(cayley, labels=labels, name=f"D{n}")
 
 
-def trivial_group():
-    return FiniteGroup([[0]], labels=["1"], name="C1")
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 
@@ -320,60 +317,14 @@ def conjugation_glattice(group):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing (exhaustive search with pruning, small orders only)
-
-_ISO_ORDER_LIMIT = 40
-
-
-def are_isomorphic(g1, g2):
-    if g1.order != g2.order:
-        return False
-    if g1.order > _ISO_ORDER_LIMIT:
-        raise TooLarge(f"isomorphism search capped at order {_ISO_ORDER_LIMIT}")
-    n = g1.order
-    orders1 = [g1.element_order(x) for x in range(n)]
-    orders2 = [g2.element_order(x) for x in range(n)]
-    if sorted(orders1) != sorted(orders2):
-        return False
-    gens = _generating_set(g1.cayley)
-
-    def words(gen_images):
-        """Extend a generator assignment to the full map, or None."""
-        phi = {0: 0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for g, img in zip(gens, gen_images):
-                y = g1.cayley[x][g]
-                fy = g2.cayley[phi[x]][img]
-                if y in phi:
-                    if phi[y] != fy:
-                        return None
-                else:
-                    phi[y] = fy
-                    queue.append(y)
-        if len(phi) != n or len(set(phi.values())) != n:
-            return None
-        for a in range(n):
-            for b in range(n):
-                if phi[g1.cayley[a][b]] != g2.cayley[phi[a]][phi[b]]:
-                    return None
-        return phi
-
-    candidates = [
-        [y for y in range(n) if orders2[y] == orders1[g]] for g in gens
-    ]
-    for images in itertools.product(*candidates):
-        if words(images) is not None:
-            return True
-    return False
+# names: S4 and D_m by isomorphisms checked on the whole table, no search
 
 
 def identify_group(group):
     """A human-readable name for any finite group: cyclic and abelian
-    groups by invariant factors, S3 and S4 by isomorphism, D_m by a
-    presentation witness (``_is_dihedral``), Q8 by its one involution,
-    otherwise a descriptor string."""
+    groups by invariant factors, S4 and D_m (S3 as D3) by presentation
+    witnesses (``_is_s4``, ``_is_dihedral``), Q8 by its one involution,
+    otherwise a descriptor string.  No name needs a search."""
     n = group.order
     if n == 1:
         return "C1"
@@ -383,15 +334,23 @@ def identify_group(group):
     if group.is_abelian():
         return "x".join(f"C{d}" for d in _invariant_factors(orders))
     if n % 2 == 0:
-        if n == 6 and are_isomorphic(group, symmetric_group(3)):
-            return "S3"
-        if n == 24 and are_isomorphic(group, symmetric_group(4)):
+        if n == 24 and _is_s4(group, orders):
             return "S4"
         if _is_dihedral(group, orders):
-            return f"D{n // 2}"
+            return "S3" if n == 6 else f"D{n // 2}"
         if n == 8 and orders.count(2) == 1:
             return "Q8"
     return f"order{n}-nonabelian-maxord{max(orders)}"
+
+
+def _is_isomorphism(cayley, image, product):
+    """Whether x -> image[x], from the model group whose product is
+    ``product(x, y)``, is a bijection onto the table and multiplicative
+    on every pair: an isomorphism, checked."""
+    n = len(cayley)
+    return len(set(image)) == n and all(
+        cayley[image[x]][image[y]] == image[product(x, y)] for x in range(n) for y in range(n)
+    )
 
 
 def _is_dihedral(group, orders):
@@ -400,10 +359,10 @@ def _is_dihedral(group, orders):
     r is the first element of order m and s the first element outside
     <r>, so s^f r^i (f = 0, 1; 0 <= i < m) lists every element once.
     The group is D_m exactly when that map from D_m, element f m + i to
-    s^f r^i, is multiplicative on the whole table.  In D_m with m > 2
-    every element of order m is a rotation and every element outside
-    the rotations a reflection, so the map is an isomorphism whichever
-    r and s are picked: a failure is no accident of the choice.
+    s^f r^i, is an isomorphism.  In D_m with m > 2 every element of
+    order m is a rotation and every element outside the rotations a
+    reflection, so the map is an isomorphism whichever r and s are
+    picked: a failure is no accident of the choice.
     """
     m = group.order // 2
     r = next((x for x, o in enumerate(orders) if o == m), None)
@@ -416,11 +375,41 @@ def _is_dihedral(group, orders):
     rotations = set(image)
     s = next(x for x in range(group.order) if x not in rotations)
     image += [cayley[s][x] for x in image]
-    return all(
-        cayley[image[x]][image[y]] == image[_dihedral_product(m, x, y)]
-        for x in range(group.order)
-        for y in range(group.order)
-    )
+    return _is_isomorphism(cayley, image, functools.partial(_dihedral_product, m))
+
+
+def _is_s4(group, orders):
+    """Whether a non-abelian group of order 24 is S4, which is
+    <a, b | a^4 = b^2 = (ab)^3 = 1> (Coxeter & Moser).
+
+    a is the first element of order 4, and b runs over the involutions
+    with ab of order 3.  The preset ``symmetric_group(4)`` is generated
+    by a0 = (0 1 2 3) and b0 = (0 1); each pair extends a0 -> a, b0 -> b
+    to the preset's elements by words, and the group is S4 exactly when
+    one such map is an isomorphism.  The elements of order 4 in S4 are
+    all conjugate, so fixing a loses no S4.
+    """
+    a = next((x for x, o in enumerate(orders) if o == 4), None)
+    if a is None:
+        return False
+    model = symmetric_group(4)
+    a0, b0 = model.label_index("1230"), model.label_index("1023")
+    cayley = group.cayley
+    for b in range(group.order):
+        if orders[b] != 2 or orders[cayley[a][b]] != 3:
+            continue
+        image = {0: 0}
+        queue = [0]
+        while queue:
+            x = queue.pop()
+            for g0, g in ((a0, a), (b0, b)):
+                y = model.cayley[x][g0]
+                if y not in image:
+                    image[y] = cayley[image[x]][g]
+                    queue.append(y)
+        if _is_isomorphism(cayley, [image[x] for x in range(24)], lambda x, y: model.cayley[x][y]):
+            return True
+    return False
 
 
 def _invariant_factors(orders):

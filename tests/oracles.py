@@ -336,6 +336,57 @@ def direct_product_of_cyclics(factors):
     return FiniteGroup(cayley, name="x".join(f"C{d}" for d in shape))
 
 
+_ISO_ORDER_LIMIT = 40
+
+
+def are_isomorphic(g1, g2):
+    """Whether two groups are isomorphic, by a backtracking search: each
+    generator of g1 tries every element of g2 of its order, the words
+    extend the choice to a map, and the map must be a bijection that is
+    multiplicative on the whole table.  Orders up to 40 only."""
+    if g1.order != g2.order:
+        return False
+    if g1.order > _ISO_ORDER_LIMIT:
+        raise TooLarge(f"isomorphism search capped at order {_ISO_ORDER_LIMIT}")
+    n = g1.order
+    orders1 = [g1.element_order(x) for x in range(n)]
+    orders2 = [g2.element_order(x) for x in range(n)]
+    if sorted(orders1) != sorted(orders2):
+        return False
+    gens = generating_set(g1.cayley)
+
+    def words(gen_images):
+        """Extend a generator assignment to the full map, or None."""
+        phi = {0: 0}
+        queue = [0]
+        while queue:
+            x = queue.pop()
+            for g, img in zip(gens, gen_images):
+                y = g1.cayley[x][g]
+                fy = g2.cayley[phi[x]][img]
+                if y in phi:
+                    if phi[y] != fy:
+                        return None
+                else:
+                    phi[y] = fy
+                    queue.append(y)
+        if len(phi) != n or len(set(phi.values())) != n:
+            return None
+        for a in range(n):
+            for b in range(n):
+                if phi[g1.cayley[a][b]] != g2.cayley[phi[a]][phi[b]]:
+                    return None
+        return phi
+
+    candidates = [
+        [y for y in range(n) if orders2[y] == orders1[g]] for g in gens
+    ]
+    for images in itertools.product(*candidates):
+        if words(images) is not None:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # factor systems
 

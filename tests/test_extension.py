@@ -12,7 +12,6 @@ from glattice import (
     ExtensionIsomorphism,
     FactorSystem,
     RingAutomorphism,
-    are_isomorphic,
     build_extension,
     check_equivalence,
     classify_extension,
@@ -43,6 +42,7 @@ from glattice.rep import SemilinearProjectiveRep, rep_equivalence
 from glattice.tgring import TwistedGroupRing, regular_representation
 
 import oracles
+from oracles import are_isomorphic
 from test_rep import frobenius_rep_gf4
 
 

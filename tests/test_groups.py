@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,6 @@ import glattice.groups
 from glattice import (
     FiniteGroup,
     FiniteLattice,
-    are_isomorphic,
     conjugation_glattice,
     cyclic_group,
     dihedral_group,
@@ -34,12 +34,12 @@ from glattice.extension import (
     enumerate_factor_systems,
     trivial_factor_system,
 )
-from glattice.groups import _generating_set, all_subgroups, trivial_group
+from glattice.groups import _generating_set, all_subgroups
 from glattice.lattice import fixed_points, orbits
 from glattice.scalar import DivisionRing, RingAutomorphism
 
 import oracles
-from oracles import direct_product_of_cyclics, normal_subgroup_indices
+from oracles import are_isomorphic, direct_product_of_cyclics, normal_subgroup_indices
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,7 @@ def closure_test_groups():
         FactorSystem(cyclic_group(2), gf4, {1: RingAutomorphism.frobenius(gf4, 1)}, {}),
     ]
     systems += [cls[0] for cls in classify_up_to_equivalence(dihedral_group(2), gf3)]
-    groups = [trivial_group()]
-    groups += [cyclic_group(n) for n in (2, 3, 4, 6, 8, 12)]
+    groups = [cyclic_group(n) for n in (1, 2, 3, 4, 6, 8, 12)]
     groups += [dihedral_group(n) for n in (1, 2, 3, 4, 6)]
     groups += [symmetric_group(n) for n in (2, 3, 4)]
     groups += [direct_product_of_cyclics(s) for s in ((2, 2), (2, 4), (2, 2, 2), (3, 3), (5, 5, 3))]
@@ -251,7 +250,7 @@ def test_subgroup_lattice_d4_against_brute_force():
 
 
 def test_subgroup_lattice_trivial_group():
-    assert subgroup_lattice(trivial_group()).size == 1
+    assert subgroup_lattice(cyclic_group(1)).size == 1
 
 
 def test_subgroup_lattice_meet_join():
@@ -431,7 +430,7 @@ def test_normal_sublattice_closed():
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing
+# names, against the isomorphism search of tests/oracles.py
 
 
 def test_are_isomorphic_basics():
@@ -448,8 +447,7 @@ def _commutes_pairwise(group):
 def _groups_to_compare():
     """Every preset at small sizes, the groups the extension tests name,
     and the extension groups those tests build."""
-    groups = [trivial_group()]
-    groups += [cyclic_group(n) for n in range(1, 13)] + [cyclic_group(48), cyclic_group(49)]
+    groups = [cyclic_group(n) for n in range(1, 13)] + [cyclic_group(48), cyclic_group(49)]
     groups += [dihedral_group(n) for n in range(1, 9)]
     groups += [symmetric_group(n) for n in range(1, 5)]
     groups += [direct_product_of_cyclics(s) for s in ((2, 2), (2, 4), (3, 3))]
@@ -472,8 +470,8 @@ def test_is_abelian_matches_the_pairwise_check():
 
 
 def test_identify_group_refuses_a_large_nonabelian_group_before_building_a_dihedral(monkeypatch):
-    # 42 elements, past the isomorphism search's cap: D21 is recognised by
-    # its presentation, and no dihedral group is built to compare with
+    # 42 elements: D21 is recognised by its presentation witness, and no
+    # dihedral group is built to compare with
     group = dihedral_group(21)
 
     def no_dihedral(n):
@@ -491,7 +489,7 @@ def _groups_up_to_forty():
     products of cyclic groups, Q8, and the extensions of the enumerated
     and the trivial factor systems over small fields."""
     quaternions = oracles.quaternion_group()
-    groups = [trivial_group(), quaternions]
+    groups = [quaternions]
     groups += [cyclic_group(n) for n in range(1, 41)] + [dihedral_group(n) for n in range(1, 21)]
     groups += [symmetric_group(n) for n in range(1, 5)]
     groups += [direct_product_of_cyclics(shape) for shape in ABELIAN_SHAPES]
@@ -515,9 +513,10 @@ def _groups_up_to_forty():
 
 
 def test_identify_group_matches_the_isomorphism_search_up_to_forty(monkeypatch):
-    # the presentation witness against the isomorphism search it replaced,
-    # are_isomorphic(group, dihedral_group(n // 2)), on every group that
-    # search accepts
+    # the presentation witnesses against the isomorphism search they
+    # replaced, are_isomorphic(group, dihedral_group(n // 2)) for D_m and
+    # S3, and are_isomorphic(group, symmetric_group(4)) for S4, on every
+    # group the tests build up to the search's cap
     groups = _groups_up_to_forty()
     names = [identify_group(group) for group in groups]
     monkeypatch.setattr(
@@ -525,9 +524,54 @@ def test_identify_group_matches_the_isomorphism_search_up_to_forty(monkeypatch):
         "_is_dihedral",
         lambda group, orders: are_isomorphic(group, dihedral_group(group.order // 2)),
     )
+    monkeypatch.setattr(
+        glattice.groups,
+        "_is_s4",
+        lambda group, orders: are_isomorphic(group, symmetric_group(4)),
+    )
     assert names == [identify_group(group) for group in groups]
     assert len(groups) > 100
-    assert {"D20", "Q8", "S4", "order24-nonabelian-maxord12", "order30-nonabelian-maxord15"} <= set(names)
+    assert {"D20", "Q8", "S3", "S4", "order24-nonabelian-maxord12", "order30-nonabelian-maxord15"} <= set(names)
+
+
+def test_identify_group_names_every_nonabelian_group_of_order_24():
+    # D12 holds an element of order 4 and involutions, so a witness that
+    # skipped the (ab)^3 = 1 filter and the whole-table check names it S4
+    names = [identify_group(group) for group in _groups_up_to_forty() if group.order == 24 and not group.is_abelian()]
+    assert names == [
+        "D12",
+        "S4",
+        "order24-nonabelian-maxord12",
+        "order24-nonabelian-maxord12",
+        "order24-nonabelian-maxord6",
+        "order24-nonabelian-maxord12",
+        "order24-nonabelian-maxord12",
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_identify_group_names_s4_and_d12_in_any_labelling(seed):
+    # the witnesses pick a, b, r and s by index, so a relabelled table
+    # makes them pick other elements of the same group
+    rng = random.Random(seed)
+    for group, name in ((symmetric_group(4), "S4"), (dihedral_group(12), "D12")):
+        perm = [0] + rng.sample(range(1, 24), 23)
+        back = {p: i for i, p in enumerate(perm)}
+        cayley = [[perm[group.cayley[back[x]][back[y]]] for y in range(24)] for x in range(24)]
+        assert identify_group(FiniteGroup(cayley)) == name
+
+
+def test_the_isomorphism_check_rejects_any_two_images_swapped():
+    s4 = symmetric_group(4)
+
+    def product(x, y):
+        return s4.cayley[x][y]
+
+    assert glattice.groups._is_isomorphism(s4.cayley, list(range(24)), product)
+    for x, y in itertools.combinations(range(24), 2):
+        image = list(range(24))
+        image[x], image[y] = y, x
+        assert not glattice.groups._is_isomorphism(s4.cayley, image, product), (x, y)
 
 
 def test_identify_group_names():
@@ -535,7 +579,7 @@ def test_identify_group_names():
     assert identify_group(dihedral_group(2)) == "C2xC2"
     assert identify_group(dihedral_group(4)) == "D4"
     assert identify_group(symmetric_group(3)) == "S3"
-    assert identify_group(trivial_group()) == "C1"
+    assert identify_group(cyclic_group(1)) == "C1"
 
 
 @pytest.mark.parametrize("shape", ABELIAN_SHAPES)

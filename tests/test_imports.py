@@ -37,7 +37,6 @@ _ROOT = pathlib.Path(__file__).resolve().parents[1]
 # public constructions that only tests and library users call
 _CALLED_ONLY_FROM_TESTS = {
     "chain_lattice",
-    "trivial_group",
     "identity_automorphism",
     "trivial_action",
     "transform_factor_system",

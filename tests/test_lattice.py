@@ -44,7 +44,6 @@ from glattice.errors import (
     TableMismatch,
     TooLarge,
 )
-from glattice.groups import trivial_group
 from glattice.lattice import (
     chain_lattice,
     check_axiom,
@@ -912,7 +911,7 @@ def _reference_actions():
     yield powerset_glattice(c3, [[(x + g) % 3 for x in range(3)] for g in range(3)])
     yield powerset_glattice(c2, [[0, 1], [1, 0]])
     yield GLatticeAction(c2, b2, [list(range(4)), [3, 1, 2, 0]])
-    yield GLatticeAction(trivial_group(), chain_lattice(2), [[0, 0]])
+    yield GLatticeAction(cyclic_group(1), chain_lattice(2), [[0, 0]])
     for p, k in ((2, 1), (3, 1), (2, 2)):
         yield induced_glattice(shift_rep(DivisionRing.gf(p, k)))
 
@@ -1018,7 +1017,7 @@ def test_homomorphism_failures_match_the_pairwise_composition(name):
 
 
 def test_powerset_trivial_group():
-    action = powerset_glattice(trivial_group(), [[0, 1]])
+    action = powerset_glattice(cyclic_group(1), [[0, 1]])
     assert action.lattice.size == 4
     assert validate_glattice(action).ok
     assert orbits(action) == [[0], [1], [2], [3]]

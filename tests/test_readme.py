@@ -34,14 +34,28 @@ def test_readme_states_every_cap(module, name):
 SOURCE = "\n".join(path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "glattice").glob("*.py")))
 
 
+def _names_missing_from_source(text):
+    """Every identifier with an underscore inside backticks of ``text``
+    that is neither defined nor named anywhere in src/glattice."""
+    spans = re.findall(r"`([^`]+)`", text)
+    names = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span) if "_" in word}
+    return sorted(word for word in names if not re.search(rf"\b{word}\b", SOURCE))
+
+
 @pytest.mark.parametrize("module,name", CAPS, ids=[name for _, name in CAPS])
 def test_readme_cap_entries_name_only_code_that_exists(module, name):
-    # every identifier with an underscore inside backticks of the entry,
-    # up to the next entry or the blank line that ends the list, is
-    # defined or named somewhere in src/glattice
+    # the entry runs up to the next entry or the blank line that ends the list
     entry = re.search(rf"^  \* `{name}` \(`{module}`\) = (.*?)(?=^  \* |^\s*$)", README, re.MULTILINE | re.DOTALL)
     assert entry is not None, f"README.md has no entry for {name}"
-    spans = re.findall(r"`([^`]+)`", entry.group(0))
-    names = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span) if "_" in word}
-    missing = sorted(word for word in names if not re.search(rf"\b{word}\b", SOURCE))
+    missing = _names_missing_from_source(entry.group(0))
     assert not missing, (name, missing)
+
+
+def test_readme_library_tour_names_only_code_that_exists():
+    # the table rows of the "## Library tour" section, up to the next section
+    section = re.search(r"^## Library tour$(.*?)(?=^## )", README, re.MULTILINE | re.DOTALL)
+    assert section is not None, "README.md has no library tour"
+    rows = [line for line in section.group(1).splitlines() if line.startswith("| `glattice.")]
+    assert len(rows) >= 6
+    missing = _names_missing_from_source("\n".join(rows))
+    assert not missing, missing
