@@ -383,8 +383,9 @@ def _is_s4(group, orders):
     <a, b | a^4 = b^2 = (ab)^3 = 1> (Coxeter & Moser).
 
     a is the first element of order 4, and b runs over the involutions
-    with ab of order 3.  The preset ``symmetric_group(4)`` is generated
-    by a0 = (0 1 2 3) and b0 = (0 1); each pair extends a0 -> a, b0 -> b
+    with ab of order 3.  The preset ``symmetric_group(4)``, whose table
+    ``_s4_model`` builds once per process, is generated by
+    a0 = (0 1 2 3) and b0 = (0 1); each pair extends a0 -> a, b0 -> b
     to the preset's elements by words, and the group is S4 exactly when
     one such map is an isomorphism.  The elements of order 4 in S4 are
     all conjugate, so fixing a loses no S4.
@@ -392,8 +393,7 @@ def _is_s4(group, orders):
     a = next((x for x, o in enumerate(orders) if o == 4), None)
     if a is None:
         return False
-    model = symmetric_group(4)
-    a0, b0 = model.label_index("1230"), model.label_index("1023")
+    model, a0, b0 = _s4_model()
     cayley = group.cayley
     for b in range(group.order):
         if orders[b] != 2 or orders[cayley[a][b]] != 3:
@@ -403,13 +403,21 @@ def _is_s4(group, orders):
         while queue:
             x = queue.pop()
             for g0, g in ((a0, a), (b0, b)):
-                y = model.cayley[x][g0]
+                y = model[x][g0]
                 if y not in image:
                     image[y] = cayley[image[x]][g]
                     queue.append(y)
-        if _is_isomorphism(cayley, [image[x] for x in range(24)], lambda x, y: model.cayley[x][y]):
+        if _is_isomorphism(cayley, [image[x] for x in range(24)], lambda x, y: model[x][y]):
             return True
     return False
+
+
+@functools.cache
+def _s4_model():
+    """The Cayley table of the preset ``symmetric_group(4)`` and its
+    elements a0 = (0 1 2 3) and b0 = (0 1), built once per process."""
+    model = symmetric_group(4)
+    return model.cayley, model.label_index("1230"), model.label_index("1023")
 
 
 def _invariant_factors(orders):

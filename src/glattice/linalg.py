@@ -230,8 +230,13 @@ class SemilinearMap:
     def matrix(self):
         """The dense matrix, built from the row supports on every read."""
         zero, n = self.space.ring.zero(), self.space.dim
-        rows = (dict(row) for row in self._rows)
-        return tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows)
+        matrix = []
+        for row in self._rows:
+            dense = [zero] * n
+            for j, x in row:
+                dense[j] = x
+            matrix.append(tuple(dense))
+        return tuple(matrix)
 
     def _monomial(self):
         """The monomial view ``(columns, logs)``, or None unless every row

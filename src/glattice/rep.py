@@ -32,8 +32,10 @@ on points and element indices, never whole subspaces: the induced
 action moves each point and looks its image up
 (``SubspaceLattice.point_image``), while coordinatization knows each
 point's target row w and only tests that the image is a nonzero
-multiple lambda w, lambda read at w's leading column, against data
-the lattice keeps for every call (``SubspaceLattice._frame``).
+multiple lambda w, against data the lattice keeps for every call
+(``SubspaceLattice._frame``): each point's image is summed once per
+twist, lambda is read off it at w's leading column, and the returned
+map's scalars are looked up in the lattice's element list.
 """
 
 from __future__ import annotations
@@ -342,12 +344,14 @@ def coordinatize(phi):
     each twist's point rows.  The solve is a Gauss-Jordan elimination
     on the ring's add/mul index tables.  Each twist then checks every
     point p, the frame included, against the row w of phi(p), which is
-    known: M theta(v) lies in phi(p) exactly when it equals lambda w,
-    with lambda its entry at w's leading column and lambda nonzero
-    (``_inducing_twist``), so no image is scaled or looked up, and a
-    twist stops at its first point that misses.  ``Scalar``s are built
-    only for the returned map and for the witness of a frame that is
-    not in general position.  L(K^1) = {0, K} needs no tables (they
+    known: M theta(v) lies in phi(p) exactly when it equals lambda w
+    with lambda nonzero.  The image M theta(v) is summed once per twist
+    and lambda read off it at w's leading column (``_inducing_twist``),
+    so no image is scaled or looked up, and a twist stops at its first
+    point that misses.  The returned map's scalars are looked up in the
+    lattice's element list (``SubspaceLattice._elements``); a ``Scalar``
+    is built only for the witness of a frame that is not in general
+    position.  L(K^1) = {0, K} needs no tables (they
     would hold q^2 entries): every map fixes its one point, and the
     identity map comes first in the scan.  The ``Scalar`` route, with
     ``rref`` and one ``SemilinearMap`` per twist, is the reference in
@@ -369,14 +373,14 @@ def coordinatize(phi):
         if phi(point) != point:
             raise NotCoordinatizable(_NO_TWIST)
         return identity_map(space)
-    frame = lattice._frame
-    columns = [frame.rows[phi(p)][1] for p in frame.frame_points]
+    frame, perm = lattice._frame, phi.perm
+    columns = [frame.rows[perm[p]][1] for p in frame.frame_points]
     u = columns.pop()
     add, mul = ring._index_tables()
     inv = ring._index_inverses()
     coeffs = _frame_coefficients(columns, u, add, mul, inv, frame.minus_one)
-    scalar = ring.from_index
     if coeffs is None:
+        scalar = ring.from_index
         raise NotCoordinatizable(
             "frame images are not in general position",
             witness=([tuple(map(scalar, v)) for v in columns], tuple(map(scalar, u))),
@@ -384,10 +388,11 @@ def coordinatize(phi):
     matrix = [[mul[c][v[r]] for c, v in zip(coeffs, columns)] for r in range(n)]
     scale = mul[inv[next(x for row in matrix for x in row if x)]]
     rows = [[(j, scale[x]) for j, x in enumerate(row) if x] for row in matrix]
-    theta = _inducing_twist(lattice, phi.perm, rows)
+    theta = _inducing_twist(lattice, perm, rows)
     if theta is None:
         raise NotCoordinatizable(_NO_TWIST)
-    support = tuple(tuple((j, scalar(x)) for j, x in row) for row in rows)
+    elements = lattice._elements
+    support = tuple(tuple([(j, elements[x]) for j, x in row]) for row in rows)
     return SemilinearMap._from_rows(space, support, theta)
 
 
@@ -400,10 +405,11 @@ def _inducing_twist(lattice, perm, matrix):
     Let v be p's twisted row and w the canonical row of perm[p], whose
     first nonzero entry is 1 at column c.  M theta(v) lies in <w> exactly
     when M theta(v) = lambda w for a nonzero lambda, and then lambda is
-    its entry at c.  So each point costs one such entry, a test that it
-    is nonzero, and a comparison of every entry with lambda w, all on
-    the ring's add/mul index tables; no image is scaled or looked up.
-    A twist stops at its first point that misses.
+    its entry at c.  So each point costs one image, its n row sums on
+    the ring's add/mul index tables; lambda is read off that image at
+    c, a zero lambda is refused, and the whole image is compared with
+    lambda w.  No image is scaled or looked up.  A twist stops at its
+    first point that misses.
     """
     frame = lattice._frame
     add, mul = lattice.space.ring._index_tables()
@@ -416,22 +422,19 @@ def _inducing_twist(lattice, perm, matrix):
             target = targets.get(perm[p])
             if target is None:
                 break
-            lead, w = target
-            lam = 0
-            for j, times in rows[lead]:
-                lam = add[lam][times[v[j]]]
-            if not lam:
-                break
-            scale = mul[lam]
-            for row, x in zip(rows, w):
+            image = []
+            for row in rows:
                 acc = 0
                 for j, times in row:
                     acc = add[acc][times[v[j]]]
-                if acc != scale[x]:
-                    break
-            else:
-                continue  # p lies in perm[p]: on to the next point
-            break
+                image.append(acc)
+            lead, w = target
+            lam = image[lead]
+            if not lam:
+                break
+            scale = mul[lam]
+            if image != [scale[x] for x in w]:
+                break
         else:
             return theta
     return None
@@ -444,8 +447,10 @@ def _frame_coefficients(columns, u, add, mul, inv, minus_one):
     n = len(u)
     rows = [[v[r] for v in columns] + [u[r]] for r in range(n)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
+        for pivot in range(col, n):
+            if rows[pivot][col]:
+                break
+        else:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         scale = mul[inv[rows[col][col]]]

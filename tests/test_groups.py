@@ -561,6 +561,23 @@ def test_identify_group_names_s4_and_d12_in_any_labelling(seed):
         assert identify_group(FiniteGroup(cayley)) == name
 
 
+def test_identify_group_builds_the_s4_model_once(monkeypatch):
+    # two order-24 namings that reach the S4 witness (D12 holds an element
+    # of order 4) build the preset symmetric_group(4) once between them
+    groups = [symmetric_group(4), dihedral_group(12)]
+    builds = []
+    build = glattice.groups.symmetric_group
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    glattice.groups._s4_model.cache_clear()
+    monkeypatch.setattr(glattice.groups, "symmetric_group", counted)
+    assert [identify_group(group) for group in groups] == ["S4", "D12"]
+    assert builds == [4]
+
+
 def test_the_isomorphism_check_rejects_any_two_images_swapped():
     s4 = symmetric_group(4)
 

@@ -115,6 +115,64 @@ def test_boolean_lattice_matches_the_leq_construction(n):
     assert (got.meet, got.join) == (want.meet, want.join)
 
 
+def _spy_first_gap(monkeypatch):
+    """The families ``_first_gap`` scans from now on, in call order."""
+    scanned = []
+    first_gap = lattice_module._first_gap
+
+    def counted(masks):
+        scanned.append(tuple(masks))
+        return first_gap(masks)
+
+    monkeypatch.setattr(lattice_module, "_first_gap", counted)
+    return scanned
+
+
+def test_boolean_lattice_is_closed_by_count(monkeypatch):
+    # 2^11 distinct masks within 11 bits are the whole power set: no pair
+    # is scanned, and the masks and labels are the power set's
+    scanned = _spy_first_gap(monkeypatch)
+    start = time.perf_counter()
+    lat = boolean_lattice(11)
+    elapsed = time.perf_counter() - start
+    assert scanned == []
+    assert elapsed < 0.1
+    assert lat.masks == tuple(range(1 << 11))
+    assert lat.labels == tuple(
+        "{" + ",".join(str(b) for b in range(11) if i >> b & 1) + "}" for i in range(1 << 11)
+    )
+
+
+@pytest.mark.parametrize(
+    "masks,error,witness",
+    [
+        # 2^3 - 1 masks: {0} is gone, so {0,1} and {0,2} meet in no member
+        ([0b000, 0b010, 0b011, 0b100, 0b101, 0b110, 0b111], GlatticeError, (2, 4)),
+        # 2^3 - 1 masks: the top is gone
+        ([0b000, 0b001, 0b010, 0b011, 0b100, 0b101, 0b110], NoJoin, (1, 6)),
+    ],
+    ids=["no-atom", "no-top"],
+)
+def test_a_family_short_of_a_power_set_is_scanned(monkeypatch, masks, error, witness):
+    scanned = _spy_first_gap(monkeypatch)
+    with pytest.raises(error) as err:
+        lattice_module.SetLattice(masks)
+    assert type(err.value) is error and err.value.witness == witness
+    assert scanned[0] == tuple(masks)
+
+
+def test_a_family_with_a_negative_mask_is_scanned(monkeypatch):
+    # 2 = 2^b masks, b = 1 the bit length of the largest, but -1 is no
+    # set of b points: the family is scanned, builds as it did, and a
+    # label count that is wrong still raises after the scan
+    scanned = _spy_first_gap(monkeypatch)
+    assert lattice_module.SetLattice([-1, 1]).masks == (-1, 1)
+    assert scanned == [(-1, 1)]
+    with pytest.raises(ShapeMismatch, match="1 labels for 2 elements"):
+        lattice_module.SetLattice([-1, 1], labels=["a"])
+    assert scanned == [(-1, 1)] * 2
+
+
 def test_not_partial_order_rejected():
     with pytest.raises(NotPartialOrder):
         FiniteLattice([[1, 1], [1, 1]])  # antisymmetry fails

@@ -80,6 +80,29 @@ def test_frobenius_componentwise(gf4):
         assert f(v) == tuple(frob(x) for x in v)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_matrix_matches_the_row_supports(gf4, seed):
+    # sparse maps over GF(4)^3, zero rows included, against a dense form
+    # filled entry by entry here
+    rng = random.Random(seed)
+    space = VectorSpace(gf4, 3)
+    units, zero = gf4.units(), gf4.zero()
+    thetas = list_automorphisms(gf4)
+    for trial in range(20):
+        rows = []
+        for r in range(3):
+            # row trial % 3 is zero; the others keep a random set of columns
+            columns = [] if r == trial % 3 else sorted(rng.sample(range(3), rng.randrange(4)))
+            rows.append(tuple((j, rng.choice(units)) for j in columns))
+        dense = [[zero, zero, zero] for _ in range(3)]
+        for r, row in enumerate(rows):
+            for j, x in row:
+                dense[r][j] = x
+        f = SemilinearMap._from_rows(space, tuple(rows), rng.choice(thetas))
+        assert f.matrix == tuple(map(tuple, dense))
+        assert SemilinearMap(space, dense, f.theta) == f
+
+
 def test_shift_over_rationals(rationals):
     f = shift_map(rationals)
     v = tuple(rationals.scalar(c) for c in (1, 2, 3))

@@ -379,9 +379,11 @@ def test_not_coordinatizable_witness():
 
 def test_coordinatize_solves_one_system(monkeypatch):
     # the frame solve and the twist checks run on element indices: no rref
-    # call and no Scalar product, yet the map still induces phi
+    # call and no Scalar product, yet the map still induces phi; the
+    # result's scalars come from the lattice's element list, so no
+    # from_index call builds one
     calls = []
-    rref, mul = glattice.linalg.rref, Scalar.__mul__
+    rref, mul, from_index = glattice.linalg.rref, Scalar.__mul__, DivisionRing.from_index
 
     def counted_rref(rows, ring):
         calls.append("rref")
@@ -391,6 +393,10 @@ def test_coordinatize_solves_one_system(monkeypatch):
         calls.append("mul")
         return mul(self, other)
 
+    def counted_from_index(self, i):
+        calls.append("from_index")
+        return from_index(self, i)
+
     for p, k, matrix, frobenius in [(5, 1, [[1, 2], [3, 4]], 0), (2, 2, [[1, [0, 1]], [1, 0]], 1)]:
         ring = DivisionRing.gf(p, k)
         space = VectorSpace(ring, 2)
@@ -399,8 +405,10 @@ def test_coordinatize_solves_one_system(monkeypatch):
         lattice = enumerate_subspaces(space)
         phi = LatticeAutomorphism(lattice, _induced_perm(lattice, f))
         list_automorphisms(ring)  # checks the twists once per ring, with Scalar products
+        assert len(lattice._elements) == ring.order  # listed once per lattice
         monkeypatch.setattr(glattice.linalg, "rref", counted_rref)
         monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+        monkeypatch.setattr(DivisionRing, "from_index", counted_from_index)
         g = coordinatize(phi)
         monkeypatch.undo()
         assert calls == []
